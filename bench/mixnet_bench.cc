@@ -22,6 +22,7 @@
 // scenario failure; 2 usage error; 3 paper-shape check violation;
 // 4 one or more sweep points failed (summary on stderr).
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -83,6 +84,13 @@ void list_scenarios() {
   for (const auto& s : ScenarioRegistry::paper().scenarios())
     std::printf("%-10s %-20s %s\n", s.name.c_str(), s.figure.c_str(),
                 s.title.c_str());
+}
+
+// Whole-string base-10 int: no trailing characters, no '+', no overflow.
+bool parse_int(const std::string& s, int* out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return !s.empty() && ec == std::errc() && ptr == end;
 }
 
 std::vector<std::string> split_names(const std::string& arg) {
@@ -176,7 +184,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--run") {
       for (auto& n : split_names(next())) names.push_back(std::move(n));
     } else if (arg == "--jobs") {
-      ctx.jobs = std::max(1, std::atoi(next()));
+      const std::string spec = next();
+      if (!parse_int(spec, &ctx.jobs) || ctx.jobs < 1) {
+        std::fprintf(stderr, "--jobs: expected a positive integer, got '%s'\n",
+                     spec.c_str());
+        return usage(argv[0], 2);
+      }
     } else if (arg == "--format") {
       format = next();
     } else if (arg == "--check") {
@@ -188,14 +201,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--shard") {
       const std::string spec = next();
       const auto slash = spec.find('/');
-      if (slash == std::string::npos) {
-        std::fprintf(stderr, "--shard expects I/N, got: %s\n", spec.c_str());
-        return usage(argv[0], 2);
-      }
-      shard_index = std::atoi(spec.substr(0, slash).c_str());
-      shard_count = std::atoi(spec.substr(slash + 1).c_str());
-      if (shard_count < 1 || shard_index < 0 || shard_index >= shard_count) {
-        std::fprintf(stderr, "--shard: need 0 <= I < N, got: %s\n",
+      if (slash == std::string::npos ||
+          !parse_int(spec.substr(0, slash), &shard_index) ||
+          !parse_int(spec.substr(slash + 1), &shard_count) ||
+          shard_index < 0 || shard_index >= shard_count) {
+        std::fprintf(stderr,
+                     "--shard: expected I/N with 0 <= I < N, got '%s'\n",
                      spec.c_str());
         return usage(argv[0], 2);
       }

@@ -86,8 +86,8 @@ fi
 # executed by `mixnet-bench --run <scenario> --jobs N --check` so sweep
 # points use the requested cores and the registered paper-shape checks
 # (ScenarioInfo::check, see EXPERIMENTS.md) gate the run. In --quick mode
-# only the figures target is built (the test suites are never run).
-cmake --build build -j "$jobs" -t figures
+# only mixnet-bench is built (the test suites are never run).
+cmake --build build -j "$jobs" -t mixnet-bench
 smoke_benches=${MIXNET_SMOKE_BENCHES-"fig12 fig13 serve-storm fidelity-ladder fig26-xl"}
 smoke_jobs=${MIXNET_SMOKE_JOBS-$jobs}
 total_ns=0

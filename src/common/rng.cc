@@ -81,38 +81,6 @@ double Rng::normal() {
 }
 
 void Rng::fill_normal(double* out, std::size_t n) {
-  if (mode_ == Mode::kVectorized) {
-    fill_normal_vectorized(out, n);
-    return;
-  }
-  fill_normal_sequential(out, n);
-}
-
-void Rng::fill_normal_sequential(double* out, std::size_t n) {
-  std::size_t i = 0;
-  if (i < n && has_cached_normal_) {
-    has_cached_normal_ = false;
-    out[i++] = cached_normal_;
-  }
-  // Whole Box-Muller pairs straight into the buffer (cos then sin, matching
-  // normal()'s ordering).
-  while (i + 1 < n) {
-    double u1, u2;
-    do {
-      u1 = uniform();
-    } while (u1 <= 1e-300);
-    u2 = uniform();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 2.0 * M_PI * u2;
-    out[i++] = r * std::cos(theta);
-    out[i++] = r * std::sin(theta);
-  }
-  // Odd remainder: draw a pair, emit the cos, cache the sin -- exactly what
-  // a trailing normal() call does.
-  if (i < n) out[i] = normal();
-}
-
-void Rng::fill_normal_vectorized(double* out, std::size_t n) {
   std::size_t i = 0;
   if (i < n && has_cached_normal_) {
     has_cached_normal_ = false;
@@ -181,17 +149,9 @@ double Rng::gamma(double shape) {
 
 void Rng::fill_gamma(double* out, std::size_t n, double shape) {
   assert(shape > 0.0);
-  if (mode_ == Mode::kVectorized) {
-    fill_gamma_vectorized(out, n, shape);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) out[i] = gamma(shape);
-}
-
-void Rng::fill_gamma_vectorized(double* out, std::size_t n, double shape) {
   if (shape < 1.0) {
     // Marsaglia-Tsang shape boost, batched: gamma(a) = gamma(a+1) * U^(1/a).
-    fill_gamma_vectorized(out, n, shape + 1.0);
+    fill_gamma(out, n, shape + 1.0);
     static thread_local double u[kBlock], p[kBlock];
     const double inv_shape = 1.0 / shape;
     for (std::size_t i = 0; i < n; i += kBlock) {
@@ -212,7 +172,7 @@ void Rng::fill_gamma_vectorized(double* out, std::size_t n, double shape) {
     // Candidate batch sized to the remaining demand; the acceptance rate of
     // Marsaglia-Tsang is >95% for shape >= 1, so refill rounds are rare.
     const std::size_t m = std::min(n - filled, kBlock);
-    fill_normal_vectorized(xs, m);
+    fill_normal(xs, m);
     for (std::size_t k = 0; k < m; ++k)
       us[k] = static_cast<double>(next() >> 11 | 1) * 0x1.0p-53;
     vecmath::gamma_candidate_block(xs, us, d, c, vals, accept, m);
@@ -250,8 +210,7 @@ std::size_t Rng::categorical(const std::vector<double>& weights) {
 }
 
 Rng Rng::fork() {
-  Rng child(next() ^ 0xD1B54A32D192ED03ULL, mode_);
-  return child;
+  return Rng(next() ^ 0xD1B54A32D192ED03ULL);
 }
 
 }  // namespace mixnet

@@ -17,36 +17,13 @@ class Rng {
  public:
   using result_type = std::uint64_t;
 
-  /// Draw-sequence mode for the bulk fill_* entry points. Per-call draws
-  /// (normal(), gamma(), dirichlet(), ...) use the same mode-independent
-  /// code and produce the historical sequences as long as they are not
-  /// interleaved with vectorized fill_* calls on the same instance — a
-  /// vectorized fill consumes the uniform stream in block order and can
-  /// leave a block-path cached deviate, shifting every draw after it.
-  enum class Mode {
-    /// fill_*(n) produces the exact sequence `n` per-call draws would,
-    /// including the Box-Muller cached-deviate handling. This is the
-    /// pre-vectorization behavior; pinned-sequence tests and any consumer
-    /// that must reproduce historical figure outputs use it.
-    kSequential,
-    /// fill_* runs the block fast path (batched Box-Muller / batched
-    /// Marsaglia-Tsang over simd_math.h kernels). Consumes the same
-    /// underlying uniform stream but in a different draw order, so bulk
-    /// sequences differ from sequential mode; figure shapes were
-    /// re-validated against this mode (EXPERIMENTS.md).
-    kVectorized,
-  };
-
-  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL,
-               Mode mode = Mode::kVectorized)
-      : mode_(mode) {
-    reseed(seed);
-  }
-
-  // Mode is constructor state on purpose: switching mid-stream would leave a
-  // vectorized cached deviate / stream position that the sequential mode's
-  // bit-exactness guarantee cannot honor.
-  Mode mode() const { return mode_; }
+  // Per-call draws (normal(), gamma(), dirichlet(), ...) and the bulk fill_*
+  // entry points consume the same uniform stream but in a different order:
+  // fill_* runs a block fast path (batched Box-Muller / batched
+  // Marsaglia-Tsang over simd_math.h kernels), so n per-call draws and one
+  // fill of n differ. Both are deterministic per seed; the per-call
+  // sequences are pinned bit-for-bit in common_test.
+  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) { reseed(seed); }
 
   /// Re-initialise the state from a 64-bit seed via SplitMix64.
   void reseed(std::uint64_t seed);
@@ -69,17 +46,15 @@ class Rng {
   double normal();
 
   /// Fill `out[0..n)` with standard normals. Bulk entry point for the hot
-  /// OU walks in the gate simulator. In Mode::kSequential this produces the
-  /// exact sequence that `n` successive normal() calls would (including
-  /// consuming/leaving the cached second deviate); in Mode::kVectorized it
-  /// runs the batched Box-Muller fast path (block uniforms -> one
-  /// vectorizable transcendental pass, no per-pair branches).
+  /// OU walks in the gate simulator: batched Box-Muller (block uniforms ->
+  /// one vectorizable transcendental pass, no per-pair branches). Consumes a
+  /// pending cached deviate first and leaves one after an odd-length fill,
+  /// like normal().
   void fill_normal(double* out, std::size_t n);
 
-  /// Fill `out[0..n)` with gamma(shape, 1) variates. Sequential mode matches
-  /// `n` successive gamma(shape) calls; vectorized mode batches the
-  /// Marsaglia-Tsang candidate generation (normals + uniforms drawn in
-  /// blocks, acceptance evaluated branch-free, rejects re-drawn).
+  /// Fill `out[0..n)` with gamma(shape, 1) variates: batched Marsaglia-Tsang
+  /// candidate generation (normals + uniforms drawn in blocks, acceptance
+  /// evaluated branch-free, rejects re-drawn).
   void fill_gamma(double* out, std::size_t n, double shape);
 
   /// Fill `out[0..n)` with a Dirichlet(alpha, ..., alpha) sample (sums to
@@ -122,12 +97,7 @@ class Rng {
  private:
   result_type next();
 
-  void fill_normal_sequential(double* out, std::size_t n);
-  void fill_normal_vectorized(double* out, std::size_t n);
-  void fill_gamma_vectorized(double* out, std::size_t n, double shape);
-
   std::array<std::uint64_t, 4> state_{};
-  Mode mode_ = Mode::kVectorized;
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;
 };

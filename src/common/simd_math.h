@@ -4,10 +4,11 @@
 // (simd_math.cc) compiled with -ffast-math/-fopenmp-simd so the compiler can
 // auto-vectorize the transcendental calls (libmvec on glibc/x86-64) without
 // relaxing floating-point semantics anywhere else. In particular rng.cc,
-// whose sequential mode must keep reproducing pre-existing draw sequences
-// bit-for-bit, is compiled with the default strict flags and only *calls*
-// into these kernels from the vectorized mode, which owns its own draw
-// sequence and is re-validated at the figure level (EXPERIMENTS.md).
+// whose per-call draws (normal(), gamma(), ...) must keep reproducing their
+// pinned sequences bit-for-bit, is compiled with the default strict flags
+// and only *calls* into these kernels from the bulk fill_* paths, which own
+// their own draw sequence and are validated at the figure level
+// (EXPERIMENTS.md).
 //
 // Every kernel is plain C++ and remains correct if the compiler declines to
 // vectorize (e.g. non-x86 targets or clang without a vector libm); the fast
@@ -41,9 +42,8 @@ void pow_block(const double* u, double inv_shape, double* out, std::size_t n);
 
 /// Dense row-major matrix-vector product y = M x (rows x cols). Fast-math
 /// reassociates the dot-product reductions, so the result can differ from a
-/// strict left-to-right accumulation in the last ulps; callers that must
-/// reproduce historical outputs use Matrix::mul_into instead. `y` must not
-/// alias `m` or `x`.
+/// strict left-to-right accumulation in the last ulps (Matrix::mul_into is
+/// the strict one). `y` must not alias `m` or `x`.
 void matvec_block(const double* m, const double* x, double* y,
                   std::size_t rows, std::size_t cols);
 

@@ -71,7 +71,6 @@ void canonicalize_config(const sim::TrainingConfig& cfg, CanonicalWriter& w) {
   w.field("gate.lb_final", cfg.gate.lb_final);
   w.field("gate.lb_timescale", cfg.gate.lb_timescale);
   w.field("gate.seed", cfg.gate.seed);
-  w.field("gate.rng_mode", static_cast<int>(cfg.gate.rng_mode));
 
   w.field("warmup_iterations", cfg.warmup_iterations);
   w.field("warmup_policy", static_cast<int>(cfg.warmup_policy));

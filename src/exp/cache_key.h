@@ -29,7 +29,10 @@ namespace mixnet::exp {
 /// v4: analytic-core fabrics — CoreModel joins TrainingConfig and the key
 /// material; SoA FlowSim + arena event pool change floating-point reduction
 /// order, so durations can differ in the last ulp from v3.
-inline constexpr int kCacheSchemaVersion = 4;
+/// v5: the gate RNG has a single draw mode, so GateConfig's draw-mode field
+/// leaves the key material (results are unchanged; the key's field set is
+/// not).
+inline constexpr int kCacheSchemaVersion = 5;
 
 /// Serialize every code-relevant TrainingConfig field into `w`.
 void canonicalize_config(const sim::TrainingConfig& cfg, CanonicalWriter& w);

@@ -1,8 +1,5 @@
 #include "exp/registry.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "topo/fabric.h"
@@ -72,35 +69,6 @@ std::string list_scenarios_json(const ScenarioRegistry& registry) {
     }
   }
   return out + "]}\n";
-}
-
-int run_scenario_main(const std::string& name) {
-  const ScenarioInfo* s = ScenarioRegistry::paper().find(name);
-  if (!s) {
-    std::fprintf(stderr, "unknown scenario: %s\n", name.c_str());
-    return 1;
-  }
-  RunContext ctx;
-  ctx.scenario = name;
-  SweepStats stats;
-  ctx.stats = &stats;  // keep-going: a bad point never hides the others
-  if (const char* jobs = std::getenv("MIXNET_BENCH_JOBS"))
-    ctx.jobs = std::max(1, std::atoi(jobs));
-  try {
-    const ScenarioResult result = s->run(ctx);
-    std::fputs(result.to_text().c_str(), stdout);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "scenario %s failed: %s\n", name.c_str(), e.what());
-    return 1;
-  }
-  if (stats.failed > 0) {
-    std::fprintf(stderr, "%zu of %zu sweep points failed:\n", stats.failed,
-                 stats.points);
-    for (const auto& f : stats.failures)
-      std::fprintf(stderr, "  %s\n", f.c_str());
-    return 4;
-  }
-  return 0;
 }
 
 }  // namespace mixnet::exp

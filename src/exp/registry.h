@@ -1,8 +1,7 @@
 // ScenarioRegistry: every paper figure/table/ablation as a named, runnable
-// scenario (DESIGN.md §7). `mixnet-bench --list` enumerates it; each legacy
-// bench_fig* binary is a thin wrapper over run_scenario_main(). The
-// per-scenario figure-vs-paper shape comparison is recorded in
-// EXPERIMENTS.md.
+// scenario (DESIGN.md §7). `mixnet-bench --list` enumerates it and
+// `mixnet-bench --run <name>` runs one. The per-scenario figure-vs-paper
+// shape comparison is recorded in EXPERIMENTS.md.
 #pragma once
 
 #include <functional>
@@ -65,12 +64,5 @@ void register_fidelity_scenarios(ScenarioRegistry& r);  // fidelity-ladder
 /// plus a final newline. Fabric entries cover every topology preset at a
 /// reference size, including analytic-core variants where supported.
 std::string list_scenarios_json(const ScenarioRegistry& registry);
-
-/// Run one registered scenario and print its text rendering to stdout;
-/// returns a process exit code (0 ok, 1 scenario failure, 4 when individual
-/// sweep points failed -- their summary goes to stderr). Worker threads
-/// come from the MIXNET_BENCH_JOBS environment variable (default 1). This
-/// is the whole body of every legacy bench_fig* binary.
-int run_scenario_main(const std::string& name);
 
 }  // namespace mixnet::exp

@@ -190,13 +190,21 @@ void ResultCache::put(const std::string& scenario, const std::string& key,
   const std::string line = point_record_json(key, r, labels);
   std::lock_guard<std::mutex> lock(mu_);
   Namespace& ns = load(scenario);
+  if (ns.unwritable) return;
   if (!ns.append) {
     // Create the cache directory on first write (one level; the default
     // ".mixnet-cache" and test dirs are single components).
-    if (::mkdir(dir_.c_str(), 0777) != 0 && errno != EEXIST)
-      return;  // unwritable cache degrades to a no-op, never an error
-    ns.append = std::fopen(file_path(scenario).c_str(), "a");
-    if (!ns.append) return;
+    if ((::mkdir(dir_.c_str(), 0777) != 0 && errno != EEXIST) ||
+        !(ns.append = std::fopen(file_path(scenario).c_str(), "a"))) {
+      // An unwritable cache costs the next run its hits, never this run its
+      // results: warn once per namespace and stop retrying.
+      std::fprintf(stderr,
+                   "warning: result cache %s is not writable (%s); %s points "
+                   "will not be cached\n",
+                   dir_.c_str(), std::strerror(errno), scenario.c_str());
+      ns.unwritable = true;
+      return;
+    }
   }
   std::fputs(line.c_str(), ns.append);
   std::fputc('\n', ns.append);

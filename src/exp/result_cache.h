@@ -55,7 +55,9 @@ class ResultCache {
                                     const std::string& key);
 
   /// Append one completed point and flush it to disk. Thread-safe; called
-  /// by engine workers as points finish (the stream stage).
+  /// by engine workers as points finish (the stream stage). If the
+  /// namespace file cannot be created, prints one stderr warning and drops
+  /// this and every later put to that namespace.
   void put(const std::string& scenario, const std::string& key,
            const PointResult& r, const std::vector<std::string>& labels);
 
@@ -70,6 +72,7 @@ class ResultCache {
     bool loaded = false;
     std::map<std::string, std::string> lines;  // key -> raw record
     std::FILE* append = nullptr;
+    bool unwritable = false;  // open failed once; puts are dropped
   };
 
   Namespace& load(const std::string& scenario);  // callers hold mu_

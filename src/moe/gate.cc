@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/simd_math.h"
 #include "common/stats.h"
@@ -19,9 +21,12 @@ void normalize(std::vector<double>& v) { normalize_span(v.data(), v.size()); }
 
 }  // namespace
 
-GateSimulator::GateSimulator(const GateConfig& cfg)
-    : cfg_(cfg), rng_(cfg.seed, cfg.rng_mode) {
-  assert(cfg_.n_experts >= cfg_.ep_ranks || cfg_.n_experts > 0);
+GateSimulator::GateSimulator(const GateConfig& cfg) : cfg_(cfg), rng_(cfg.seed) {
+  if (cfg_.n_experts <= 0 || cfg_.n_layers <= 0 || cfg_.ep_ranks <= 0)
+    throw std::invalid_argument(
+        "GateConfig: n_experts, n_layers and ep_ranks must be positive (got " +
+        std::to_string(cfg_.n_experts) + ", " + std::to_string(cfg_.n_layers) +
+        ", " + std::to_string(cfg_.ep_ranks) + ")");
   experts_per_rank_ = std::max(1, cfg_.n_experts / cfg_.ep_ranks);
 
   logits_.resize(static_cast<std::size_t>(cfg_.n_experts));
@@ -29,9 +34,8 @@ GateSimulator::GateSimulator(const GateConfig& cfg)
 
   // Column-stochastic transition matrices, one per layer boundary. One bulk
   // gamma fill per layer; each E-sized chunk normalizes into one source
-  // column's Dirichlet sample (sequence-identical to per-column
-  // rng_.dirichlet in sequential mode, and the constructor's dominant cost
-  // for the 256-expert models without the bulk path).
+  // column's Dirichlet sample (per-column rng_.dirichlet calls were the
+  // constructor's dominant cost for the 256-expert models).
   const auto E0 = static_cast<std::size_t>(cfg_.n_experts);
   transitions_.reserve(static_cast<std::size_t>(cfg_.n_layers));
   transitions_.emplace_back();  // layer 0 has no predecessor
@@ -106,23 +110,15 @@ void GateSimulator::step() {
 void GateSimulator::refresh_rank_pref(std::size_t k) {
   const auto& z = pref_logits_[k];
   auto& p = rank_pref_[k];
-  if (rng_.mode() == Rng::Mode::kVectorized) {
-    vecmath::exp_block(z.data(), p.data(), z.size());
-  } else {
-    // Sequential mode must reproduce pre-vectorization outputs bit-for-bit;
-    // the libmvec exp can differ from std::exp in the last ulp.
-    for (std::size_t e = 0; e < z.size(); ++e) p[e] = std::exp(z[e]);
-  }
+  vecmath::exp_block(z.data(), p.data(), z.size());
   normalize(p);
 }
 
 void GateSimulator::apply_ou_update(double pop_a, double pop_sd, double pref_a,
                                     double pref_sd) {
   // All of one update's walk draws -- popularity plus every (rank, layer)
-  // preference vector -- come from ONE bulk fill_normal (in sequential mode
-  // that concatenation is draw-for-draw identical to the historical
-  // per-vector fills), and the OU update is a single fused pass over the
-  // scratch.
+  // preference vector -- come from ONE bulk fill_normal, and the OU update
+  // is a single fused pass over the scratch.
   const std::size_t E = logits_.size();
   normal_scratch_.resize(E + pref_logits_.size() * E);
   rng_.fill_normal(normal_scratch_.data(), normal_scratch_.size());
@@ -158,8 +154,7 @@ void GateSimulator::transition_drift() {
   for (int l = 1; l < cfg_.n_layers; ++l) {
     Matrix& m = transitions_[static_cast<std::size_t>(l)];
     // One bulk gamma fill per layer; each E-sized chunk normalizes into the
-    // Dirichlet noise for one source column (sequence-identical to the
-    // historical per-column rng_.dirichlet in sequential mode).
+    // Dirichlet noise for one source column.
     rng_.fill_gamma(gamma_scratch_.data(), E * E, cfg_.transition_alpha);
     for (int src = 0; src < cfg_.n_experts; ++src) {
       double* noise = gamma_scratch_.data() + static_cast<std::size_t>(src) * E;
@@ -247,8 +242,7 @@ void GateSimulator::refresh_distributions() {
   };
 
   // Personalization weights pref^gamma for every (rank, layer): one block
-  // exp(gamma * log(pref)) pass in vectorized mode, per-element std::pow in
-  // sequential mode (bit-compatible with the historical outputs).
+  // exp(gamma * log(pref)) pass.
   const double gamma = cfg_.personalization;
   auto pref_pow_of = [&](int h, int l) -> const double* {
     const std::size_t k = static_cast<std::size_t>(l) *
@@ -256,13 +250,8 @@ void GateSimulator::refresh_distributions() {
                           static_cast<std::size_t>(h);
     double* out = pref_pow_buf;
     const auto& pref = rank_pref_[k];
-    if (rng_.mode() == Rng::Mode::kVectorized) {
-      for (std::size_t e = 0; e < E; ++e) out[e] = std::max(pref[e], 1e-9);
-      vecmath::pow_block(out, gamma, out, E);
-    } else {
-      for (std::size_t e = 0; e < E; ++e)
-        out[e] = std::pow(std::max(pref[e], 1e-9), gamma);
-    }
+    for (std::size_t e = 0; e < E; ++e) out[e] = std::max(pref[e], 1e-9);
+    vecmath::pow_block(out, gamma, out, E);
     return out;
   };
   for (int h = 0; h < cfg_.ep_ranks; ++h) {
@@ -280,10 +269,7 @@ void GateSimulator::refresh_distributions() {
       auto& q = q_[static_cast<std::size_t>(l)][static_cast<std::size_t>(h)];
       const auto& prev =
           q_[static_cast<std::size_t>(l - 1)][static_cast<std::size_t>(h)];
-      if (rng_.mode() == Rng::Mode::kVectorized)
-        vecmath::matvec_block(m.data().data(), prev.data(), q.data(), E, E);
-      else
-        m.mul_into(prev, q);
+      vecmath::matvec_block(m.data().data(), prev.data(), q.data(), E, E);
       const double* pref_pow = pref_pow_of(h, l);
       for (std::size_t e = 0; e < E; ++e) q[e] *= pref_pow[e];
       normalize(q);
@@ -304,8 +290,7 @@ void GateSimulator::realize_counts() {
   const auto E = static_cast<std::size_t>(cfg_.n_experts);
   const double n = cfg_.tokens_per_rank;
   // One bulk fill for every (layer, rank, expert) Gaussian count draw of the
-  // iteration (sequence-identical to the historical per-(layer, rank) fills
-  // in sequential mode), then a fused realize + clamp + renormalize pass.
+  // iteration, then a fused realize + clamp + renormalize pass.
   normal_scratch_.resize(static_cast<std::size_t>(cfg_.n_layers) *
                          static_cast<std::size_t>(cfg_.ep_ranks) * E);
   rng_.fill_normal(normal_scratch_.data(), normal_scratch_.size());

@@ -40,11 +40,6 @@ struct GateConfig {
   double lb_final = 0.45;           ///< asymptotic load-balancing mix [0,1]
   double lb_timescale = 2000.0;     ///< iterations to approach lb_final
   std::uint64_t seed = 42;
-  /// Draw-sequence mode of the gate's Rng. kVectorized is the fast path the
-  /// figure benches run (shapes re-validated in EXPERIMENTS.md);
-  /// kSequential reproduces the pre-vectorization draw sequences for pinned
-  /// regression tests.
-  Rng::Mode rng_mode = Rng::Mode::kVectorized;
 };
 
 /// How to advance the gate past warmup iterations (TrainingConfig /
@@ -61,6 +56,8 @@ enum class WarmupPolicy {
 
 class GateSimulator {
  public:
+  /// Throws std::invalid_argument unless n_experts, n_layers and ep_ranks
+  /// are all positive.
   explicit GateSimulator(const GateConfig& cfg);
 
   /// Advance one training iteration (re-samples routing).

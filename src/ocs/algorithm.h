@@ -24,7 +24,8 @@ struct ReconfigureOptions {
   /// is the work-conserving reading -- skip exhausted pairs and keep
   /// allocating to the next-worst servable pair -- which is what a real
   /// deployment does and what the paper's results imply. Set to false for
-  /// the strict-pseudocode ablation (bench_ablation quantifies the gap).
+  /// the strict-pseudocode ablation (`mixnet-bench --run ablation`
+  /// quantifies the gap).
   bool work_conserving = true;
   /// Pairs whose folded demand is below this fraction of the matrix maximum
   /// are left to the EPS fallback instead of claiming a circuit. Without a

@@ -311,6 +311,39 @@ TEST(SweepEngine, WarmRunIsAllHitsAndBitIdentical) {
   }
 }
 
+TEST(SweepEngine, UnwritableCacheWarnsOnceAndStillComputesEveryPoint) {
+  // The cache directory sits under a regular file, so mkdir fails (ENOTDIR).
+  TempCacheDir dir;
+  const std::string blocker = dir.path + "/blocker";
+  std::FILE* f = std::fopen(blocker.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fclose(f);
+  ResultCache cache(blocker + "/cache");
+  const Sweep sweep = tiny_sweep();
+
+  RunContext ctx;
+  ctx.scenario = "figX";
+  ctx.cache = &cache;
+  testing::internal::CaptureStderr();
+  for (int run = 0; run < 2; ++run) {
+    SweepStats stats;
+    ctx.stats = &stats;
+    const auto results = run_sweep(sweep, ctx);
+    EXPECT_EQ(stats.hits, 0u) << "run " << run;
+    EXPECT_EQ(stats.computed, sweep.size()) << "run " << run;
+    EXPECT_EQ(stats.failed, 0u) << "run " << run;
+    for (const auto& r : results) EXPECT_TRUE(r.ok());
+  }
+  const std::string err = testing::internal::GetCapturedStderr();
+  std::size_t warnings = 0;
+  for (auto pos = err.find("warning: result cache"); pos != std::string::npos;
+       pos = err.find("warning: result cache", pos + 1))
+    ++warnings;
+  EXPECT_EQ(warnings, 1u) << err;
+  EXPECT_NE(err.find(blocker + "/cache"), std::string::npos) << err;
+  EXPECT_NE(err.find("Not a directory"), std::string::npos) << err;
+}
+
 TEST(SweepEngine, ShardedRunsMergeBitIdenticalToSerial) {
   const Sweep sweep = tiny_sweep();
   const auto serial = run_sweep(sweep, /*jobs=*/1);

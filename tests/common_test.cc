@@ -84,38 +84,11 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(stddev(xs), 2.0, 0.05);
 }
 
-// In Mode::kSequential the bulk entry point must keep producing the exact
-// per-call normal() sequence -- this is the mode pinned tests and historical
-// figure outputs rely on (per-call draws are mode-independent).
-TEST(Rng, SequentialFillNormalMatchesSequentialDraws) {
-  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                        std::size_t{3}, std::size_t{7}, std::size_t{64},
-                        std::size_t{101}}) {
-    Rng a(123), b(123, Rng::Mode::kSequential);
-    std::vector<double> seq(n), bulk(n);
-    for (auto& v : seq) v = a.normal();
-    b.fill_normal(bulk.data(), n);
-    EXPECT_EQ(seq, bulk) << "n=" << n;
-    // Both streams remain aligned afterwards (cache state included).
-    for (int k = 0; k < 3; ++k) EXPECT_EQ(a.normal(), b.normal());
-  }
-}
-
-TEST(Rng, SequentialFillNormalConsumesPendingCachedDeviate) {
-  Rng a(9), b(9, Rng::Mode::kSequential);
-  ASSERT_EQ(a.normal(), b.normal());  // both now hold a cached second deviate
-  std::vector<double> seq(5), bulk(5);
-  for (auto& v : seq) v = a.normal();
-  b.fill_normal(bulk.data(), bulk.size());
-  EXPECT_EQ(seq, bulk);
-  EXPECT_EQ(a.uniform(), b.uniform());
-}
-
-// Pinned pre-vectorization draw sequence (bit patterns captured from the
-// implementation before Rng::Mode existed). If this test fails, sequential
-// mode no longer reproduces historical figure inputs -- that is a breaking
-// change, not a tolerance issue.
-TEST(Rng, SequentialFillNormalPinnedSequence) {
+// Pinned per-call draw sequence (bit patterns captured when the generator
+// was introduced). The gate constructor, the serve workload and failure
+// injection draw through normal(); if this test fails their inputs moved --
+// that is a breaking change, not a tolerance issue.
+TEST(Rng, NormalPinnedSequence) {
   const std::uint64_t expected[8] = {
       0x3ffc5417e416c000ULL,  //  1.7705305967065215
       0xbfd5ee7a48a2e6e4ULL,  // -0.34268052190200948
@@ -126,43 +99,35 @@ TEST(Rng, SequentialFillNormalPinnedSequence) {
       0xbfe8b50eb1756e93ULL,  // -0.77210173282533601
       0xbff296bc20bb0e0aULL,  // -1.1618005064527801
   };
-  Rng r(123, Rng::Mode::kSequential);
-  double buf[8];
-  r.fill_normal(buf, 8);
+  Rng r(123);
   for (int i = 0; i < 8; ++i) {
+    const double v = r.normal();
     std::uint64_t bits;
-    std::memcpy(&bits, &buf[i], sizeof(bits));
+    std::memcpy(&bits, &v, sizeof(bits));
     EXPECT_EQ(bits, expected[i]) << "draw " << i;
   }
 }
 
-// Pinned sequential gamma/dirichlet draws (captured pre-vectorization):
-// fill_gamma in sequential mode must equal per-call gamma(), and the
-// per-call paths themselves must stay put.
-TEST(Rng, SequentialGammaAndDirichletPinned) {
+// Pinned per-call gamma/dirichlet draws (captured with the sequence above).
+TEST(Rng, GammaAndDirichletPinned) {
   {
-    Rng a(77), b(77, Rng::Mode::kSequential);
-    double bulk[4];
-    b.fill_gamma(bulk, 4, 0.25);
-    for (int i = 0; i < 4; ++i) EXPECT_EQ(a.gamma(0.25), bulk[i]) << i;
-    EXPECT_DOUBLE_EQ(bulk[0], 0.012062086402207709);
-    EXPECT_DOUBLE_EQ(bulk[3], 0.85614784292842494);
+    Rng r(77);
+    double draws[4];
+    for (double& v : draws) v = r.gamma(0.25);
+    EXPECT_DOUBLE_EQ(draws[0], 0.012062086402207709);
+    EXPECT_DOUBLE_EQ(draws[3], 0.85614784292842494);
   }
   {
-    Rng a(77), b(77, Rng::Mode::kSequential);
-    const auto v = a.dirichlet(6, 0.08);
-    double bulk[6];
-    b.fill_dirichlet(bulk, 6, 0.08);
-    for (int i = 0; i < 6; ++i) EXPECT_EQ(v[static_cast<std::size_t>(i)], bulk[i]) << i;
-    EXPECT_DOUBLE_EQ(bulk[3], 0.99858319444417454);
+    Rng r(77);
+    EXPECT_DOUBLE_EQ(r.dirichlet(6, 0.08)[3], 0.99858319444417454);
   }
 }
 
-// The vectorized fast path owns a different draw sequence (that is the
-// point: block Box-Muller instead of pair-at-a-time), but must stay a
-// standard normal sampler. Moments over a large batch.
+// The bulk fill path owns a different draw sequence from per-call normal()
+// (that is the point: block Box-Muller instead of pair-at-a-time), but must
+// stay a standard normal sampler. Moments over a large batch.
 TEST(Rng, VectorizedFillNormalMoments) {
-  Rng r(11, Rng::Mode::kVectorized);
+  Rng r(11);
   std::vector<double> xs(200000);
   r.fill_normal(xs.data(), xs.size());
   EXPECT_NEAR(mean(xs), 0.0, 0.01);
@@ -184,7 +149,7 @@ TEST(Rng, VectorizedFillNormalHandlesOddSizesAndCache) {
   // one big fill and produce the same values up to SIMD lane-vs-epilogue
   // rounding (the same element can land in a vector lane in one split and
   // the scalar remainder loop in another).
-  Rng a(5, Rng::Mode::kVectorized), b(5, Rng::Mode::kVectorized);
+  Rng a(5), b(5);
   std::vector<double> one(1037), parts(1037);
   a.fill_normal(one.data(), one.size());
   b.fill_normal(parts.data(), 1);
@@ -201,7 +166,7 @@ TEST(Rng, VectorizedFillGammaMoments) {
   // Gamma(k, 1) has mean k and variance k. Cover the shape-boost branch
   // (k < 1, the transition-drift concentration 0.08) and the direct branch.
   for (double shape : {0.08, 0.25, 1.0, 3.5}) {
-    Rng r(29, Rng::Mode::kVectorized);
+    Rng r(29);
     std::vector<double> xs(400000);
     r.fill_gamma(xs.data(), xs.size(), shape);
     double m = mean(xs);
@@ -214,7 +179,7 @@ TEST(Rng, VectorizedFillGammaMoments) {
 }
 
 TEST(Rng, VectorizedFillDirichletNormalized) {
-  Rng r(31, Rng::Mode::kVectorized);
+  Rng r(31);
   std::vector<double> v(256);
   r.fill_dirichlet(v.data(), v.size(), 0.08);
   double s = 0.0;
@@ -223,13 +188,6 @@ TEST(Rng, VectorizedFillDirichletNormalized) {
     s += x;
   }
   EXPECT_NEAR(s, 1.0, 1e-9);
-}
-
-TEST(Rng, ForkInheritsMode) {
-  Rng seq(3, Rng::Mode::kSequential);
-  Rng vec(3, Rng::Mode::kVectorized);
-  EXPECT_EQ(seq.fork().mode(), Rng::Mode::kSequential);
-  EXPECT_EQ(vec.fork().mode(), Rng::Mode::kVectorized);
 }
 
 TEST(Rng, DirichletSumsToOne) {

@@ -315,8 +315,8 @@ TEST(ScenarioRegistry, ListScenariosJsonIsWellFormedAndComplete) {
   EXPECT_NE(json.find("\"describe\":{"), std::string::npos);
 }
 
-// Golden output for Figure 5, byte-exact against the pre-registry harness
-// (bench_fig05_locality at its last standalone revision). Guards the footer
+// Golden output for Figure 5 (`mixnet-bench --run fig05`), byte-exact
+// against the pre-registry one-figure harness. Guards the footer
 // rendering: the "Paper:" note rides as a table footer specifically so no
 // blank line separates it from the locality line -- a drift the registry
 // port introduced once already.

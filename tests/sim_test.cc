@@ -254,7 +254,8 @@ TEST(TrainingSim, TinyReconfigDelayMarginalGain) {
 TEST(TrainingSim, GreedyBeatsUniformCircuitsOnSkewedDemand) {
   // Algorithm 1 ablation: demand-aware circuits beat oblivious spreading
   // when the all-to-all matrix is skewed (the regime §3 measures). On
-  // near-uniform demand the two tie -- bench_ablation quantifies both.
+  // near-uniform demand the two tie -- `mixnet-bench --run ablation`
+  // quantifies both.
   const topo::FabricConfig fc =
       topo::FabricConfig::mixnet(8).with_region_servers(8).with_nic_gbps(100.0);
 
