@@ -177,6 +177,26 @@ void BM_EcmpRouting(benchmark::State& state) {
 }
 BENCHMARK(BM_EcmpRouting);
 
+// Closed-form routing (Fabric::route_analytic) on the explicit core at 2048
+// servers, the route every non-TopoOpt fabric takes. Arg(0) is the
+// fat-tree, Arg(1) rail-optimized; every pair crosses racks and pods.
+void BM_ClosedFormRoute(benchmark::State& state) {
+  const auto cfg = state.range(0) == 0 ? topo::FabricConfig::fat_tree(2048)
+                                       : topo::FabricConfig::rail_optimized(2048);
+  const auto fabric = topo::Fabric::build(cfg);
+  const auto half = static_cast<std::uint64_t>(fabric.n_servers() / 2);
+  std::uint64_t h = 0;
+  for (auto _ : state) {
+    ++h;
+    const int src = static_cast<int>(h % half);  // first half -> second half
+    const int dst = fabric.n_servers() - 1 - src;
+    auto route = fabric.route_analytic(src, dst, net::mix_hash(h));
+    benchmark::DoNotOptimize(route.path.data());
+  }
+  state.SetLabel(to_string(cfg.kind));
+}
+BENCHMARK(BM_ClosedFormRoute)->Arg(0)->Arg(1);
+
 // Fabric construction at the fig26-xl scale point: 131072 GPUs = 16384
 // servers. Guards the O(n) leaf-spine build (reserve + single pass); Arg(0)
 // is the explicit core, Arg(1) the collapsed analytic core.

@@ -26,7 +26,7 @@ Usage: scripts/verify.sh [--jobs N] [--quick] [--lint] [--help]
 
 Environment overrides (kept for CI matrix use):
   MIXNET_SMOKE_BENCHES   space-separated scenario names (default "fig12
-                         fig13 serve-storm fidelity-ladder fig26-xl";
+                         fig13 serve-storm fidelity-ladder fig26-xl fig26";
                          empty skips the smoke entirely)
   MIXNET_FIG26XL_ARM     fig26-xl arm (small|full; default small — the
                          smoke runs the small arm, see EXPERIMENTS.md)
@@ -82,13 +82,15 @@ fi
 # fidelity ladder (fidelity-ladder runs one workload on all three network
 # backends and machine-gates their agreement, DESIGN.md §12), and the
 # analytic-core scaling sweep (fig26-xl small arm gates the explicit-vs-
-# analytic equivalence and the throughput monotonicity, DESIGN.md §13),
+# analytic equivalence and the throughput monotonicity, DESIGN.md §13), and
+# the explicit-core scaling sweep (fig26 routes 32k-GPU leaf-spine and rail
+# fabrics in closed form; a fallback to BFS routing multiplies its time),
 # executed by `mixnet-bench --run <scenario> --jobs N --check` so sweep
 # points use the requested cores and the registered paper-shape checks
 # (ScenarioInfo::check, see EXPERIMENTS.md) gate the run. In --quick mode
 # only mixnet-bench is built (the test suites are never run).
 cmake --build build -j "$jobs" -t mixnet-bench
-smoke_benches=${MIXNET_SMOKE_BENCHES-"fig12 fig13 serve-storm fidelity-ladder fig26-xl"}
+smoke_benches=${MIXNET_SMOKE_BENCHES-"fig12 fig13 serve-storm fidelity-ladder fig26-xl fig26"}
 smoke_jobs=${MIXNET_SMOKE_JOBS-$jobs}
 total_ns=0
 bench_json=""

@@ -59,6 +59,7 @@ class Executor {
   void start();
 
   bool all_done() const { return done_count_ == graph_.tasks_.size(); }
+  std::size_t tasks_done() const { return done_count_; }
   TimeNs makespan() const { return makespan_; }
   TimeNs task_finish_time(TaskId id) const {
     return finish_[static_cast<std::size_t>(id)];

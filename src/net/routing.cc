@@ -101,6 +101,7 @@ const EcmpRouter::DestTree& EcmpRouter::tree_for(NodeId dst) {
     lru_.pop_back();
   }
   lru_.push_front(dst);
+  ++trees_built_;
   auto [ins, ok] = cache_.emplace(dst, std::make_pair(build_tree(dst), lru_.begin()));
   assert(ok);
   return ins->second.first;

@@ -44,6 +44,9 @@ class EcmpRouter {
   /// Drop all cached BFS trees (called automatically on topology change).
   void invalidate();
 
+  /// Number of per-destination BFS trees built since construction.
+  std::uint64_t trees_built() const { return trees_built_; }
+
  private:
   struct DestTree {
     // For each node: candidate outgoing links on shortest paths to dest,
@@ -61,6 +64,7 @@ class EcmpRouter {
   std::size_t cache_capacity_;
   bool allow_server_transit_ = false;
   std::uint64_t seen_version_ = 0;
+  std::uint64_t trees_built_ = 0;
   std::list<NodeId> lru_;  // most-recent at front
   std::unordered_map<NodeId, std::pair<DestTree, std::list<NodeId>::iterator>> cache_;
 };

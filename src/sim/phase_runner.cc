@@ -31,7 +31,8 @@ PhaseRunner::PhaseRunner(topo::Fabric& fabric, collective::EngineConfig ecfg,
       cache_capacity_(cache_capacity) {
   // The packet engine walks node-contiguous hops; analytic-core paths skip
   // the collapsed core entirely, so the combination cannot be simulated.
-  if (fabric.analytic_core() && backend == net::NetBackend::kPacket)
+  if (fabric.config().core_model == topo::CoreModel::kAnalytic &&
+      backend == net::NetBackend::kPacket)
     throw std::invalid_argument(
         "PhaseRunner: CoreModel::kAnalytic requires the analytic or flow "
         "backend; rebuild the fabric with CoreModel::kExplicit for --backend "

@@ -74,6 +74,8 @@ class PhaseRunner {
   /// `servers_per_replica` positions; `dp` replicas; contiguous placement.
   TimeNs dp_all_reduce(int servers_per_replica, int dp, Bytes bytes_per_gpu);
 
+  /// BFS router the engines share. Only TopoOpt routes through it; every
+  /// other fabric uses topo::Fabric::route_analytic().
   net::EcmpRouter& router() { return router_; }
 
   /// Cache hit/miss/invalidation counters since construction.

@@ -1,7 +1,8 @@
 #include "sim/training_sim.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "dag/taskgraph.h"
 #include "moe/traffic.h"
@@ -362,7 +363,14 @@ IterationResult TrainingSimulator::run_iteration() {
   dag::Executor exec(simulator, graph);
   exec.start();
   simulator.run();
-  assert(exec.all_done());
+  if (!exec.all_done()) {
+    // A stalled DAG (dependency cycle, or a phase that never reported done)
+    // would otherwise yield the makespan of whatever happened to finish.
+    throw std::runtime_error(
+        "TrainingSimulator: iteration DAG stalled after " +
+        std::to_string(exec.tasks_done()) + " of " + std::to_string(graph.size()) +
+        " tasks");
+  }
 
   res.total = exec.makespan();
   for (int l = 0; l < lps; ++l) {

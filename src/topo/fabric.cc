@@ -193,8 +193,7 @@ void Fabric::build_eps_leaf_spine(int nics_toward_eps, double oversub) {
   const int n = n_servers();
   const int spr = cfg_.servers_per_rack;
   const int n_racks = (n + spr - 1) / spr;
-  analytic_ = cfg_.core_model == CoreModel::kAnalytic;
-  core_collapsed_ = analytic_ && oversub <= 1.0;
+  core_collapsed_ = cfg_.core_model == CoreModel::kAnalytic && oversub <= 1.0;
   eps_nics_used_ = nics_toward_eps;
 
   // One pass, exact reservation: servers are already in the node table.
@@ -203,11 +202,11 @@ void Fabric::build_eps_leaf_spine(int nics_toward_eps, double oversub) {
                net_.link_count() +
                    static_cast<std::size_t>(n) * nics_toward_eps * 2 +
                    (core_collapsed_ ? 0 : static_cast<std::size_t>(n_racks) * 2));
-  if (analytic_) {
-    nic_up_.reserve(static_cast<std::size_t>(n) * nics_toward_eps);
-    nic_down_.reserve(static_cast<std::size_t>(n) * nics_toward_eps);
-    rack_up_.assign(static_cast<std::size_t>(n_racks), net::kInvalidLink);
-    rack_down_.assign(static_cast<std::size_t>(n_racks), net::kInvalidLink);
+  nic_up_.reserve(static_cast<std::size_t>(n) * nics_toward_eps);
+  nic_down_.reserve(static_cast<std::size_t>(n) * nics_toward_eps);
+  if (!core_collapsed_) {
+    edge_up_.reserve(static_cast<std::size_t>(n_racks));
+    edge_down_.reserve(static_cast<std::size_t>(n_racks));
   }
 
   const NodeId core =
@@ -223,10 +222,8 @@ void Fabric::build_eps_leaf_spine(int nics_toward_eps, double oversub) {
             servers_[static_cast<std::size_t>(s)], tor, cfg_.nic_bw(),
             cfg_.link_delay,
             "eps s" + std::to_string(s) + " nic" + std::to_string(nic));
-        if (analytic_) {
-          nic_up_.push_back(up);
-          nic_down_.push_back(down);
-        }
+        nic_up_.push_back(up);
+        nic_down_.push_back(down);
       }
       ++servers_in_rack;
     }
@@ -235,10 +232,8 @@ void Fabric::build_eps_leaf_spine(int nics_toward_eps, double oversub) {
     const auto [up, down] =
         net_.add_duplex(tor, core, up_cap, cfg_.link_delay,
                         "uplink" + std::to_string(r));
-    if (analytic_) {
-      rack_up_[static_cast<std::size_t>(r)] = up;
-      rack_down_[static_cast<std::size_t>(r)] = down;
-    }
+    edge_up_.push_back(up);
+    edge_down_.push_back(down);
   }
 }
 
@@ -248,27 +243,41 @@ void Fabric::build_rail_optimized() {
   // two hops apart; cross-rail traffic goes through the core.
   const int n = n_servers();
   const int rails = cfg_.nics_per_server;
-  const int pod_size = std::max(cfg_.servers_per_rack * 4, 32);  // servers per pod
-  const int n_pods = (n + pod_size - 1) / pod_size;
+  pod_size_ = std::max(cfg_.servers_per_rack * 4, 32);
+  const int n_pods = (n + pod_size_ - 1) / pod_size_;
+  eps_nics_used_ = rails;
   net_.reserve(net_.node_count() + 1 +
                    static_cast<std::size_t>(n_pods) * rails,
                net_.link_count() + static_cast<std::size_t>(n) * rails * 2 +
                    static_cast<std::size_t>(n_pods) * rails * 2);
+  // Links are created pod by pod, rail by rail; the tables are indexed
+  // server-major so one server's rails sit side by side.
+  nic_up_.assign(static_cast<std::size_t>(n) * rails, net::kInvalidLink);
+  nic_down_.assign(static_cast<std::size_t>(n) * rails, net::kInvalidLink);
+  edge_up_.reserve(static_cast<std::size_t>(n_pods) * rails);
+  edge_down_.reserve(static_cast<std::size_t>(n_pods) * rails);
   const NodeId core = net_.add_node(NodeKind::kSwitch, "core");
   ++n_switches_;
   for (int p = 0; p < n_pods; ++p) {
-    const int lo = p * pod_size;
-    const int hi = std::min(n, (p + 1) * pod_size);
+    const int lo = p * pod_size_;
+    const int hi = std::min(n, (p + 1) * pod_size_);
     for (int rail = 0; rail < rails; ++rail) {
       const NodeId sw = net_.add_node(
           NodeKind::kSwitch, "rail" + std::to_string(p) + "." + std::to_string(rail));
       ++n_switches_;
       for (int s = lo; s < hi; ++s) {
-        net_.add_duplex(servers_[static_cast<std::size_t>(s)], sw, cfg_.nic_bw(),
-                        cfg_.link_delay, "rail-nic");
+        const auto [up, down] =
+            net_.add_duplex(servers_[static_cast<std::size_t>(s)], sw, cfg_.nic_bw(),
+                            cfg_.link_delay, "rail-nic");
+        const auto k = static_cast<std::size_t>(s) * rails + rail;
+        nic_up_[k] = up;
+        nic_down_[k] = down;
       }
-      const Bps up = cfg_.nic_bw() * (hi - lo);  // 1:1 toward core
-      net_.add_duplex(sw, core, up, cfg_.link_delay, "rail-up");
+      const Bps up_cap = cfg_.nic_bw() * (hi - lo);  // 1:1 toward core
+      const auto [up, down] =
+          net_.add_duplex(sw, core, up_cap, cfg_.link_delay, "rail-up");
+      edge_up_.push_back(up);
+      edge_down_.push_back(down);
     }
   }
 }
@@ -325,10 +334,40 @@ Fabric Fabric::build(const FabricConfig& cfg) {
   return f;
 }
 
+namespace {
+
+// One ECMP decision, reproducing EcmpRouter: the slots k < n that `usable`
+// accepts are the candidates in insertion order; pinned flows take
+// pin % count, unpinned flows the per-hop mixed hash. Returns the chosen
+// slot, or -1 when there is no candidate.
+template <typename Usable>
+int ecmp_pick(int n, int hop, std::uint64_t flow_hash, int pin_index,
+              const Usable& usable) {
+  int n_up = 0;
+  for (int k = 0; k < n; ++k)
+    if (usable(k)) ++n_up;
+  if (n_up == 0) return -1;
+  const auto pick =
+      pin_index >= 0
+          ? static_cast<std::uint64_t>(pin_index) % static_cast<std::uint64_t>(n_up)
+          : net::mix_hash(flow_hash ^
+                          (0x9E37ULL * static_cast<std::uint64_t>(hop + 1))) %
+                static_cast<std::uint64_t>(n_up);
+  std::uint64_t seen = 0;
+  for (int k = 0; k < n; ++k)
+    if (usable(k) && seen++ == pick) return k;
+  return -1;  // unreachable
+}
+
+}  // namespace
+
 AnalyticRoute Fabric::route_analytic(int src_server, int dst_server,
                                      std::uint64_t flow_hash,
                                      int pin_index) const {
-  assert(analytic_ && "route_analytic requires CoreModel::kAnalytic");
+  if (!analytic_core())
+    throw std::logic_error(
+        "Fabric::route_analytic: TopoOpt has no closed-form route; its "
+        "host-transit fabric is routed by net::EcmpRouter");
   AnalyticRoute r;
   if (src_server == dst_server) return r;
   const NodeId a = servers_[static_cast<std::size_t>(src_server)];
@@ -345,74 +384,84 @@ AnalyticRoute Fabric::route_analytic(int src_server, int dst_server,
       return r;
     }
   }
-  if (eps_nics_used_ <= 0) return r;  // no packet fabric
-
-  // Candidate NIC pick at one hop, reproducing EcmpRouter: candidates are
-  // the up, non-zero-capacity links in insertion (NIC) order; pinned flows
-  // take pin % n, unpinned flows the per-hop mixed hash.
-  const auto pick_nic = [this, flow_hash, pin_index](const LinkId* base,
-                                                     int hop) -> LinkId {
-    int n_up = 0;
-    for (int k = 0; k < eps_nics_used_; ++k) {
-      const net::Link& l = net_.link(base[k]);
-      if (l.up && l.capacity > 0.0) ++n_up;
-    }
-    if (n_up == 0) return net::kInvalidLink;
-    const auto pick =
-        pin_index >= 0
-            ? static_cast<std::uint64_t>(pin_index) % static_cast<std::uint64_t>(n_up)
-            : net::mix_hash(flow_hash ^
-                            (0x9E37ULL * static_cast<std::uint64_t>(hop + 1))) %
-                  static_cast<std::uint64_t>(n_up);
-    std::uint64_t seen = 0;
-    for (int k = 0; k < eps_nics_used_; ++k) {
-      const net::Link& l = net_.link(base[k]);
-      if (!l.up || l.capacity <= 0.0) continue;
-      if (seen++ == pick) return base[k];
-    }
-    return net::kInvalidLink;  // unreachable
+  const auto usable = [this](LinkId l) {
+    const net::Link& link = net_.link(l);
+    return link.up && link.capacity > 0.0;
   };
+  const auto pick = [flow_hash, pin_index](int n, int hop, const auto& ok) {
+    return ecmp_pick(n, hop, flow_hash, pin_index, ok);
+  };
+  r.path.reserve(4);  // the longest path: one allocation per route
+  const int nics = eps_nics_used_;
+  const LinkId* src_up = nic_up_.data() + static_cast<std::size_t>(src_server) * nics;
+  const LinkId* dst_down =
+      nic_down_.data() + static_cast<std::size_t>(dst_server) * nics;
 
-  const int rack_src = src_server / cfg_.servers_per_rack;
-  const int rack_dst = dst_server / cfg_.servers_per_rack;
-  const LinkId* src_nics =
-      nic_up_.data() + static_cast<std::size_t>(src_server) * eps_nics_used_;
-  const LinkId* dst_nics =
-      nic_down_.data() + static_cast<std::size_t>(dst_server) * eps_nics_used_;
-
-  if (rack_src == rack_dst) {
-    // Explicit path: server -> ToR -> server (hops 0 and 1).
-    const LinkId up = pick_nic(src_nics, 0);
-    const LinkId down = pick_nic(dst_nics, 1);
-    if (up == net::kInvalidLink || down == net::kInvalidLink) return r;
-    r.path.push_back(up);
-    r.path.push_back(down);
+  if (pod_size_ > 0) {
+    // Rail-optimized: NIC k of every server in a pod is on rail switch
+    // (pod, k). In one pod, a rail usable at both ends gives the 2-hop path
+    // server -> rail switch -> server; the rail is picked at hop 0 and hop 1
+    // has one candidate.
+    const int pod_src = src_server / pod_size_;
+    const int pod_dst = dst_server / pod_size_;
+    if (pod_src == pod_dst) {
+      const int k = pick(nics, 0, [&](int i) {
+        return usable(src_up[i]) && usable(dst_down[i]);
+      });
+      if (k >= 0) {
+        r.path.push_back(src_up[k]);
+        r.path.push_back(dst_down[k]);
+        return r;
+      }
+    }
+    // Otherwise server -> rail switch -> core -> rail switch -> server. The
+    // src rail is picked at hop 0 among switches that reach the core, the
+    // dst rail at hop 2 among switches whose link down to the dst is
+    // usable; hops 1 and 3 have one candidate each.
+    const LinkId* sw_up = edge_up_.data() + static_cast<std::size_t>(pod_src) * nics;
+    const LinkId* sw_down =
+        edge_down_.data() + static_cast<std::size_t>(pod_dst) * nics;
+    const int i = pick(nics, 0, [&](int k) {
+      return usable(src_up[k]) && usable(sw_up[k]);
+    });
+    const int j = pick(nics, 2, [&](int k) {
+      return usable(sw_down[k]) && usable(dst_down[k]);
+    });
+    if (i < 0 || j < 0) return r;
+    r.path.push_back(src_up[i]);
+    r.path.push_back(sw_up[i]);
+    r.path.push_back(sw_down[j]);
+    r.path.push_back(dst_down[j]);
     return r;
   }
 
-  // Explicit path: server -> ToR -> core -> ToR -> server. The ToR uplink
-  // hops (1 and 2) have exactly one candidate each, so only the NIC picks
-  // at hops 0 and 3 consume the pin/hash.
-  const LinkId up = pick_nic(src_nics, 0);
-  const LinkId down = pick_nic(dst_nics, 3);
-  if (up == net::kInvalidLink || down == net::kInvalidLink) return r;
-  r.path.push_back(up);
-  if (core_collapsed_) {
-    // The ideal core's links carry no state; only their propagation remains.
-    r.extra_delay = 2 * cfg_.link_delay;
-  } else {
-    const LinkId ru = rack_up_[static_cast<std::size_t>(rack_src)];
-    const LinkId rd = rack_down_[static_cast<std::size_t>(rack_dst)];
-    const net::Link& lu = net_.link(ru);
-    const net::Link& ld = net_.link(rd);
-    if (!lu.up || lu.capacity <= 0.0 || !ld.up || ld.capacity <= 0.0) {
-      r.path.clear();
-      return r;  // core path severed; matches the router's unreachable case
+  // Leaf-spine: server -> ToR -> server in one rack (NIC picks at hops 0
+  // and 1), else server -> ToR -> core -> ToR -> server, where the uplink
+  // hops 1 and 2 have one candidate each, so only the NIC picks at hops 0
+  // and 3 consume the pin/hash.
+  const int rack_src = src_server / cfg_.servers_per_rack;
+  const int rack_dst = dst_server / cfg_.servers_per_rack;
+  const int up = pick(nics, 0, [&](int k) { return usable(src_up[k]); });
+  const int down = pick(nics, rack_src == rack_dst ? 1 : 3,
+                        [&](int k) { return usable(dst_down[k]); });
+  if (up < 0 || down < 0) return r;
+  r.path.push_back(src_up[up]);
+  if (rack_src != rack_dst) {
+    if (core_collapsed_) {
+      // The ideal core's links carry no state; only their propagation remains.
+      r.extra_delay = 2 * cfg_.link_delay;
+    } else {
+      const LinkId ru = edge_up_[static_cast<std::size_t>(rack_src)];
+      const LinkId rd = edge_down_[static_cast<std::size_t>(rack_dst)];
+      if (!usable(ru) || !usable(rd)) {
+        r.path.clear();
+        return r;  // core path severed; matches the router's unreachable case
+      }
+      r.path.push_back(ru);
+      r.path.push_back(rd);
     }
-    r.path.push_back(ru);
-    r.path.push_back(rd);
   }
-  r.path.push_back(down);
+  r.path.push_back(dst_down[down]);
   return r;
 }
 

@@ -14,24 +14,30 @@
 // (NVSwitch) transfers are handled analytically by the collective runtime
 // using `nvlink_gbps_per_gpu` (they never contend with scale-out links).
 //
+// Every fabric with an electrical side (leaf-spine and rail) is routed in
+// closed form: route_analytic() derives the path from server, rack and pod
+// indices in O(1) and reproduces the choices of per-destination BFS ECMP
+// (net::EcmpRouter) link for link. Only TopoOpt, a direct-connect fabric
+// whose hosts forward transit traffic, needs the BFS router.
+//
 // Electrical cores are modeled as ideal non-blocking crossbars. Two core
 // models exist (DESIGN.md §13):
 //
-//   CoreModel::kExplicit  a single core node with per-rack uplinks in the
-//                         graph; routes come from per-destination BFS
-//                         (net::EcmpRouter). The historical default.
-//   CoreModel::kAnalytic  the ideal core is a *computed* capacity
-//                         constraint: per-NIC server<->ToR links keep
-//                         per-flow state, but at 1:1 over-subscription the
-//                         ToR uplinks and the core crossbar disappear from
-//                         the net::Network graph entirely (they can never be
-//                         the unique max-min bottleneck -- the uplink's fair
-//                         share is a mediant of its NIC links' shares), and
-//                         routes are computed O(1) by route_analytic()
-//                         instead of BFS. This is the trick that makes
+//   CoreModel::kExplicit  a single core node with per-rack (per-rail-switch
+//                         on rail-optimized) uplinks in the graph; routes
+//                         are node-contiguous hop lists, so the packet
+//                         engine can walk them. The default.
+//   CoreModel::kAnalytic  leaf-spine only: the ideal core is a *computed*
+//                         capacity constraint: per-NIC server<->ToR links
+//                         keep per-flow state, but at 1:1 over-subscription
+//                         the ToR uplinks and the core crossbar disappear
+//                         from the net::Network graph entirely (they can
+//                         never be the unique max-min bottleneck -- the
+//                         uplink's fair share is a mediant of its NIC links'
+//                         shares), and routes charge the collapsed hops as
+//                         fixed latency. This is the trick that makes
 //                         100k-GPU sweeps take seconds (ROADMAP: fig26-xl);
-//                         it reproduces the explicit model's ECMP choices
-//                         bit-for-bit, so phase durations match exactly.
+//                         phase durations match the explicit model exactly.
 #pragma once
 
 #include <cstdint>
@@ -192,18 +198,19 @@ class Fabric {
   /// True if servers also connect to a packet-switched fabric.
   bool has_eps() const;
 
-  /// True when the electrical core is the computed-constraint analytic model
-  /// and routes must come from route_analytic() instead of a BFS router.
-  bool analytic_core() const { return analytic_; }
+  /// True when routes come from route_analytic(): every kind except TopoOpt,
+  /// whose host-transit direct-connect fabric is routed by net::EcmpRouter.
+  bool analytic_core() const { return cfg_.kind != FabricKind::kTopoOpt; }
 
-  /// O(1) computed route between two servers under the analytic core model.
-  /// Reproduces net::EcmpRouter's choices on the equivalent explicit graph
-  /// bit-for-bit: a direct up circuit wins (1-hop shortest path), otherwise
-  /// per-NIC candidates are filtered by up/capacity in insertion order and
-  /// picked by `pin_index % n` (or the per-hop mix_hash when unpinned) at
-  /// the hop indices the explicit 2- or 4-hop path would use. Returns an
-  /// empty path when the pair is unreachable (all NICs down), matching the
-  /// router; extra_delay carries the propagation of the collapsed core hops.
+  /// O(1) closed-form route between two servers; throws std::logic_error on
+  /// TopoOpt (see analytic_core()). Reproduces net::EcmpRouter's choices on
+  /// the explicit graph link for link: a direct up circuit wins (1-hop
+  /// shortest path), otherwise candidates at each hop of the 2- or 4-hop
+  /// leaf-spine or rail path are filtered by up/capacity in insertion order
+  /// and picked by `pin_index % n` (or the per-hop mix_hash when unpinned).
+  /// Returns an empty path when the pair is unreachable, matching the
+  /// router; extra_delay carries the propagation of core hops collapsed
+  /// under CoreModel::kAnalytic.
   AnalyticRoute route_analytic(int src_server, int dst_server,
                                std::uint64_t flow_hash, int pin_index = -1) const;
 
@@ -257,15 +264,17 @@ class Fabric {
   std::vector<int> region_of_;             // server index -> region
   int n_switches_ = 0;
 
-  // Analytic-core bookkeeping (kAnalytic on leaf-spine kinds). NIC links are
-  // stored SoA so route_analytic touches two cache lines per route.
-  bool analytic_ = false;
-  bool core_collapsed_ = false;  // 1:1 core: uplinks absent from the graph
+  // Closed-form routing tables (every kind but TopoOpt). NIC links are stored
+  // SoA so route_analytic touches two cache lines per route. An edge switch
+  // is a ToR (index = rack) on leaf-spine and a rail switch (index =
+  // pod * rails + rail) on rail-optimized.
+  bool core_collapsed_ = false;  // kAnalytic at 1:1: uplinks absent from the graph
   int eps_nics_used_ = 0;        // NIC links per server toward the EPS
-  std::vector<net::LinkId> nic_up_;    // [server * eps_nics_used_ + k] srv->tor
-  std::vector<net::LinkId> nic_down_;  // [server * eps_nics_used_ + k] tor->srv
-  std::vector<net::LinkId> rack_up_;   // [rack] tor->core (empty if collapsed)
-  std::vector<net::LinkId> rack_down_; // [rack] core->tor
+  int pod_size_ = 0;             // servers per rail pod; 0 on leaf-spine
+  std::vector<net::LinkId> nic_up_;    // [server * eps_nics_used_ + k] srv->edge
+  std::vector<net::LinkId> nic_down_;  // [server * eps_nics_used_ + k] edge->srv
+  std::vector<net::LinkId> edge_up_;   // [edge switch] edge->core (empty if collapsed)
+  std::vector<net::LinkId> edge_down_; // [edge switch] core->edge
 
   struct CircuitPair {
     net::LinkId fwd = net::kInvalidLink;

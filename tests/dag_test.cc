@@ -170,6 +170,22 @@ TEST(Executor, PipelineOverlapBeatsSerial) {
   EXPECT_EQ(ex.makespan(), 550);
 }
 
+// A dependency cycle never becomes ready: the run drains with all_done()
+// false, which is what TrainingSimulator turns into an error.
+TEST(Executor, DependencyCycleLeavesTasksUndone) {
+  TaskGraph g;
+  TaskId a = g.add({"a", 10, nullptr, -1, 0, {}});
+  TaskId b = g.add({"b", 10, nullptr, -1, 0, {}});
+  g.add_dep(b, a);
+  g.add_dep(a, b);
+  eventsim::Simulator sim;
+  Executor ex(sim, g);
+  ex.start();
+  sim.run();
+  EXPECT_FALSE(ex.all_done());
+  EXPECT_EQ(ex.tasks_done(), 0u);
+}
+
 TEST(Executor, DiamondDependency) {
   TaskGraph g;
   TaskId a = g.add({"a", 10, nullptr, -1, 0, {}});

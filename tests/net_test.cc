@@ -162,9 +162,12 @@ TEST(Routing, CacheInvalidatesOnTopologyChange) {
   LeafSpine f;
   EcmpRouter r(f.net);
   EXPECT_EQ(r.distance(f.s0, f.s3), 4);
+  EXPECT_EQ(r.distance(f.s1, f.s3), 4);  // same destination: cached tree
+  EXPECT_EQ(r.trees_built(), 1u);
   // Add a direct circuit; distance should drop after invalidation.
   f.net.add_duplex(f.s0, f.s3, gbps(100), 0);
   EXPECT_EQ(r.distance(f.s0, f.s3), 1);
+  EXPECT_EQ(r.trees_built(), 2u);
 }
 
 // -------------------------------------------------------------- flowsim ----

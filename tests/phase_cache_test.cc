@@ -363,6 +363,49 @@ TEST(AnalyticCoreEquivalence, MixNetEpsMatchesExplicitUnderCircuitChurn) {
   }
 }
 
+// --- Router counters: closed-form fabrics never fall back to BFS. ------------
+
+std::uint64_t trees_built_by_phases(topo::Fabric& fabric,
+                                    const std::vector<int>& group,
+                                    int servers_per_replica) {
+  PhaseRunner pr(fabric);
+  pr.ep_all_to_all(group, uniform_demand(group.size(), mib(8)));
+  pr.dp_all_reduce(servers_per_replica, 2, mib(16));
+  return pr.router().trees_built();
+}
+
+TEST(RouterCounters, ClosedFormFabricsBuildNoBfsTrees) {
+  const std::vector<int> group = {0, 1, 2, 3, 4, 5, 6, 7};
+  auto ft = topo::Fabric::build(topo::FabricConfig::fat_tree(16));
+  EXPECT_EQ(trees_built_by_phases(ft, group, 8), 0u);
+  // Two 32-server pods: the group and the DP rings cross pods via the core.
+  auto rail = topo::Fabric::build(topo::FabricConfig::rail_optimized(64));
+  EXPECT_EQ(trees_built_by_phases(rail, {28, 29, 30, 31, 32, 33, 34, 35}, 32), 0u);
+
+  // MixNet under circuit churn: every install moves the epoch, so each
+  // round re-simulates both phases on the new circuits.
+  auto mx = topo::Fabric::build(topo::FabricConfig::mixnet(16).with_region_servers(8));
+  PhaseRunner pr(mx);
+  for (std::size_t round = 0; round < 3; ++round) {
+    Matrix counts(8, 8, 0.0);
+    counts(round, round + 1) = counts(round + 1, round) = 2.0;
+    mx.apply_circuits(0, counts);
+    pr.ep_all_to_all(group, uniform_demand(8, mib(8)));
+    pr.dp_all_reduce(8, 2, mib(16));
+  }
+  EXPECT_EQ(pr.stats().misses, 6u);
+  EXPECT_EQ(pr.router().trees_built(), 0u);
+}
+
+TEST(RouterCounters, TopoOptRoutesThroughBfs) {
+  auto to = topo::Fabric::build(topo::FabricConfig::topoopt(16));
+  Matrix ring(16, 16, 0.0);
+  for (std::size_t i = 0; i < 16; ++i)
+    ring(i, (i + 1) % 16) = ring((i + 1) % 16, i) = 1.0;
+  to.apply_circuits(0, ring);
+  EXPECT_GT(trees_built_by_phases(to, {0, 1, 2, 3, 4, 5, 6, 7}, 8), 0u);
+}
+
 TEST(AnalyticCoreEquivalence, PacketBackendRejectedOnAnalyticFabric) {
   auto fa = topo::Fabric::build(topo::FabricConfig::fat_tree(4).with_core_model(
       topo::CoreModel::kAnalytic));

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "common/matrix.h"
+#include "control/failures.h"
 #include "net/routing.h"
 #include "topo/fabric.h"
 
@@ -254,8 +256,6 @@ TEST(AnalyticCore, CollapsedFatTreeDropsCoreFromGraph) {
   const Fabric e = Fabric::build(base_config(FabricKind::kFatTree, 8));
   const Fabric a = Fabric::build(
       base_config(FabricKind::kFatTree, 8).with_core_model(CoreModel::kAnalytic));
-  EXPECT_FALSE(e.analytic_core());
-  EXPECT_TRUE(a.analytic_core());
   // 8 servers x 8 NICs x 2 directions; no uplinks, no core node.
   EXPECT_EQ(a.network().link_count(), 8u * 8u * 2u);
   EXPECT_GT(e.network().link_count(), a.network().link_count());
@@ -337,6 +337,105 @@ TEST(AnalyticCore, DescribeEmitsCanonicalJson) {
   const Fabric e = Fabric::build(base_config(FabricKind::kFatTree, 8));
   EXPECT_NE(e.describe(), j);
   EXPECT_NE(e.describe().find("\"core_collapsed\":false"), std::string::npos);
+}
+
+// --- Closed-form routing oracle (DESIGN.md §13). -----------------------------
+//
+// On the explicit core, route_analytic must equal net::EcmpRouter link for
+// link for every ordered server pair, hashed and pinned, healthy and after
+// failures.
+
+void expect_closed_form_matches_bfs(const Fabric& f, const std::string& state) {
+  ASSERT_TRUE(f.analytic_core());
+  net::EcmpRouter bfs(f.network());
+  int mismatches = 0;
+  const auto check = [&](int s, int d, std::uint64_t hash, int pin) {
+    const AnalyticRoute got = f.route_analytic(s, d, hash, pin);
+    const auto want = bfs.route(f.server_node(s), f.server_node(d), hash, pin);
+    if ((got.path != want || got.extra_delay != 0) && mismatches++ < 5)
+      ADD_FAILURE() << to_string(f.config().kind) << " (" << state << "): " << s
+                    << "->" << d << " hash " << hash << " pin " << pin;
+  };
+  for (int s = 0; s < f.n_servers(); ++s) {
+    for (int d = 0; d < f.n_servers(); ++d) {
+      if (s == d) continue;
+      for (std::uint64_t h : {1ULL, 0x9E3779B97F4A7C15ULL, 424242ULL}) check(s, d, h, -1);
+      for (int pin : {0, 3, 13}) check(s, d, 77u, pin);
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << to_string(f.config().kind) << " (" << state << ")";
+}
+
+void apply_failures(Fabric& f) {
+  control::FailureManager failures(f);
+  failures.apply({control::FailureScenario::Kind::kOneNic, 3});
+  failures.apply({control::FailureScenario::Kind::kTwoNic, 10});
+  failures.apply({control::FailureScenario::Kind::kServerDown, 40});
+}
+
+// Takes NIC `nic` of `server` down in both directions (a link failure).
+void fail_nic(Fabric& f, int server, int nic) {
+  net::Network& net = f.network();
+  const net::NodeId node = f.server_node(server);
+  const net::LinkId up = net.node(node).out_links[static_cast<std::size_t>(nic)];
+  net.set_up(net.find_link(net.link(up).dst, node), false);
+  net.set_up(up, false);
+}
+
+TEST(ClosedFormRouting, MatchesBfsHealthyAndAfterFailures) {
+  // 64 servers: 32 racks of two, or two 32-server rail pods.
+  for (const FabricConfig& cfg :
+       {FabricConfig::fat_tree(64), FabricConfig::oversub_fat_tree(64, 3.0),
+        FabricConfig::rail_optimized(64), FabricConfig::nvl72(64)}) {
+    Fabric f = Fabric::build(cfg);
+    expect_closed_form_matches_bfs(f, "healthy");
+    apply_failures(f);
+    expect_closed_form_matches_bfs(f, "failures");
+  }
+}
+
+TEST(ClosedFormRouting, MatchesBfsOnMixNetWithCircuits) {
+  for (const FabricConfig& cfg :
+       {FabricConfig::mixnet(64).with_region_servers(8),
+        FabricConfig::mixnet_optical_io(64).with_region_servers(8)}) {
+    Fabric f = Fabric::build(cfg);
+    for (int region = 0; region < f.n_regions(); ++region) {
+      Matrix counts(8, 8, 0.0);
+      for (std::size_t i = 0; i < 8; ++i) {
+        const std::size_t j = (i + 1) % 8;
+        counts(i, j) = counts(j, i) =
+            1.0 + static_cast<double>((i + static_cast<std::size_t>(region)) % 2);
+      }
+      f.apply_circuits(region, counts);
+    }
+    expect_closed_form_matches_bfs(f, "circuits");
+    f.set_region_circuits_up(1, false);
+    expect_closed_form_matches_bfs(f, "region 1 dark");
+    apply_failures(f);
+    expect_closed_form_matches_bfs(f, "failures");
+  }
+}
+
+TEST(ClosedFormRouting, MatchesBfsWithRailNicsDown) {
+  Fabric f = Fabric::build(FabricConfig::rail_optimized(64));
+  fail_nic(f, 5, 2);  // one end only: as src and as dst of every pair
+  fail_nic(f, 6, 3);
+  fail_nic(f, 7, 4);  // both ends of the 7<->8 pairs
+  fail_nic(f, 8, 4);
+  // Servers 9 and 10 (one pod) share no usable rail, so they meet at the
+  // core; server 40 (the other pod) keeps only rail 7.
+  for (int nic = 1; nic < 8; ++nic) fail_nic(f, 9, nic);
+  for (int nic = 0; nic < 8; ++nic)
+    if (nic != 1) fail_nic(f, 10, nic);
+  for (int nic = 0; nic < 7; ++nic) fail_nic(f, 40, nic);
+  EXPECT_EQ(f.route_analytic(9, 10, 1u).path.size(), 4u);
+  expect_closed_form_matches_bfs(f, "rail NICs down");
+}
+
+TEST(ClosedFormRouting, TopoOptHasNoClosedForm) {
+  const Fabric f = Fabric::build(FabricConfig::topoopt(8));
+  EXPECT_FALSE(f.analytic_core());
+  EXPECT_THROW(f.route_analytic(0, 1, 7u), std::logic_error);
 }
 
 }  // namespace
