@@ -70,7 +70,8 @@ int usage(const char* argv0, int code) {
       "  --shard I/N    execute only points with index %% N == I, streaming\n"
       "                 records into the cache; table output is suppressed\n"
       "                 (run 'merge' once all shards finish)\n"
-      "  --stats FILE   write per-scenario cache hit/miss stats as JSON\n"
+      "  --stats FILE   write per-scenario cache hit/miss and gate-trace\n"
+      "                 build/share counts as JSON\n"
       "  --backend B    override the network fidelity ladder for every point\n"
       "                 (analytic, flow, packet; DESIGN.md §12). Scenarios\n"
       "                 that pin backends per point (e.g. fidelity-ladder)\n"
@@ -111,15 +112,20 @@ std::vector<std::string> split_names(const std::string& arg) {
 struct ScenarioStatsEntry {
   std::string name;
   SweepStats stats;
+  /// Gate traces this scenario produced and reused (the memo outlives the
+  /// scenario, so a later scenario can reuse an earlier one's traces).
+  mixnet::moe::GateTraceMemo::Stats gate_traces;
 };
 
-std::string stats_json_object(const std::string& name, const SweepStats& s) {
-  char buf[256];
+std::string stats_json_object(const ScenarioStatsEntry& e) {
+  const SweepStats& s = e.stats;
+  char buf[320];
   std::snprintf(buf, sizeof(buf),
                 "{\"name\":\"%s\",\"points\":%zu,\"hits\":%zu,"
-                "\"computed\":%zu,\"skipped\":%zu,\"failed\":%zu}",
-                name.c_str(), s.points, s.hits, s.computed, s.skipped,
-                s.failed);
+                "\"computed\":%zu,\"skipped\":%zu,\"failed\":%zu,"
+                "\"gate_traces\":{\"built\":%zu,\"shared\":%zu}}",
+                e.name.c_str(), s.points, s.hits, s.computed, s.skipped,
+                s.failed, e.gate_traces.built, e.gate_traces.shared);
   return buf;
 }
 
@@ -129,7 +135,7 @@ bool write_stats_file(const std::string& path,
   std::string out = "{\"scenarios\":[";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (i) out += ',';
-    out += stats_json_object(entries[i].name, entries[i].stats);
+    out += stats_json_object(entries[i]);
     totals.points += entries[i].stats.points;
     totals.hits += entries[i].stats.hits;
     totals.computed += entries[i].stats.computed;
@@ -339,6 +345,7 @@ int main(int argc, char** argv) {
     SweepStats stats;
     ctx.scenario = s->name;
     ctx.stats = &stats;  // keep-going: per-point errors never abort the run
+    const auto traces_before = ctx.gate_traces->stats();
     try {
       result = s->run(ctx);
     } catch (const std::exception& e) {
@@ -374,7 +381,11 @@ int main(int argc, char** argv) {
     failed_points += stats.failed;
     for (const auto& f : stats.failures)
       std::fprintf(stderr, "point FAILED: %s\n", f.c_str());
-    stats_entries.push_back({s->name, stats});
+    const auto traces_after = ctx.gate_traces->stats();
+    stats_entries.push_back(
+        {s->name, stats,
+         {traces_after.built - traces_before.built,
+          traces_after.shared - traces_before.shared}});
     if (check && render) {
       if (!s->check) {
         std::fprintf(stderr, "shape check: %s has no registered check\n",

@@ -46,6 +46,9 @@ python3 tools/mixnet_lint.py
 echo "== mixnet-lint (ServeConfig cache-key completeness) =="
 python3 tools/mixnet_lint.py cache-key --cache-key-config tools/lint/cache_key_serve.json
 
+echo "== mixnet-lint (GateConfig gate-trace key completeness) =="
+python3 tools/mixnet_lint.py cache-key --cache-key-config tools/lint/gate_trace_key.json
+
 if [ "$tidy" = off ]; then
   exit 0
 fi

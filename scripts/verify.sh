@@ -113,12 +113,24 @@ for b in $smoke_benches; do
   hits=$(grep -o '"hits":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
   computed=$(grep -o '"computed":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
   points=$(grep -o '"points":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
+  # Gate traces built and shared (DESIGN.md §9): exact work counters, so
+  # unlike wall seconds they do not depend on host speed.
+  built=$(grep -o '"built":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
+  shared=$(grep -o '"shared":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
   awk -v d="$dur" -v n="$b" -v h="${hits:-0}" -v c="${computed:-0}" \
-    'BEGIN{printf "smoke %-28s %8.2f s  (cache: %d hits, %d computed)\n", n, d/1e9, h, c}'
+      -v t="${built:-0}" \
+    'BEGIN{printf "smoke %-28s %8.2f s  (cache: %d hits, %d computed; %d gate traces)\n", n, d/1e9, h, c, t}'
   entry=$(awk -v d="$dur" -v n="$b" -v h="${hits:-0}" -v c="${computed:-0}" \
-      -v p="${points:-0}" \
-    'BEGIN{printf "{\"name\":\"%s\",\"seconds\":%.3f,\"cache\":{\"points\":%d,\"hits\":%d,\"computed\":%d}}", n, d/1e9, p, h, c}')
+      -v p="${points:-0}" -v t="${built:-0}" -v s="${shared:-0}" \
+    'BEGIN{printf "{\"name\":\"%s\",\"seconds\":%.3f,\"cache\":{\"points\":%d,\"hits\":%d,\"computed\":%d},\"gate_traces\":{\"built\":%d,\"shared\":%d}}", n, d/1e9, p, h, c, t, s}')
   bench_json="${bench_json:+$bench_json,}$entry"
+  # fig12 sweeps 4 models x 5 fabrics x 4 bandwidths under one shared seed
+  # per model, so a cold run records exactly one gate trace per model. Any
+  # other count means points stopped sharing (or shared across models).
+  if [ "$b" = fig12 ] && [ "${hits:-0}" -eq 0 ] && [ "${built:-0}" -ne 4 ]; then
+    echo "verify.sh: fig12 built ${built:-0} gate traces on a cold run (expected 4)" >&2
+    exit 1
+  fi
 done
 awk -v d="$total_ns" 'BEGIN{printf "smoke total bench wall time    %8.2f s\n", d/1e9}'
 

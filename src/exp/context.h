@@ -8,10 +8,12 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "moe/gate_trace.h"
 #include "net/transport.h"
 
 namespace mixnet::exp {
@@ -60,6 +62,14 @@ struct RunContext {
   /// backends per point (ScenarioInfo::pins_backend) reject the override at
   /// the CLI instead.
   std::optional<net::NetBackend> backend_override;
+
+  /// Compute-once gate trajectories (DESIGN.md §9): every training point of
+  /// this context whose derived gate config, warmup and horizon match reads
+  /// one shared moe::GateTrace. Copies of a context share the memo, so it
+  /// lives as long as the run that created the context (one mixnet-bench
+  /// invocation) and no longer; nullptr gives every point a private trace.
+  std::shared_ptr<moe::GateTraceMemo> gate_traces =
+      std::make_shared<moe::GateTraceMemo>();
 };
 
 }  // namespace mixnet::exp

@@ -35,12 +35,12 @@ PointResult run_serve_point(const SweepPoint& point) {
 
 }  // namespace
 
-PointResult run_point(const SweepPoint& point) {
+PointResult run_point(const SweepPoint& point, moe::GateTraceMemo* memo) {
   if (point.serve) return run_serve_point(point);
   PointResult res;
   res.index = point.index;
   res.iterations = point.iterations;
-  sim::TrainingSimulator simulator(point.cfg);
+  sim::TrainingSimulator simulator(point.cfg, memo, point.iterations);
   double total = 0.0;
   res.iters.reserve(static_cast<std::size_t>(point.iterations));
   for (int i = 0; i < point.iterations; ++i) {
@@ -64,7 +64,8 @@ template <typename OnDone>
 void execute_points(const std::vector<SweepPoint>& points,
                     const std::vector<std::size_t>& todo,
                     std::vector<PointResult>& results, int jobs,
-                    bool keep_going, OnDone on_done) {
+                    bool keep_going, moe::GateTraceMemo* memo,
+                    OnDone on_done) {
   if (todo.empty()) return;
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
@@ -76,7 +77,7 @@ void execute_points(const std::vector<SweepPoint>& points,
       if (t >= todo.size() || (!keep_going && failed.load())) return;
       const std::size_t i = todo[t];
       try {
-        results[i] = run_point(points[i]);
+        results[i] = run_point(points[i], memo);
         on_done(i);
       } catch (const std::exception& e) {
         if (keep_going) {
@@ -126,7 +127,8 @@ std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
   std::vector<PointResult> results(points.size());
   std::vector<std::size_t> todo(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) todo[i] = i;
-  execute_points(points, todo, results, jobs, /*keep_going=*/false,
+  moe::GateTraceMemo memo;
+  execute_points(points, todo, results, jobs, /*keep_going=*/false, &memo,
                  [](std::size_t) {});
   return results;
 }
@@ -183,7 +185,8 @@ std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
   // Execute + stream: completed records hit the disk from the worker thread
   // the moment they finish, so a killed run loses at most in-flight points.
   execute_points(points, todo, results, ctx.jobs,
-                 /*keep_going=*/ctx.stats != nullptr, [&](std::size_t i) {
+                 /*keep_going=*/ctx.stats != nullptr, ctx.gate_traces.get(),
+                 [&](std::size_t i) {
                    if (ctx.cache)
                      ctx.cache->put(ctx.scenario, keys[i], results[i],
                                     points[i].labels);

@@ -1,12 +1,13 @@
 // Staged sweep engine: plan -> cache-lookup -> execute -> stream -> merge
 // (DESIGN.md §7, §9).
 //
-// Each point owns its own TrainingSimulator (the simulator has no shared
-// mutable state -- every stochastic component draws from the point's own
-// seeded Rng), so points are embarrassingly parallel. Workers claim points
-// from an atomic counter and write results into a pre-sized vector slot
-// keyed by point index, so the collected ResultTable is identical whether
-// the sweep runs with --jobs 1 or --jobs N.
+// Each point owns its own TrainingSimulator. The only state points share is
+// the immutable gate trace of a gate config (moe/gate_trace.h), produced
+// once through the sweep's GateTraceMemo; every other stochastic component
+// draws from the point's own seeded Rng, so points are embarrassingly
+// parallel. Workers claim points from an atomic counter and write results
+// into a pre-sized vector slot keyed by point index, so the collected
+// ResultTable is identical whether the sweep runs with --jobs 1 or --jobs N.
 //
 // The RunContext overload adds the content-addressed stages: each point's
 // canonical key (exp/cache_key.h) is looked up in the ResultCache before
@@ -57,13 +58,17 @@ struct PointResult {
 };
 
 /// Execute one point: build the simulator, run the measured iterations,
-/// apply the probe.
-PointResult run_point(const SweepPoint& point);
+/// apply the probe. With a memo a training point reads the memo's gate
+/// trace over exactly its measured iterations; without one it records a
+/// private trace.
+PointResult run_point(const SweepPoint& point,
+                      moe::GateTraceMemo* memo = nullptr);
 
 /// Execute all points with `jobs` worker threads (<= 1 means serial).
 /// Results are indexed by point index regardless of execution order. A
 /// point that throws rethrows on the caller's thread after all workers
 /// drain. (Plain path: no cache, no shard, fail-fast -- examples/tests.)
+/// The points share gate traces through a memo local to the call.
 std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
                                    int jobs = 1);
 std::vector<PointResult> run_sweep(const Sweep& sweep, int jobs = 1);
@@ -72,6 +77,7 @@ std::vector<PointResult> run_sweep(const Sweep& sweep, int jobs = 1);
 /// streamed records, per-point keep-going error capture into ctx.stats.
 /// Without ctx.stats a throwing point rethrows (fail-fast) after workers
 /// drain; with it the point's error is recorded and the sweep continues.
+/// Points share gate traces through ctx.gate_traces.
 std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
                                    const RunContext& ctx);
 std::vector<PointResult> run_sweep(const Sweep& sweep, const RunContext& ctx);

@@ -1,7 +1,6 @@
 #include "moe/gate.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -66,13 +65,9 @@ GateSimulator::GateSimulator(const GateConfig& cfg) : cfg_(cfg), rng_(cfg.seed) 
       std::sqrt(std::max(1.0 - cfg_.pref_retention * cfg_.pref_retention, 1e-6));
   pref_logits_.resize(static_cast<std::size_t>(cfg_.ep_ranks) *
                       static_cast<std::size_t>(cfg_.n_layers));
-  rank_pref_.resize(pref_logits_.size());
-  for (std::size_t k = 0; k < pref_logits_.size(); ++k) {
-    auto& z = pref_logits_[k];
+  for (auto& z : pref_logits_) {
     z.resize(static_cast<std::size_t>(cfg_.n_experts));
     for (auto& v : z) v = rng_.normal(0.0, pref_sd);
-    rank_pref_[k].resize(z.size());
-    refresh_rank_pref(k);
   }
 
   q_.assign(static_cast<std::size_t>(cfg_.n_layers),
@@ -107,13 +102,6 @@ void GateSimulator::step() {
   realize_counts();
 }
 
-void GateSimulator::refresh_rank_pref(std::size_t k) {
-  const auto& z = pref_logits_[k];
-  auto& p = rank_pref_[k];
-  vecmath::exp_block(z.data(), p.data(), z.size());
-  normalize(p);
-}
-
 void GateSimulator::apply_ou_update(double pop_a, double pop_sd, double pref_a,
                                     double pref_sd) {
   // All of one update's walk draws -- popularity plus every (rank, layer)
@@ -129,7 +117,6 @@ void GateSimulator::apply_ou_update(double pop_a, double pop_sd, double pref_a,
   for (std::size_t k = 0; k < pref_logits_.size(); ++k, eps += E) {
     auto& z = pref_logits_[k];
     for (std::size_t e = 0; e < E; ++e) z[e] = pref_a * z[e] + pref_sd * eps[e];
-    refresh_rank_pref(k);
   }
 }
 
@@ -241,16 +228,18 @@ void GateSimulator::refresh_distributions() {
     }
   };
 
-  // Personalization weights pref^gamma for every (rank, layer): one block
-  // exp(gamma * log(pref)) pass.
+  // Personalization weights pref^gamma for every (rank, layer): the
+  // preference softmax (exp of the logits, normalized) clamped, then one
+  // block exp(gamma * log(pref)) pass.
   const double gamma = cfg_.personalization;
   auto pref_pow_of = [&](int h, int l) -> const double* {
     const std::size_t k = static_cast<std::size_t>(l) *
                               static_cast<std::size_t>(cfg_.ep_ranks) +
                           static_cast<std::size_t>(h);
     double* out = pref_pow_buf;
-    const auto& pref = rank_pref_[k];
-    for (std::size_t e = 0; e < E; ++e) out[e] = std::max(pref[e], 1e-9);
+    vecmath::exp_block(pref_logits_[k].data(), out, E);
+    normalize_span(out, E);
+    for (std::size_t e = 0; e < E; ++e) out[e] = std::max(out[e], 1e-9);
     vecmath::pow_block(out, gamma, out, E);
     return out;
   };
@@ -324,22 +313,33 @@ const Matrix& GateSimulator::dispatch_counts(int layer) const {
   return counts_[static_cast<std::size_t>(layer)];
 }
 
-Matrix GateSimulator::rank_dispatch_matrix(int layer, double bytes_per_slot) const {
-  const Matrix& c = counts_[static_cast<std::size_t>(layer)];
-  const auto R = static_cast<std::size_t>(cfg_.ep_ranks);
+Matrix rank_dispatch_matrix(const Matrix& counts, int n_experts, int ep_ranks,
+                            int experts_per_rank, double bytes_per_slot) {
+  const auto R = static_cast<std::size_t>(ep_ranks);
   Matrix t(R, R, 0.0);
-  const auto epr = static_cast<std::size_t>(experts_per_rank_);
+  const auto epr = static_cast<std::size_t>(experts_per_rank);
   for (std::size_t h = 0; h < R; ++h) {
-    for (std::size_t e = 0; e < static_cast<std::size_t>(cfg_.n_experts); ++e) {
+    for (std::size_t e = 0; e < static_cast<std::size_t>(n_experts); ++e) {
       const std::size_t owner = std::min(e / epr, R - 1);
-      t(h, owner) += c(h, e) * bytes_per_slot;
+      t(h, owner) += counts(h, e) * bytes_per_slot;
     }
   }
   return t;
 }
 
+Matrix GateSimulator::rank_dispatch_matrix(int layer, double bytes_per_slot) const {
+  return moe::rank_dispatch_matrix(counts_[static_cast<std::size_t>(layer)],
+                                   cfg_.n_experts, cfg_.ep_ranks,
+                                   experts_per_rank_, bytes_per_slot);
+}
+
 const Matrix& GateSimulator::transition(int layer) const {
-  assert(layer >= 1);
+  // Layer 0 has no predecessor: its slot is an empty matrix, and reading
+  // it as a transition would index out of bounds.
+  if (layer < 1 || layer >= cfg_.n_layers)
+    throw std::out_of_range("GateSimulator::transition: layer " +
+                            std::to_string(layer) + " outside [1, " +
+                            std::to_string(cfg_.n_layers) + ")");
   return transitions_[static_cast<std::size_t>(layer)];
 }
 

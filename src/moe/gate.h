@@ -54,6 +54,15 @@ enum class WarmupPolicy {
   kClosedForm,
 };
 
+/// EP-rank all-to-all matrix in bytes for the *dispatch* (first) all-to-all
+/// of one layer: entry (src_rank, dst_rank) sums the `counts` (rank x
+/// expert token slots) of the experts `dst_rank` owns. `experts_per_rank`
+/// experts are owned contiguously per rank (the last rank also owns any
+/// remainder); `bytes_per_slot` is hidden*dtype bytes. The combine (second)
+/// all-to-all is this matrix transposed (§5.1).
+Matrix rank_dispatch_matrix(const Matrix& counts, int n_experts, int ep_ranks,
+                            int experts_per_rank, double bytes_per_slot);
+
 class GateSimulator {
  public:
   /// Throws std::invalid_argument unless n_experts, n_layers and ep_ranks
@@ -90,14 +99,13 @@ class GateSimulator {
   const Matrix& dispatch_counts(int layer) const;
 
   /// EP-rank all-to-all matrix in bytes for the *dispatch* (first) all-to-all
-  /// of a layer: entry (src_rank, dst_rank). `experts_per_rank` experts are
-  /// owned contiguously per rank; `bytes_per_slot` is hidden*dtype bytes.
-  /// The combine (second) all-to-all is this matrix transposed (§5.1).
+  /// of a layer: moe::rank_dispatch_matrix over dispatch_counts(layer).
   Matrix rank_dispatch_matrix(int layer, double bytes_per_slot) const;
 
   /// Ground-truth inter-layer transition matrix (column-stochastic),
   /// mapping layer `layer-1` loads to layer `layer` loads. For tests and
-  /// Copilot oracle comparisons.
+  /// Copilot oracle comparisons. Throws std::out_of_range unless
+  /// 1 <= layer < n_layers.
   const Matrix& transition(int layer) const;
 
   /// Current load-balancing mixing coefficient (0 early, -> lb_final).
@@ -125,7 +133,6 @@ class GateSimulator {
   void transition_drift();
   void refresh_distributions();
   void realize_counts();
-  void refresh_rank_pref(std::size_t k);
 
   GateConfig cfg_;
   Rng rng_;
@@ -133,9 +140,9 @@ class GateSimulator {
   int iter_ = 0;
   std::vector<double> logits_;                 // layer-0 popularity logits
   std::vector<Matrix> transitions_;            // per layer >= 1
-  // Per (layer, rank) preference logits (OU process) and derived weights.
+  // Per (layer, rank) preference logits (OU process); the normalized
+  // preference weights are recomputed from them in refresh_distributions.
   std::vector<std::vector<double>> pref_logits_;
-  std::vector<std::vector<double>> rank_pref_;
   // Per layer: per home rank expert distribution, loads, realized counts.
   std::vector<std::vector<std::vector<double>>> q_;  // [layer][rank][expert]
   std::vector<std::vector<double>> load_;            // [layer][expert]

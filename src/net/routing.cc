@@ -1,9 +1,21 @@
 #include "net/routing.h"
 
-#include <cassert>
 #include <deque>
+#include <stdexcept>
+#include <string>
 
 namespace mixnet::net {
+
+namespace {
+
+void check_node(NodeId v, std::size_t nodes, const char* role) {
+  if (v < 0 || static_cast<std::size_t>(v) >= nodes)
+    throw std::out_of_range(std::string("EcmpRouter: ") + role + " node " +
+                            std::to_string(v) + " outside a network of " +
+                            std::to_string(nodes) + " nodes");
+}
+
+}  // namespace
 
 std::uint64_t mix_hash(std::uint64_t x) {
   x ^= x >> 33;
@@ -90,6 +102,7 @@ EcmpRouter::DestTree EcmpRouter::build_tree(NodeId dst) const {
 }
 
 const EcmpRouter::DestTree& EcmpRouter::tree_for(NodeId dst) {
+  check_node(dst, net_.node_count(), "destination");
   check_version();
   auto it = cache_.find(dst);
   if (it != cache_.end()) {
@@ -103,7 +116,10 @@ const EcmpRouter::DestTree& EcmpRouter::tree_for(NodeId dst) {
   lru_.push_front(dst);
   ++trees_built_;
   auto [ins, ok] = cache_.emplace(dst, std::make_pair(build_tree(dst), lru_.begin()));
-  assert(ok);
+  if (!ok)
+    throw std::logic_error("EcmpRouter: tree cache already holds destination " +
+                           std::to_string(dst) +
+                           " after a miss (cache and LRU out of sync)");
   return ins->second.first;
 }
 
@@ -112,13 +128,21 @@ std::vector<LinkId> EcmpRouter::route(NodeId src, NodeId dst, std::uint64_t flow
   std::vector<LinkId> path;
   if (src == dst) return path;
   const DestTree& t = tree_for(dst);
+  check_node(src, t.dist.size(), "source");
   if (t.dist[static_cast<std::size_t>(src)] < 0) return path;
   NodeId v = src;
   int hop = 0;
   while (v != dst) {
     const auto lo = t.offsets[static_cast<std::size_t>(v)];
     const auto hi = t.offsets[static_cast<std::size_t>(v) + 1];
-    assert(hi > lo && "shortest-path tree must have a candidate");
+    // BFS and the candidate scan filter links alike, so a reachable node
+    // always has a candidate; a link that passes one filter but not the
+    // other (a NaN capacity) would leave none and divide by zero below.
+    if (hi <= lo)
+      throw std::logic_error(
+          "EcmpRouter: node " + std::to_string(v) + " is " +
+          std::to_string(t.dist[static_cast<std::size_t>(v)]) + " hops from " +
+          std::to_string(dst) + " but has no shortest-path candidate link");
     const auto n_cand = hi - lo;
     // Pinned flows pick deterministically; hashed flows spread per hop.
     const auto pick =
@@ -137,6 +161,7 @@ std::vector<LinkId> EcmpRouter::route(NodeId src, NodeId dst, std::uint64_t flow
 int EcmpRouter::distance(NodeId src, NodeId dst) {
   if (src == dst) return 0;
   const DestTree& t = tree_for(dst);
+  check_node(src, t.dist.size(), "source");
   return t.dist[static_cast<std::size_t>(src)];
 }
 

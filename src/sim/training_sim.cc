@@ -48,7 +48,9 @@ bool TrainingSimulator::is_mixnet() const {
          cfg_.fabric_kind == topo::FabricKind::kMixNetOpticalIO;
 }
 
-TrainingSimulator::TrainingSimulator(TrainingConfig cfg) : cfg_(std::move(cfg)) {
+TrainingSimulator::TrainingSimulator(TrainingConfig cfg, moe::GateTraceMemo* memo,
+                                     int horizon)
+    : cfg_(std::move(cfg)) {
   if (!cfg_.par_overridden) cfg_.par = moe::default_parallelism(cfg_.model);
   placement_ = std::make_unique<moe::Placement>(cfg_.par, cfg_.gpus_per_server);
 
@@ -77,7 +79,15 @@ TrainingSimulator::TrainingSimulator(TrainingConfig cfg) : cfg_(std::move(cfg)) 
   gc.tokens_per_rank =
       cfg_.par.tokens_per_microbatch() * cfg_.model.top_k / cfg_.par.ep;
   gc.seed = cfg_.seed;
-  gate_ = std::make_unique<moe::GateSimulator>(gc);
+  // Warmup advances the gate past the planning snapshot that TopoOpt reads
+  // as initial() (see warmup_iterations / warmup_policy); iterations read
+  // only the representative stage's layers.
+  const int lps = std::max(cfg_.model.n_blocks / cfg_.par.pp, 1);
+  trace_ = memo != nullptr
+               ? memo->get(gc, cfg_.warmup_iterations, cfg_.warmup_policy, lps,
+                           horizon)
+               : std::make_shared<const moe::GateTrace>(
+                     gc, cfg_.warmup_iterations, cfg_.warmup_policy, lps);
 
   collective::EngineConfig ecfg;
   ecfg.a2a_efficiency = cfg_.a2a_efficiency;
@@ -120,19 +130,11 @@ TrainingSimulator::TrainingSimulator(TrainingConfig cfg) : cfg_(std::move(cfg)) 
   if (cfg_.use_copilot) {
     predict::CopilotConfig cc;
     cc.n_experts = cfg_.model.n_experts;
-    const int lps = std::max(cfg_.model.n_blocks / cfg_.par.pp, 1);
     for (int l = 0; l < lps; ++l) copilots_.emplace_back(cc);
     last_loads_.assign(static_cast<std::size_t>(lps + 1), {});
   }
 
   if (cfg_.fabric_kind == topo::FabricKind::kTopoOpt) install_topoopt_circuits();
-
-  // Advance the gate past the planning snapshot (see warmup_iterations /
-  // warmup_policy).
-  if (cfg_.warmup_policy == moe::WarmupPolicy::kClosedForm)
-    gate_->advance_steps(cfg_.warmup_iterations);
-  else
-    gate_->skip(cfg_.warmup_iterations);
 }
 
 control::TopologyController& TrainingSimulator::controller_for(int region) {
@@ -150,9 +152,10 @@ control::TopologyController& TrainingSimulator::controller_for(int region) {
   return *it->second;
 }
 
-Matrix TrainingSimulator::layer_server_matrix(int layer) const {
+Matrix TrainingSimulator::layer_server_matrix(const moe::GateSnapshot& gate,
+                                              int layer) const {
   const Matrix rank =
-      gate_->rank_dispatch_matrix(layer, cfg_.model.hidden_dim * kBf16);
+      trace_->rank_dispatch_matrix(gate, layer, cfg_.model.hidden_dim * kBf16);
   return moe::aggregate_to_servers(rank, rank_to_local_server_,
                                    static_cast<int>(group_servers_.size()));
 }
@@ -183,6 +186,7 @@ void TrainingSimulator::install_topoopt_circuits() {
   const int lps = std::max(cfg_.model.n_blocks / cfg_.par.pp, 1);
   // Demand per group: sum the stage's layer matrices from the initial gate
   // state (dp=0 matrices reused for every replica -- statistically identical).
+  const moe::GateSnapshot& initial = trace_->initial();
   for (int dp = 0; dp < cfg_.par.dp; ++dp) {
     for (int pp = 0; pp < cfg_.par.pp; ++pp) {
       const auto members = placement_->ep_group_servers(dp, pp);
@@ -190,8 +194,8 @@ void TrainingSimulator::install_topoopt_circuits() {
       Matrix demand(members.size(), members.size(), 0.0);
       for (int l = 0; l < lps; ++l) {
         const int layer = std::min(pp * lps + l, cfg_.model.n_blocks - 1);
-        const Matrix rank = gate_->rank_dispatch_matrix(
-            layer, cfg_.model.hidden_dim * kBf16);
+        const Matrix rank = trace_->rank_dispatch_matrix(
+            initial, layer, cfg_.model.hidden_dim * kBf16);
         const Matrix m = moe::aggregate_to_servers(
             rank, placement_->ep_rank_to_local_server(dp, pp),
             static_cast<int>(members.size()));
@@ -209,7 +213,8 @@ void TrainingSimulator::install_topoopt_circuits() {
 }
 
 IterationResult TrainingSimulator::run_iteration() {
-  gate_->step();
+  const moe::GateSnapshot& gate = trace_->iteration(trace_iteration_ + 1);
+  ++trace_iteration_;
   IterationResult res;
 
   const dag::LayerTimes lt =
@@ -227,7 +232,7 @@ IterationResult TrainingSimulator::run_iteration() {
   const TimeNs bp_window =
       static_cast<TimeNs>(bf * static_cast<double>(lt.attention + lt.expert));
   for (int l = 0; l < lps; ++l) {
-    const Matrix demand = layer_server_matrix(l);
+    const Matrix demand = layer_server_matrix(gate, l);
     monitor_.record(rep_region_, l, demand);
     if (is_mixnet()) {
       // Planning demand: Copilot predicts this layer's expert loads from the
@@ -237,7 +242,7 @@ IterationResult TrainingSimulator::run_iteration() {
       Matrix plan = demand;
       if (cfg_.use_copilot) {
         const auto& prev_load =
-            l == 0 ? gate_->expert_load(0) : gate_->expert_load(l - 1);
+            gate.loads[static_cast<std::size_t>(l == 0 ? 0 : l - 1)];
         auto& cp = copilots_[static_cast<std::size_t>(l)];
         const auto predicted = cp.predict(prev_load);
         const Matrix* seen = monitor_.smoothed(rep_region_, l);
@@ -246,7 +251,7 @@ IterationResult TrainingSimulator::run_iteration() {
           const auto epr = std::max(cfg_.model.n_experts / cfg_.par.ep, 1);
           plan = rescale_plan_columns(*seen, predicted, rank_to_local_server_, epr);
         }
-        cp.observe(prev_load, gate_->expert_load(l));
+        cp.observe(prev_load, gate.loads[static_cast<std::size_t>(l)]);
       }
       auto outcome = controller_for(rep_region_).prepare(plan, fp_window);
       blocked_fp[static_cast<std::size_t>(l)] = outcome.blocked;

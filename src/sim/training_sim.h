@@ -1,7 +1,11 @@
 // TrainingSimulator: end-to-end distributed MoE training iteration simulation.
 //
 // Composition (DESIGN.md §6):
-//   1. The gate simulator produces this iteration's per-layer routing.
+//   1. The gate trace supplies this iteration's per-layer routing: the
+//      recorded dispatch counts and expert loads of one GateSimulator
+//      trajectory (moe/gate_trace.h). Through a GateTraceMemo every point
+//      that derives the same gate config, warmup and horizon reads one
+//      shared trace; without one the simulator records a private trace.
 //   2. For each MoE block of the representative pipeline stage, the regional
 //      topology controller reconfigures the OCS (Algorithm 1, with the
 //      Fig. 20 hide-window accounting) and the phase runner measures the
@@ -28,6 +32,7 @@
 #include "control/monitor.h"
 #include "dag/compute_model.h"
 #include "moe/gate.h"
+#include "moe/gate_trace.h"
 #include "moe/models.h"
 #include "moe/placement.h"
 #include "predict/copilot.h"
@@ -143,9 +148,17 @@ Matrix rescale_plan_columns(Matrix seen, const std::vector<double>& predicted,
 
 class TrainingSimulator {
  public:
-  explicit TrainingSimulator(TrainingConfig cfg);
+  /// Without a memo the simulator records a private, open-ended gate trace
+  /// (the same construction and warmup work as a live gate). With one it
+  /// reads the memo's trace for its derived gate config, warmup, layers
+  /// and `horizon`: horizon > 0 records exactly that many iterations, and
+  /// run_iteration() past it throws std::out_of_range; horizon <= 0 shares
+  /// an open-ended trace.
+  explicit TrainingSimulator(TrainingConfig cfg,
+                             moe::GateTraceMemo* memo = nullptr,
+                             int horizon = 0);
 
-  /// Advance the gate state and simulate one training iteration.
+  /// Read the next gate iteration and simulate one training iteration.
   IterationResult run_iteration();
 
   /// Run several iterations; returns per-iteration results.
@@ -164,12 +177,13 @@ class TrainingSimulator {
   bool is_mixnet() const;
   void install_topoopt_circuits();
   control::TopologyController& controller_for(int region);
-  Matrix layer_server_matrix(int layer) const;
+  Matrix layer_server_matrix(const moe::GateSnapshot& gate, int layer) const;
 
   TrainingConfig cfg_;
   std::unique_ptr<moe::Placement> placement_;
   std::unique_ptr<topo::Fabric> fabric_;
-  std::unique_ptr<moe::GateSimulator> gate_;
+  std::shared_ptr<const moe::GateTrace> trace_;
+  int trace_iteration_ = 0;  // last trace iteration read
   std::unique_ptr<PhaseRunner> runner_;
   std::unique_ptr<control::FailureManager> failures_;
   control::TrafficMonitor monitor_;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "exp/registry.h"
+#include "exp/result_cache.h"
 #include "exp/result_table.h"
 #include "exp/runner.h"
 #include "exp/scenario.h"
@@ -180,6 +181,42 @@ TEST(SweepRunner, SerialAndParallelRunsProduceIdenticalResults) {
                 parallel[i].iters[k].reconfigurations);
     }
     EXPECT_EQ(serial[i].timeline.total(), parallel[i].timeline.total());
+  }
+}
+
+TEST(SweepRunner, ParallelSweepBuildsOneGateTracePerModel) {
+  // Two models x five fabrics under the shared seed: each model's five
+  // points replay one gate trajectory, so the context's memo builds exactly
+  // two traces even with four workers racing for them (TSan covers this).
+  auto truncated = [](moe::MoeModelConfig m) {
+    return [m](ScenarioSpec& s) {
+      s.configure([m](sim::TrainingConfig& cfg) {
+        cfg.model = m;
+        cfg.model.n_blocks = 2;
+      });
+    };
+  };
+  const Sweep sweep =
+      SweepSpec(tiny_spec().iterations(2))
+          .axis("model", {{"mixtral", truncated(moe::mixtral_8x7b())},
+                          {"llama", truncated(moe::llama_moe())}})
+          .fabrics(evaluated_fabrics())
+          .expand();
+  ASSERT_EQ(sweep.size(), 10u);
+
+  RunContext ctx;
+  ctx.jobs = 4;
+  const auto parallel = run_sweep(sweep, ctx);
+  EXPECT_EQ(ctx.gate_traces->stats().built, 2u);
+  EXPECT_EQ(ctx.gate_traces->stats().shared, 8u);
+
+  const auto serial = run_sweep(sweep, /*jobs=*/1);
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    const std::string record = point_record_json("", serial[i], {});
+    EXPECT_EQ(point_record_json("", parallel[i], {}), record) << i;
+    // A private trace (no memo) measures the same point bit for bit.
+    EXPECT_EQ(point_record_json("", run_point(sweep.points()[i]), {}), record) << i;
   }
 }
 

@@ -9,7 +9,8 @@ Three kinds of coverage:
     field, banned nondeterminism call, unordered container in an emit
     path) and must fail with the precise diagnostic;
   * the acceptance loop: deleting ANY single field-serialization line from
-    the real src/exp/cache_key.cc must turn the cache-key analyzer red.
+    the real src/exp/cache_key.cc, or from the gate-trace key in
+    src/moe/gate_trace.cc, must turn the cache-key analyzer red.
 
 Run directly (`python3 tests/lint_test.py`) or via CTest (`lint_test`).
 """
@@ -151,6 +152,45 @@ class CacheKeyAcceptance(unittest.TestCase):
             f'"impl": "{mutated_impl}",'
             '"variable": "cfg", "search": ["src"], "allow": []}')
         return cfg
+
+
+class GateTraceKeyAcceptance(unittest.TestCase):
+    """Every GateConfig field is gate-trace key material: two trajectories
+    must never share one recorded trace (tools/lint/gate_trace_key.json)."""
+
+    def test_real_key_is_complete(self):
+        code, out, err = run_lint(
+            "cache-key", "--cache-key-config",
+            str(ROOT / "tools" / "lint" / "gate_trace_key.json"))
+        self.assertEqual(code, 0, f"stdout:\n{out}\nstderr:\n{err}")
+
+    def test_deleting_any_serialization_line_turns_the_gate_red(self):
+        impl = ROOT / "src" / "moe" / "gate_trace.cc"
+        lines = impl.read_text().splitlines(keepends=True)
+        field_lines = [
+            (i, m.group(1))
+            for i, l in enumerate(lines)
+            for m in [re.search(r'w\.field\("[^"]+",\s*gc\.([\w.]+)\)', l)]
+            if m
+        ]
+        self.assertEqual(len(field_lines), 13,
+                         "gate_trace_key lost its GateConfig field lines?")
+        with tempfile.TemporaryDirectory() as td:
+            mutated = Path(td) / "gate_trace_mut.cc"
+            cfg = Path(td) / "gate_trace_key.json"
+            cfg.write_text(
+                '{"struct": "GateConfig", "header": "src/moe/gate.h",'
+                f'"impl": "{mutated}",'
+                '"variable": "gc", "search": ["src"], "allow": []}')
+            for i, path in field_lines:
+                mutated.write_text("".join(lines[:i] + lines[i + 1:]))
+                rendered = [d.render()
+                            for d in mixnet_lint.check_cache_key(ROOT, cfg)]
+                self.assertTrue(
+                    any(f"'{path}'" in r and "not serialized" in r
+                        for r in rendered),
+                    f"deleting serialization of '{path}' went undetected; "
+                    f"diagnostics: {rendered}")
 
 
 class DeterminismFixture(unittest.TestCase):

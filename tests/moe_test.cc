@@ -2,10 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <memory>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "common/stats.h"
 #include "moe/gate.h"
+#include "moe/gate_trace.h"
 #include "moe/models.h"
 #include "moe/placement.h"
 #include "moe/traffic.h"
@@ -240,6 +246,170 @@ TEST(Gate, RejectsNonPositiveDimensions) {
       EXPECT_THROW(GateSimulator{g}, std::invalid_argument) << bad;
     }
   }
+}
+
+TEST(Gate, TransitionRejectsLayersWithoutAPredecessor) {
+  GateSimulator gs(small_gate());
+  EXPECT_THROW(gs.transition(0), std::out_of_range);
+  EXPECT_THROW(gs.transition(-1), std::out_of_range);
+  EXPECT_THROW(gs.transition(small_gate().n_layers), std::out_of_range);
+  EXPECT_EQ(gs.transition(1).rows(), 8u);
+}
+
+// ------------------------------------------------------------ gate trace ----
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// The snapshot holds exactly what the live gate returns for layers [0, layers).
+void expect_snapshot_is_live_state(const GateTrace& trace, const GateSnapshot& s,
+                                   const GateSimulator& live, int layers) {
+  ASSERT_EQ(s.counts.size(), static_cast<std::size_t>(layers));
+  ASSERT_EQ(s.loads.size(), static_cast<std::size_t>(layers));
+  for (int l = 0; l < layers; ++l) {
+    const auto lu = static_cast<std::size_t>(l);
+    EXPECT_EQ(s.counts[lu].rows(), live.dispatch_counts(l).rows());
+    EXPECT_TRUE(same_bits(s.counts[lu].data(), live.dispatch_counts(l).data())) << l;
+    EXPECT_TRUE(same_bits(s.loads[lu], live.expert_load(l))) << l;
+    EXPECT_TRUE(same_bits(trace.rank_dispatch_matrix(s, l, 8192.0).data(),
+                          live.rank_dispatch_matrix(l, 8192.0).data()))
+        << l;
+  }
+}
+
+TEST(GateTrace, SnapshotsEqualLiveGateBitForBit) {
+  // 3 ranks over 8 experts: the last rank owns the remainder, so the
+  // dispatch-matrix ownership rule is exercised too. Warmup 48 makes the
+  // recorded steps cross the iteration-50 transition drift.
+  GateConfig g = small_gate();
+  g.ep_ranks = 3;
+  constexpr int kWarmup = 48, kLayers = 3, kHorizon = 3;
+  for (const WarmupPolicy policy :
+       {WarmupPolicy::kClosedForm, WarmupPolicy::kExactSteps}) {
+    SCOPED_TRACE(policy == WarmupPolicy::kClosedForm ? "closed-form" : "exact");
+    const GateTrace trace(g, kWarmup, policy, kLayers, kHorizon);
+    GateSimulator live(g);
+    expect_snapshot_is_live_state(trace, trace.initial(), live, g.n_layers);
+    if (policy == WarmupPolicy::kClosedForm)
+      live.advance_steps(kWarmup);
+    else
+      live.skip(kWarmup);
+    for (int i = 1; i <= kHorizon; ++i) {
+      live.step();
+      expect_snapshot_is_live_state(trace, trace.iteration(i), live, kLayers);
+    }
+    EXPECT_THROW(trace.iteration(kHorizon + 1), std::out_of_range);
+    EXPECT_THROW(trace.iteration(0), std::out_of_range);
+    // Recorded iterations stay readable after the producer is freed.
+    expect_snapshot_is_live_state(trace, trace.iteration(kHorizon), live, kLayers);
+  }
+}
+
+TEST(GateTrace, OpenEndedTraceExtendsOnDemand) {
+  const GateTrace trace(small_gate(), 5, WarmupPolicy::kClosedForm, 4);
+  GateSimulator live(small_gate());
+  live.advance_steps(5);
+  for (int i = 0; i < 7; ++i) live.step();
+  expect_snapshot_is_live_state(trace, trace.iteration(7), live, 4);
+  EXPECT_EQ(trace.iteration(2).counts.size(), 4u);  // earlier ones kept
+}
+
+TEST(GateTrace, RejectsLayerCountsOutsideTheModel) {
+  EXPECT_THROW(GateTrace(small_gate(), 0, WarmupPolicy::kClosedForm, 0),
+               std::invalid_argument);
+  EXPECT_THROW(GateTrace(small_gate(), 0, WarmupPolicy::kClosedForm, 5),
+               std::invalid_argument);
+}
+
+TEST(GateTraceMemo, OnePointerPerKeyAndADistinctTracePerField) {
+  const GateConfig g = small_gate();
+  GateTraceMemo memo;
+  const auto a = memo.get(g, 10, WarmupPolicy::kClosedForm, 2, 1);
+  const auto b = memo.get(g, 10, WarmupPolicy::kClosedForm, 2, 1);
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(memo.stats().built, 1u);
+  EXPECT_EQ(memo.stats().shared, 1u);
+
+  // Every GateConfig field, the warmup, the policy, the layers read and the
+  // horizon are key material: changing any one yields a new trace.
+  const std::vector<std::function<void(GateConfig&)>> edits = {
+      [](GateConfig& c) { c.n_experts = 16; },
+      [](GateConfig& c) { c.n_layers = 5; },
+      [](GateConfig& c) { c.ep_ranks = 4; },
+      [](GateConfig& c) { c.tokens_per_rank = 2048.0; },
+      [](GateConfig& c) { c.dirichlet_alpha = 0.3; },
+      [](GateConfig& c) { c.transition_alpha = 0.1; },
+      [](GateConfig& c) { c.personalization = 0.5; },
+      [](GateConfig& c) { c.drift_sigma = 0.07; },
+      [](GateConfig& c) { c.pref_drift_sigma = 0.4; },
+      [](GateConfig& c) { c.pref_retention = 0.97; },
+      [](GateConfig& c) { c.lb_final = 0.5; },
+      [](GateConfig& c) { c.lb_timescale = 1000.0; },
+      [](GateConfig& c) { c.seed = 100; },
+  };
+  for (std::size_t k = 0; k < edits.size(); ++k) {
+    GateConfig changed = g;
+    edits[k](changed);
+    EXPECT_NE(memo.get(changed, 10, WarmupPolicy::kClosedForm, 2, 1).get(), a.get())
+        << "GateConfig edit #" << k;
+  }
+  EXPECT_NE(memo.get(g, 11, WarmupPolicy::kClosedForm, 2, 1).get(), a.get());
+  EXPECT_NE(memo.get(g, 10, WarmupPolicy::kExactSteps, 2, 1).get(), a.get());
+  EXPECT_NE(memo.get(g, 10, WarmupPolicy::kClosedForm, 3, 1).get(), a.get());
+  EXPECT_NE(memo.get(g, 10, WarmupPolicy::kClosedForm, 2, 2).get(), a.get());
+  EXPECT_EQ(memo.stats().built, 1u + edits.size() + 4u);
+  EXPECT_EQ(memo.stats().shared, 1u);
+}
+
+TEST(GateTraceMemo, ConcurrentRequestersShareOneProduction) {
+  GateTraceMemo memo;
+  constexpr int kThreads = 4;
+  std::vector<std::shared_ptr<const GateTrace>> got(kThreads);
+  std::vector<const GateSnapshot*> first(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      got[static_cast<std::size_t>(t)] =
+          memo.get(small_gate(), 20, WarmupPolicy::kClosedForm, 4, 2);
+      first[static_cast<std::size_t>(t)] =
+          &got[static_cast<std::size_t>(t)]->iteration(1);
+    });
+  for (auto& th : threads) th.join();
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(got[static_cast<std::size_t>(t)].get(), got[0].get());
+    EXPECT_EQ(first[static_cast<std::size_t>(t)], first[0]);
+  }
+  EXPECT_EQ(memo.stats().built, 1u);
+  EXPECT_EQ(memo.stats().shared, static_cast<std::size_t>(kThreads - 1));
+}
+
+TEST(GateTraceMemo, ThrowingProducerReachesEveryRequesterAndIsNotCached) {
+  GateConfig bad = small_gate();
+  bad.ep_ranks = 0;  // GateSimulator rejects non-positive dimensions
+  GateTraceMemo memo;
+  constexpr int kThreads = 4;
+  std::vector<int> threw(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      try {
+        memo.get(bad, 0, WarmupPolicy::kClosedForm, 1, 1);
+      } catch (const std::invalid_argument&) {
+        threw[static_cast<std::size_t>(t)] = 1;
+      }
+    });
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(threw[static_cast<std::size_t>(t)], 1) << t;
+  // Nothing was cached: a later request produces (and fails) again.
+  EXPECT_THROW(memo.get(bad, 0, WarmupPolicy::kClosedForm, 1, 1),
+               std::invalid_argument);
+  EXPECT_EQ(memo.stats().built, 0u);
+  EXPECT_EQ(memo.stats().shared, 0u);
+  // The memo still serves good keys afterwards.
+  EXPECT_NE(memo.get(small_gate(), 0, WarmupPolicy::kClosedForm, 1, 1), nullptr);
+  EXPECT_EQ(memo.stats().built, 1u);
 }
 
 TEST(Gate, AdvanceStepsLandsOnIterationWithValidState) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "eventsim/simulator.h"
 #include "net/flowsim.h"
@@ -110,6 +112,32 @@ TEST(Routing, UnreachableReturnsEmpty) {
   EcmpRouter r(net);
   EXPECT_TRUE(r.route(a, b, 1).empty());
   EXPECT_EQ(r.distance(a, b), -1);
+}
+
+TEST(Routing, ReachableNodeWithoutCandidateThrows) {
+  // A NaN capacity passes the BFS filter (!(c <= 0)) but not the candidate
+  // filter (c > 0): `a` is one hop from `b` with no candidate link, which
+  // must fail loudly instead of taking a modulo by zero.
+  Network net;
+  NodeId a = net.add_node(NodeKind::kServer);
+  NodeId b = net.add_node(NodeKind::kServer);
+  net.add_link(a, b, std::numeric_limits<double>::quiet_NaN(), 0);
+  EcmpRouter r(net);
+  EXPECT_EQ(r.distance(a, b), 1);
+  EXPECT_THROW(r.route(a, b, 1), std::logic_error);
+}
+
+TEST(Routing, NodesOutsideTheNetworkThrow) {
+  Network net;
+  NodeId a = net.add_node(NodeKind::kServer);
+  NodeId b = net.add_node(NodeKind::kServer);
+  net.add_duplex(a, b, gbps(100), 0);
+  EcmpRouter r(net);
+  EXPECT_THROW(r.route(a, 7, 1), std::out_of_range);
+  EXPECT_THROW(r.route(-1, b, 1), std::out_of_range);
+  EXPECT_THROW(r.distance(a, -2), std::out_of_range);
+  EXPECT_THROW(r.distance(9, b), std::out_of_range);
+  EXPECT_EQ(r.route(a, b, 1).size(), 1u);
 }
 
 TEST(Routing, EcmpSpreadsAcrossParallelLinks) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "cost/cost_model.h"
 #include "moe/traffic.h"
 #include "sim/phase_runner.h"
@@ -315,6 +318,42 @@ TEST(TrainingSim, TimelineMatchesFig3Shape) {
   EXPECT_GT(t.attention, t.gate);         // gate is cheap
   EXPECT_GT(t.a2a1, 0);
   EXPECT_GT(ns_to_ms(t.expert), 100.0);   // §3 anchor
+}
+
+TEST(TrainingSim, SharedGateTraceMatchesPrivateTraceFieldForField) {
+  // Fabric, Copilot and failure settings never feed the gate, so all four
+  // points derive one gate config and read one memo trace (DESIGN.md §6);
+  // each must measure exactly what a simulator with a private trace does.
+  auto copilot = base(topo::FabricKind::kMixNet);
+  copilot.use_copilot = true;
+  auto one_nic = base(topo::FabricKind::kMixNet);
+  one_nic.failure = {control::FailureScenario::Kind::kOneNic, 0};
+  const std::vector<TrainingConfig> points = {
+      base(topo::FabricKind::kFatTree), copilot,
+      base(topo::FabricKind::kTopoOpt), one_nic};
+  constexpr int kIterations = 3;
+  moe::GateTraceMemo memo;
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    TrainingSimulator shared(points[p], &memo, kIterations);
+    TrainingSimulator own(points[p]);
+    for (int i = 0; i < kIterations; ++i) {
+      const IterationResult a = shared.run_iteration();
+      const IterationResult b = own.run_iteration();
+      EXPECT_EQ(a.total, b.total) << p << "/" << i;
+      EXPECT_EQ(a.ep_comm, b.ep_comm) << p << "/" << i;
+      EXPECT_EQ(a.pp_send, b.pp_send) << p << "/" << i;
+      EXPECT_EQ(a.dp_comm, b.dp_comm) << p << "/" << i;
+      EXPECT_EQ(a.reconfig_blocked, b.reconfig_blocked) << p << "/" << i;
+      EXPECT_EQ(a.compute, b.compute) << p << "/" << i;
+      EXPECT_EQ(a.reconfigurations, b.reconfigurations) << p << "/" << i;
+      EXPECT_EQ(a.tokens, b.tokens) << p << "/" << i;
+    }
+    EXPECT_EQ(shared.layer_timeline().total(), own.layer_timeline().total()) << p;
+    // The shared trace recorded exactly the requested horizon.
+    EXPECT_THROW(shared.run_iteration(), std::out_of_range) << p;
+  }
+  EXPECT_EQ(memo.stats().built, 1u);
+  EXPECT_EQ(memo.stats().shared, points.size() - 1);
 }
 
 TEST(TrainingSim, FailuresAddModestOverhead) {
