@@ -20,7 +20,7 @@ Usage: scripts/verify.sh [--jobs N] [--quick] [--lint] [--help]
   --lint     run the full static-analysis gate too: scripts/lint.sh
              (mixnet-lint + clang-tidy when available) before the build,
              and the TSan threaded suites (exp_test, cache_test,
-             phase_cache_test, pkt_test, net_test under the tsan preset)
+             phase_runner_test, pkt_test, net_test under the tsan preset)
              after CTest — the whole DESIGN.md §10 gate with one command
   --help     this text
 
@@ -66,10 +66,10 @@ if [ "$lint" -eq 1 ]; then
   # engine (DESIGN.md §10) plus the packet engine used from sweep worker
   # threads (DESIGN.md §12) and the SoA FlowSim state shared across sweep
   # points (DESIGN.md §13): the binaries run whole, jobs > 1 inside.
-  echo "== tsan: exp_test cache_test phase_cache_test pkt_test net_test =="
+  echo "== tsan: exp_test cache_test phase_runner_test pkt_test net_test =="
   cmake --preset tsan > /dev/null
-  cmake --build --preset tsan -j "$jobs" -t exp_test cache_test phase_cache_test pkt_test net_test
-  for t in exp_test cache_test phase_cache_test pkt_test net_test; do
+  cmake --build --preset tsan -j "$jobs" -t exp_test cache_test phase_runner_test pkt_test net_test
+  for t in exp_test cache_test phase_runner_test pkt_test net_test; do
     TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
       "./build-tsan/tests/$t" --gtest_brief=1
   done

@@ -1,12 +1,25 @@
 #include "collective/engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace mixnet::collective {
 
 using net::FlowSpec;
+
+namespace {
+// A demand matrix indexes group members; any other shape would read out of
+// bounds, so it is rejected in every build type.
+void check_demand_shape(const char* op, const Matrix& bytes, std::size_t n) {
+  if (bytes.rows() == n && bytes.cols() == n) return;
+  throw std::invalid_argument(
+      std::string("collective::Engine::") + op + ": demand is " +
+      std::to_string(bytes.rows()) + "x" + std::to_string(bytes.cols()) +
+      " but the group has " + std::to_string(n) + " servers");
+}
+}  // namespace
 
 /// Joins N concurrent sub-transfers and fires the callback when the last
 /// one lands. `seal()` is called once all sub-transfers are registered so a
@@ -60,8 +73,6 @@ int Engine::relay_for(int a, int b) const {
 void Engine::set_relay(int server_a, int server_b, int relay) {
   relays_.emplace_back(server_a, server_b, relay);
 }
-
-void Engine::clear_relays() { relays_.clear(); }
 
 void Engine::start_pair_flows(int src_server, int dst_server, Bytes bytes,
                               int stripes, const std::shared_ptr<Barrier>& barrier,
@@ -227,7 +238,7 @@ void Engine::hierarchical_all_reduce(const std::vector<int>& servers,
 
 void Engine::all_to_all_direct(const std::vector<int>& servers, const Matrix& raw,
                                Callback done) {
-  assert(raw.rows() == servers.size() && raw.cols() == servers.size());
+  check_demand_shape("all_to_all_direct", raw, servers.size());
   Matrix bytes = raw;
   for (auto& v : bytes.data()) v /= cfg_.a2a_efficiency;
   auto barrier = std::make_shared<Barrier>();
@@ -248,7 +259,7 @@ void Engine::all_to_all_direct(const std::vector<int>& servers, const Matrix& ra
 void Engine::all_to_all_mixnet(int region, const Matrix& raw, Callback done) {
   const auto& members = fabric_.region_servers(region);
   const auto n = members.size();
-  assert(raw.rows() == n && raw.cols() == n);
+  check_demand_shape("all_to_all_mixnet", raw, n);
   Matrix bytes = raw;
   for (auto& v : bytes.data()) v /= cfg_.a2a_efficiency;
   const int gpus = fabric_.config().gpus_per_server;
@@ -344,12 +355,19 @@ void Engine::all_to_all_mixnet(int region, const Matrix& raw, Callback done) {
 
 void Engine::ep_all_to_all(const std::vector<int>& group_servers, const Matrix& bytes,
                            Callback done) {
+  if (group_servers.empty())
+    throw std::invalid_argument("collective::Engine::ep_all_to_all: empty EP group");
   switch (fabric_.config().kind) {
     case topo::FabricKind::kMixNet:
     case topo::FabricKind::kMixNetOpticalIO: {
       const int region = fabric_.region_of(group_servers.front());
-      assert(fabric_.region_servers(region) == group_servers &&
-             "EP group must coincide with an OCS region on MixNet fabrics");
+      if (fabric_.region_servers(region) != group_servers)
+        throw std::invalid_argument(
+            "collective::Engine::ep_all_to_all: on MixNet fabrics the EP group "
+            "must coincide with an OCS region; the group of " +
+            std::to_string(group_servers.size()) + " servers starting at server " +
+            std::to_string(group_servers.front()) + " is not region " +
+            std::to_string(region));
       all_to_all_mixnet(region, bytes, std::move(done));
       return;
     }

@@ -85,17 +85,20 @@ class Engine {
                                Callback done);
 
   /// Direct all-to-all: `bytes`(i,j) from servers[i] to servers[j]. Diagonal
-  /// entries move over NVSwitch. Used on EPS fabrics and TopoOpt.
+  /// entries move over NVSwitch. Used on EPS fabrics and TopoOpt. Throws
+  /// std::invalid_argument unless `bytes` is servers.size() square.
   void all_to_all_direct(const std::vector<int>& servers, const Matrix& bytes,
                          Callback done);
 
   /// 5-step topology-aware all-to-all within a MixNet region; `bytes` is
-  /// indexed by region-local server position.
+  /// indexed by region-local server position. Throws std::invalid_argument
+  /// unless `bytes` is square in the region's server count.
   void all_to_all_mixnet(int region, const Matrix& bytes, Callback done);
 
   /// Dispatch to the right all-to-all for the fabric kind: the 5-step
   /// delegated transfer on MixNet fabrics (the group must coincide with an
-  /// OCS region), direct flows elsewhere.
+  /// OCS region), direct flows elsewhere. Throws std::invalid_argument for
+  /// an empty group or a MixNet group that is not a whole region.
   void ep_all_to_all(const std::vector<int>& group_servers, const Matrix& bytes,
                      Callback done);
 
@@ -104,7 +107,6 @@ class Engine {
   /// NICs of a server fail and the OCS provides the fallback path, §5.4).
   /// Pass server_b = -1 to detour every flow touching server_a.
   void set_relay(int server_a, int server_b, int relay);
-  void clear_relays();
 
  private:
   struct Barrier;  // completion joiner for multi-flow ops

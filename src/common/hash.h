@@ -85,9 +85,8 @@ inline std::uint64_t hash64_bytes(const void* data, std::size_t n,
 }
 
 /// Cheap 64-bit demand-matrix hash: dimensions plus every entry's bit
-/// pattern. Two matrices with the same hash are treated as identical by the
-/// phase cache (see PhaseRunner), which is safe at ~1e-19 collision odds per
-/// pair for the cache sizes involved.
+/// pattern. Only perfbench's traced replay uses it, to key its first-visit
+/// routing (ROADMAP item 4).
 inline std::uint64_t matrix_hash(const Matrix& m, std::uint64_t seed = kHash64Seed) {
   std::uint64_t h = hash64_mix(seed, m.rows());
   h = hash64_mix(h, m.cols());

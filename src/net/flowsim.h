@@ -77,7 +77,7 @@ class FlowSim final : public Transport {
 
   /// Max-min rates recomputed from scratch with the reference progressive-
   /// filling algorithm, ignoring all incremental state. Test oracle for the
-  /// fast path (see tests/phase_cache_test.cc).
+  /// fast path (see tests/phase_runner_test.cc).
   std::unordered_map<FlowId, Bps> reference_rates() const;
 
  private:

@@ -1,6 +1,7 @@
 #include "serve/serve_sim.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "dag/compute_model.h"
 #include "moe/traffic.h"
@@ -26,21 +27,9 @@ ServeSimulator::ServeSimulator(const sim::TrainingConfig& cluster,
   if (!cfg_.par_overridden) cfg_.par = moe::default_parallelism(cfg_.model);
   placement_ = std::make_unique<moe::Placement>(cfg_.par, cfg_.gpus_per_server);
 
-  topo::FabricConfig fc =
-      topo::FabricConfig::preset(cfg_.fabric_kind, placement_->total_servers())
-          .with_gpus_per_server(cfg_.gpus_per_server)
-          .with_nics_per_server(cfg_.nics_per_server)
-          .with_nic_gbps(cfg_.nic_gbps)
-          .with_oversub(cfg_.oversub)
-          .with_eps_split(cfg_.eps_nics, cfg_.optical_degree)
-          .with_region_servers(placement_->region_servers())
-          .with_nvlink_gbps_per_gpu(cfg_.nvlink_gbps_per_gpu)
-          .with_ocs_nic_gbps(cfg_.ocs_nic_gbps);
-  if (is_mixnet()) {
-    fc.with_eps_split(cfg_.eps_nics, cfg_.nics_per_server - cfg_.eps_nics);
-    cfg_.optical_degree = fc.optical_degree;
-  }
-  fabric_ = std::make_unique<topo::Fabric>(topo::Fabric::build(fc));
+  sim::Cluster built = sim::build_cluster(cfg_, *placement_);
+  fabric_ = std::move(built.fabric);
+  runner_ = std::move(built.runner);
 
   moe::GateConfig gc = cfg_.gate;
   gc.n_experts = cfg_.model.n_experts;
@@ -50,13 +39,6 @@ ServeSimulator::ServeSimulator(const sim::TrainingConfig& cluster,
       cfg_.par.tokens_per_microbatch() * cfg_.model.top_k / cfg_.par.ep;
   gc.seed = cfg_.seed;
   gate_ = std::make_unique<moe::GateSimulator>(gc);
-
-  collective::EngineConfig ecfg;
-  ecfg.a2a_efficiency = cfg_.a2a_efficiency;
-  ecfg.ring_efficiency = cfg_.ring_efficiency;
-  ecfg.switched_path_efficiency = cfg_.switched_path_efficiency;
-  runner_ = std::make_unique<sim::PhaseRunner>(
-      *fabric_, ecfg, /*cache_capacity=*/1024, cfg_.backend, cfg_.pkt);
 
   group_servers_ = placement_->ep_group_servers(0, 0);
   rank_to_local_server_ = placement_->ep_rank_to_local_server(0, 0);

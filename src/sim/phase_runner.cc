@@ -6,20 +6,13 @@
 #include <string>
 #include <utility>
 
-#include "common/hash.h"
 #include "eventsim/simulator.h"
 #include "pkt/transport.h"
 
 namespace mixnet::sim {
 
-namespace {
-std::uint64_t bytes_hash(Bytes b) {
-  return hash64(&b, 1);
-}
-}  // namespace
-
 PhaseRunner::PhaseRunner(topo::Fabric& fabric, collective::EngineConfig ecfg,
-                         std::size_t cache_capacity, net::NetBackend backend,
+                         std::size_t, net::NetBackend backend,
                          pkt::PacketConfig pkt)
     : fabric_(fabric),
       ecfg_(ecfg),
@@ -27,8 +20,7 @@ PhaseRunner::PhaseRunner(topo::Fabric& fabric, collective::EngineConfig ecfg,
       pkt_(pkt),
       router_(fabric.network(), /*cache_capacity=*/512,
               /*allow_server_transit=*/fabric.config().kind ==
-                  topo::FabricKind::kTopoOpt),
-      cache_capacity_(cache_capacity) {
+                  topo::FabricKind::kTopoOpt) {
   // The packet engine walks node-contiguous hops; analytic-core paths skip
   // the collapsed core entirely, so the combination cannot be simulated.
   if (fabric.config().core_model == topo::CoreModel::kAnalytic &&
@@ -46,30 +38,6 @@ PhaseRunner::PhaseRunner(topo::Fabric& fabric, collective::EngineConfig ecfg,
                            : cfg.nics_per_server;
   ecfg_.eps_stripes = std::clamp(eps_nics, 1, 8);
   ecfg_.allreduce_rings = std::clamp(eps_nics, 1, 4);
-}
-
-void PhaseRunner::set_relays(const std::vector<control::RelayRule>& relays) {
-  relays_ = relays;
-  if (!cache_.empty()) ++invalidations_;
-  cache_.clear();
-  lru_.clear();
-}
-
-PhaseCacheStats PhaseRunner::stats() const {
-  PhaseCacheStats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.invalidations = invalidations_;
-  s.entries = cache_.size();
-  return s;
-}
-
-std::size_t PhaseRunner::CacheKeyHash::operator()(const CacheKey& k) const {
-  std::uint64_t h = hash64_mix(kHash64Seed, static_cast<std::uint64_t>(k.kind));
-  h = hash64_mix(h, k.epoch);
-  h = hash64_mix(h, k.demand_hash);
-  return static_cast<std::size_t>(
-      hash64(k.participants.data(), k.participants.size(), h));
 }
 
 template <typename LaunchFn>
@@ -91,63 +59,26 @@ TimeNs PhaseRunner::run_phase(const char* label, LaunchFn&& launch) {
   return done_at;
 }
 
-template <typename LaunchFn>
-TimeNs PhaseRunner::cached_phase(const char* label, CacheKey key,
-                                 LaunchFn&& launch) {
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    ++hits_;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // refresh recency
-    return it->second.duration;
-  }
-  ++misses_;
-  const TimeNs t = run_phase(label, std::forward<LaunchFn>(launch));
-  auto [ins, inserted] = cache_.emplace(std::move(key), CacheEntry{t, {}});
-  lru_.push_front(&ins->first);
-  ins->second.lru_it = lru_.begin();
-  if (cache_.size() > cache_capacity_) {
-    auto victim = cache_.find(*lru_.back());
-    lru_.pop_back();
-    cache_.erase(victim);
-  }
-  return t;
-}
-
 TimeNs PhaseRunner::ep_all_to_all(const std::vector<int>& group_servers,
                                   const Matrix& bytes) {
-  CacheKey key;
-  key.kind = PhaseKind::kEpAllToAll;
-  key.epoch = fabric_.epoch();
-  key.participants = group_servers;
-  key.demand_hash = matrix_hash(bytes);
-  return cached_phase(
-      "ep_all_to_all", std::move(key),
+  return run_phase(
+      "ep_all_to_all",
       [&](collective::Engine& e, collective::Engine::Callback cb) {
         e.ep_all_to_all(group_servers, bytes, std::move(cb));
       });
 }
 
 TimeNs PhaseRunner::send(int src_server, int dst_server, Bytes bytes) {
-  CacheKey key;
-  key.kind = PhaseKind::kSend;
-  key.epoch = fabric_.epoch();
-  key.participants = {src_server, dst_server};
-  key.demand_hash = bytes_hash(bytes);
-  return cached_phase(
-      "send", std::move(key),
+  return run_phase(
+      "send",
       [&](collective::Engine& e, collective::Engine::Callback cb) {
         e.send(src_server, dst_server, bytes, std::move(cb));
       });
 }
 
 TimeNs PhaseRunner::all_reduce(const std::vector<int>& servers, Bytes bytes) {
-  CacheKey key;
-  key.kind = PhaseKind::kAllReduce;
-  key.epoch = fabric_.epoch();
-  key.participants = servers;
-  key.demand_hash = bytes_hash(bytes);
-  return cached_phase(
-      "all_reduce", std::move(key),
+  return run_phase(
+      "all_reduce",
       [&](collective::Engine& e, collective::Engine::Callback cb) {
         e.all_reduce_ring(servers, bytes, std::move(cb));
       });
@@ -156,13 +87,8 @@ TimeNs PhaseRunner::all_reduce(const std::vector<int>& servers, Bytes bytes) {
 TimeNs PhaseRunner::dp_all_reduce(int servers_per_replica, int dp,
                                   Bytes bytes_per_gpu) {
   if (dp <= 1) return 0;
-  CacheKey key;
-  key.kind = PhaseKind::kDpAllReduce;
-  key.epoch = fabric_.epoch();
-  key.participants = {servers_per_replica, dp};
-  key.demand_hash = bytes_hash(bytes_per_gpu);
-  return cached_phase(
-      "dp_all_reduce", std::move(key),
+  return run_phase(
+      "dp_all_reduce",
       [&](collective::Engine& e, collective::Engine::Callback cb) {
         auto barrier_count = std::make_shared<int>(servers_per_replica);
         auto last = std::make_shared<TimeNs>(0);

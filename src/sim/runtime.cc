@@ -1,7 +1,7 @@
 #include "sim/runtime.h"
 
-#include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace mixnet::runtime {
 
@@ -24,7 +24,11 @@ Communicator::Communicator(topo::Fabric& fabric, std::vector<int> servers,
 }
 
 TimeNs Communicator::all_to_all(const Matrix& bytes, TimeNs compute_window) {
-  assert(bytes.rows() == servers_.size() && bytes.cols() == servers_.size());
+  if (bytes.rows() != servers_.size() || bytes.cols() != servers_.size())
+    throw std::invalid_argument(
+        "Communicator::all_to_all: demand is " + std::to_string(bytes.rows()) +
+        "x" + std::to_string(bytes.cols()) + " but the group has " +
+        std::to_string(servers_.size()) + " ranks");
   TimeNs blocked = 0;
   if (controller_) {
     const auto outcome = controller_->prepare(bytes, compute_window);
@@ -40,8 +44,11 @@ TimeNs Communicator::all_reduce(Bytes bytes_per_member) {
 }
 
 TimeNs Communicator::send(int src_rank, int dst_rank, Bytes bytes) {
-  assert(src_rank >= 0 && static_cast<std::size_t>(src_rank) < servers_.size());
-  assert(dst_rank >= 0 && static_cast<std::size_t>(dst_rank) < servers_.size());
+  for (const int rank : {src_rank, dst_rank})
+    if (rank < 0 || static_cast<std::size_t>(rank) >= servers_.size())
+      throw std::out_of_range("Communicator::send: rank " + std::to_string(rank) +
+                              " outside a group of " +
+                              std::to_string(servers_.size()) + " ranks");
   return runner_.send(servers_[static_cast<std::size_t>(src_rank)],
                       servers_[static_cast<std::size_t>(dst_rank)], bytes);
 }

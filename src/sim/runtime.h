@@ -42,14 +42,16 @@ class Communicator {
   /// servers()[j]. On MixNet fabrics this reconfigures the regional OCS
   /// first (hidden under `compute_window`) and uses the 5-step delegated
   /// transfer. Returns total elapsed time including any unhidden
-  /// reconfiguration.
+  /// reconfiguration. Throws std::invalid_argument unless `bytes` is
+  /// size() x size().
   TimeNs all_to_all(const Matrix& bytes, TimeNs compute_window = ms_to_ns(100));
 
   /// torch.dist-style all_reduce of `bytes_per_member` over the group
   /// (multi-ring on the packet fabric).
   TimeNs all_reduce(Bytes bytes_per_member);
 
-  /// Point-to-point send to another group member (by group rank).
+  /// Point-to-point send to another group member (by group rank). Throws
+  /// std::out_of_range for a rank outside [0, size()).
   TimeNs send(int src_rank, int dst_rank, Bytes bytes);
 
   /// Cumulative unhidden reconfiguration time incurred by this group.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "dag/taskgraph.h"
 #include "moe/traffic.h"
@@ -43,6 +44,36 @@ Matrix rescale_plan_columns(Matrix seen, const std::vector<double>& predicted,
   return seen;
 }
 
+Cluster build_cluster(TrainingConfig& cfg, const moe::Placement& placement) {
+  topo::FabricConfig fc =
+      topo::FabricConfig::preset(cfg.fabric_kind, placement.total_servers())
+          .with_gpus_per_server(cfg.gpus_per_server)
+          .with_nics_per_server(cfg.nics_per_server)
+          .with_nic_gbps(cfg.nic_gbps)
+          .with_oversub(cfg.oversub)
+          .with_eps_split(cfg.eps_nics, cfg.optical_degree)
+          .with_region_servers(placement.region_servers())
+          .with_nvlink_gbps_per_gpu(cfg.nvlink_gbps_per_gpu)
+          .with_ocs_nic_gbps(cfg.ocs_nic_gbps)
+          .with_core_model(cfg.core_model);
+  if (cfg.fabric_kind == topo::FabricKind::kMixNet ||
+      cfg.fabric_kind == topo::FabricKind::kMixNetOpticalIO) {
+    fc.with_eps_split(cfg.eps_nics, cfg.nics_per_server - cfg.eps_nics);
+    cfg.optical_degree = fc.optical_degree;
+  }
+  // TopoOpt keeps its single global region (set inside Fabric::build).
+  Cluster c;
+  c.fabric = std::make_unique<topo::Fabric>(topo::Fabric::build(fc));
+
+  collective::EngineConfig ecfg;
+  ecfg.a2a_efficiency = cfg.a2a_efficiency;
+  ecfg.ring_efficiency = cfg.ring_efficiency;
+  ecfg.switched_path_efficiency = cfg.switched_path_efficiency;
+  c.runner = std::make_unique<PhaseRunner>(*c.fabric, ecfg, std::size_t{},
+                                           cfg.backend, cfg.pkt);
+  return c;
+}
+
 bool TrainingSimulator::is_mixnet() const {
   return cfg_.fabric_kind == topo::FabricKind::kMixNet ||
          cfg_.fabric_kind == topo::FabricKind::kMixNetOpticalIO;
@@ -54,23 +85,9 @@ TrainingSimulator::TrainingSimulator(TrainingConfig cfg, moe::GateTraceMemo* mem
   if (!cfg_.par_overridden) cfg_.par = moe::default_parallelism(cfg_.model);
   placement_ = std::make_unique<moe::Placement>(cfg_.par, cfg_.gpus_per_server);
 
-  topo::FabricConfig fc =
-      topo::FabricConfig::preset(cfg_.fabric_kind, placement_->total_servers())
-          .with_gpus_per_server(cfg_.gpus_per_server)
-          .with_nics_per_server(cfg_.nics_per_server)
-          .with_nic_gbps(cfg_.nic_gbps)
-          .with_oversub(cfg_.oversub)
-          .with_eps_split(cfg_.eps_nics, cfg_.optical_degree)
-          .with_region_servers(placement_->region_servers())
-          .with_nvlink_gbps_per_gpu(cfg_.nvlink_gbps_per_gpu)
-          .with_ocs_nic_gbps(cfg_.ocs_nic_gbps)
-          .with_core_model(cfg_.core_model);
-  if (is_mixnet()) {
-    fc.with_eps_split(cfg_.eps_nics, cfg_.nics_per_server - cfg_.eps_nics);
-    cfg_.optical_degree = fc.optical_degree;
-  }
-  // TopoOpt keeps its single global region (set inside Fabric::build).
-  fabric_ = std::make_unique<topo::Fabric>(topo::Fabric::build(fc));
+  Cluster built = build_cluster(cfg_, *placement_);
+  fabric_ = std::move(built.fabric);
+  runner_ = std::move(built.runner);
 
   moe::GateConfig gc = cfg_.gate;
   gc.n_experts = cfg_.model.n_experts;
@@ -88,13 +105,6 @@ TrainingSimulator::TrainingSimulator(TrainingConfig cfg, moe::GateTraceMemo* mem
                            horizon)
                : std::make_shared<const moe::GateTrace>(
                      gc, cfg_.warmup_iterations, cfg_.warmup_policy, lps);
-
-  collective::EngineConfig ecfg;
-  ecfg.a2a_efficiency = cfg_.a2a_efficiency;
-  ecfg.ring_efficiency = cfg_.ring_efficiency;
-  ecfg.switched_path_efficiency = cfg_.switched_path_efficiency;
-  runner_ = std::make_unique<PhaseRunner>(*fabric_, ecfg, /*cache_capacity=*/1024,
-                                          cfg_.backend, cfg_.pkt);
 
   group_servers_ = placement_->ep_group_servers(0, 0);
   rank_to_local_server_ = placement_->ep_rank_to_local_server(0, 0);

@@ -106,6 +106,22 @@ struct TrainingConfig {
   pkt::PacketConfig pkt;
 };
 
+/// Fabric and phase runner of one simulated cluster, as TrainingSimulator
+/// and serve::ServeSimulator both build it.
+struct Cluster {
+  std::unique_ptr<topo::Fabric> fabric;
+  std::unique_ptr<PhaseRunner> runner;
+};
+
+/// Build the cluster `cfg` describes over `placement`'s servers: the fabric
+/// preset with every TrainingConfig fabric knob applied, and a phase runner
+/// with the config's collective efficiencies, backend and packet tuning. On
+/// MixNet fabrics the NICs beyond `eps_nics` go to the OCS, and the derived
+/// degree is written back to `cfg.optical_degree`. Throws
+/// std::invalid_argument for an invalid fabric, or for an analytic core on
+/// the packet backend.
+Cluster build_cluster(TrainingConfig& cfg, const moe::Placement& placement);
+
 /// Forward timeline of one MoE block (Fig. 3 rows).
 struct PhaseTimeline {
   TimeNs attention = 0;
@@ -171,7 +187,6 @@ class TrainingSimulator {
   const moe::Placement& placement() const { return *placement_; }
   const TrainingConfig& config() const { return cfg_; }
   const control::TrafficMonitor& monitor() const { return monitor_; }
-  PhaseRunner& phase_runner() { return *runner_; }
 
  private:
   bool is_mixnet() const;

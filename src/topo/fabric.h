@@ -182,9 +182,9 @@ class Fabric {
   /// mutation: apply_circuits / set_region_circuits_up, failure injection,
   /// and any link/node addition or capacity/up-down change applied directly
   /// to the underlying Network (it delegates to Network::version(), so
-  /// mutations that bypass Fabric's own mutators are observed too). Callers
-  /// key cached network-dependent results — phase durations, routes — on
-  /// this value to detect staleness; see sim::PhaseRunner.
+  /// mutations that bypass Fabric's own mutators are observed too). Only
+  /// perfbench's traced replay reads it, to key its first-visit routing
+  /// (ROADMAP item 4).
   std::uint64_t epoch() const { return net_.version(); }
 
   net::NodeId server_node(int server_idx) const {

@@ -39,6 +39,23 @@ TEST(Communicator, EmptyGroupThrows) {
   EXPECT_THROW(runtime::Communicator(fabric, {}), std::invalid_argument);
 }
 
+// Out-of-range ranks and misshapen demands throw in every build type,
+// Release included.
+TEST(Communicator, SendRankOutsideGroupThrows) {
+  auto fabric = topo::Fabric::build(fat_tree8());
+  runtime::Communicator comm(fabric, {2, 6});
+  EXPECT_THROW(comm.send(0, 2, mib(1)), std::out_of_range);
+  EXPECT_THROW(comm.send(-1, 1, mib(1)), std::out_of_range);
+  EXPECT_GT(comm.send(0, 1, mib(1)), 0);
+}
+
+TEST(Communicator, MisshapenAllToAllThrows) {
+  auto fabric = topo::Fabric::build(fat_tree8());
+  runtime::Communicator comm(fabric, {2, 6});
+  EXPECT_THROW(comm.all_to_all(uniform_bytes(3, mib(1))), std::invalid_argument);
+  EXPECT_THROW(comm.all_to_all(Matrix(2, 1, mib(1))), std::invalid_argument);
+}
+
 TEST(Communicator, GroupAccessors) {
   auto fabric = topo::Fabric::build(fat_tree8());
   runtime::Communicator comm(fabric, {1, 3, 5});

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "control/hotspot.h"
@@ -183,6 +184,17 @@ TEST(ServeSimulator, CompletesEveryRequest) {
   EXPECT_DOUBLE_EQ(metrics.at("completed"), 12.0);
   EXPECT_GT(metrics.at("goodput_rps"), 0.0);
   EXPECT_GE(metrics.at("ttft_p99_ms"), metrics.at("ttft_p50_ms"));
+}
+
+// Serve builds its fabric exactly as training does, so a serve point's
+// core_model takes effect: an analytic core on the packet backend is
+// rejected by both simulators instead of silently running an explicit core.
+TEST(ServeSimulator, AnalyticCoreOnPacketBackendThrowsLikeTraining) {
+  sim::TrainingConfig cluster = small_cluster();
+  cluster.core_model = topo::CoreModel::kAnalytic;
+  cluster.backend = net::NetBackend::kPacket;
+  EXPECT_THROW(serve::ServeSimulator(cluster, small_workload()), std::invalid_argument);
+  EXPECT_THROW(sim::TrainingSimulator{cluster}, std::invalid_argument);
 }
 
 TEST(ServeSimulator, ReplacementOffNeverMovesExperts) {

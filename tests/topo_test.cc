@@ -3,6 +3,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/matrix.h"
 #include "control/failures.h"
@@ -149,6 +150,25 @@ TEST(Fabric, RegionCircuitsDarkDuringReconfig) {
   EXPECT_EQ(f.circuit_link(0, 0, 1), net::kInvalidLink);
   f.set_region_circuits_up(0, true);
   EXPECT_NE(f.circuit_link(0, 0, 1), net::kInvalidLink);
+}
+
+// The epoch moves on circuit installs, link up/down and failure injection
+// (perfbench's traced replay keys its first-visit routing on it).
+TEST(Fabric, EpochMovesOnEveryLinkMutation) {
+  Fabric f = Fabric::build(FabricConfig::mixnet(4).with_region_servers(4));
+  auto last = f.epoch();
+  auto moved = [&] { return std::exchange(last, f.epoch()) < f.epoch(); };
+  Matrix counts(4, 4, 0.0);
+  counts(0, 1) = counts(1, 0) = 2.0;
+  ASSERT_GT(f.apply_circuits(0, counts), 0);
+  EXPECT_TRUE(moved());
+  f.network().set_up(0, false);
+  EXPECT_TRUE(moved());
+  f.network().set_up(0, true);
+  EXPECT_TRUE(moved());
+  control::FailureManager failures(f);
+  failures.apply({control::FailureScenario::Kind::kOneNic, 0});
+  EXPECT_TRUE(moved());
 }
 
 TEST(Fabric, TopoOptHasNoEps) {
