@@ -10,10 +10,6 @@ std::int64_t Value::as_i64() const {
   return std::strtoll(str_.c_str(), nullptr, 10);
 }
 
-std::uint64_t Value::as_u64() const {
-  return std::strtoull(str_.c_str(), nullptr, 10);
-}
-
 const Value* Value::get(const std::string& key) const {
   for (const auto& [k, v] : members_)
     if (k == key) return &v;
@@ -158,11 +154,9 @@ class Parser {
         return parse_string(v.str_);
       case 't':
         v.kind_ = Value::Kind::kBool;
-        v.bool_ = true;
         return literal("true");
       case 'f':
         v.kind_ = Value::Kind::kBool;
-        v.bool_ = false;
         return literal("false");
       case 'n':
         v.kind_ = Value::Kind::kNull;

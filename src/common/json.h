@@ -4,7 +4,8 @@
 // bit-exactly. This is a reader for our own emitter's output, not a general
 // validator: it accepts the JSON grammar (objects, arrays, strings with
 // \uXXXX escapes, numbers, true/false/null) and rejects anything else by
-// returning std::nullopt.
+// returning std::nullopt. No record field is a boolean, so true/false parse
+// as Kind::kBool without keeping which one.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +26,8 @@ class Value {
   bool is_string() const { return kind_ == Kind::kString; }
   bool is_number() const { return kind_ == Kind::kNumber; }
 
-  bool as_bool() const { return bool_; }
   double as_double() const;        ///< strtod over the raw token
   std::int64_t as_i64() const;     ///< strtoll over the raw token
-  std::uint64_t as_u64() const;    ///< strtoull over the raw token
   const std::string& as_string() const { return str_; }
 
   const std::vector<Value>& items() const { return items_; }
@@ -41,7 +40,6 @@ class Value {
  private:
   friend class Parser;
   Kind kind_ = Kind::kNull;
-  bool bool_ = false;
   std::string str_;  // string value, or the raw number token
   std::vector<Value> items_;
   std::vector<std::pair<std::string, Value>> members_;

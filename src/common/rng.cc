@@ -197,18 +197,6 @@ std::vector<double> Rng::dirichlet(const std::vector<double>& alpha) {
   return out;
 }
 
-std::size_t Rng::categorical(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) total += w;
-  assert(total > 0.0);
-  double r = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r <= 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
 Rng Rng::fork() {
   return Rng(next() ^ 0xD1B54A32D192ED03ULL);
 }

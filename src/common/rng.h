@@ -79,9 +79,6 @@ class Rng {
   /// Dirichlet with per-component concentrations.
   std::vector<double> dirichlet(const std::vector<double>& alpha);
 
-  /// Sample an index from an (unnormalised) non-negative weight vector.
-  std::size_t categorical(const std::vector<double>& weights);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {

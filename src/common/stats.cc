@@ -61,18 +61,4 @@ double jain_fairness(const std::vector<double>& xs) {
   return s * s / (static_cast<double>(xs.size()) * s2);
 }
 
-std::vector<CdfPoint> empirical_cdf(std::vector<double> xs, std::size_t points) {
-  std::vector<CdfPoint> out;
-  if (xs.empty() || points == 0) return out;
-  std::sort(xs.begin(), xs.end());
-  out.reserve(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    const double p =
-        points == 1 ? 1.0 : static_cast<double>(i) / static_cast<double>(points - 1);
-    const auto idx = static_cast<std::size_t>(p * static_cast<double>(xs.size() - 1));
-    out.push_back({xs[idx], p});
-  }
-  return out;
-}
-
 }  // namespace mixnet

@@ -25,12 +25,4 @@ double coeff_of_variation(const std::vector<double>& xs);
 /// Jain's fairness index: (sum x)^2 / (n * sum x^2); 1.0 == perfectly uniform.
 double jain_fairness(const std::vector<double>& xs);
 
-/// Empirical CDF evaluated at `points.size()` evenly spaced probabilities;
-/// returns {value, cumulative_probability} pairs for printing.
-struct CdfPoint {
-  double value;
-  double probability;
-};
-std::vector<CdfPoint> empirical_cdf(std::vector<double> xs, std::size_t points);
-
 }  // namespace mixnet

@@ -35,7 +35,6 @@ constexpr TimeNs us_to_ns(double us) { return static_cast<TimeNs>(us * 1e3); }
 constexpr TimeNs ms_to_ns(double ms) { return static_cast<TimeNs>(ms * 1e6); }
 constexpr TimeNs sec_to_ns(double s) { return static_cast<TimeNs>(s * 1e9); }
 
-constexpr double ns_to_us(TimeNs t) { return static_cast<double>(t) / 1e3; }
 constexpr double ns_to_ms(TimeNs t) { return static_cast<double>(t) / 1e6; }
 constexpr double ns_to_sec(TimeNs t) { return static_cast<double>(t) / 1e9; }
 

@@ -19,10 +19,6 @@ FailureManager::FailureManager(topo::Fabric& fabric) : fabric_(fabric) {
   excluded_.assign(static_cast<std::size_t>(fabric_.n_servers()), false);
 }
 
-void FailureManager::install_relays(collective::Engine& engine) const {
-  for (const auto& r : relays_) engine.set_relay(r.server, r.peer, r.relay);
-}
-
 void FailureManager::fail_eps_nics(int server, int count) {
   // EPS NIC links are the duplex pairs from the server node toward a switch.
   const net::NodeId node = fabric_.server_node(server);

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "collective/engine.h"
 #include "topo/fabric.h"
 
 namespace mixnet::control {
@@ -53,9 +52,8 @@ class FailureManager {
   /// Servers the OCS controllers must exclude (global indices).
   const std::vector<bool>& excluded_servers() const { return excluded_; }
 
-  /// Relay rules to install on every collective engine instance.
+  /// Relay rules for every phase on the fabric (sim::PhaseRunner::set_relays).
   const std::vector<RelayRule>& relays() const { return relays_; }
-  void install_relays(collective::Engine& engine) const;
 
   /// True when a failed GPU forces one stage's TP all-reduce onto the
   /// scale-out fabric (extra per-layer cost charged by the training sim).

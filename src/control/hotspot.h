@@ -33,9 +33,6 @@ class HotspotDetector {
   /// window fills, 1 means perfectly balanced).
   double imbalance() const { return imbalance_; }
 
-  /// Windowed mean load per entity (empty until the first observation).
-  const std::vector<double>& windowed_mean() const { return mean_; }
-
   int triggers() const { return triggers_; }
 
  private:

@@ -3,40 +3,20 @@
 namespace mixnet::control {
 
 void TrafficMonitor::record(int region, int layer, const Matrix& demand) {
-  auto& e = entries_[{region, layer}];
-  if (e.ewma.empty()) {
-    e.ewma = demand;
+  auto& e = ewma_[{region, layer}];
+  if (e.empty()) {
+    e = demand;
   } else {
     for (std::size_t i = 0; i < demand.rows(); ++i)
       for (std::size_t j = 0; j < demand.cols(); ++j)
-        e.ewma(i, j) = (1.0 - w_) * e.ewma(i, j) + w_ * demand(i, j);
+        e(i, j) = (1.0 - w_) * e(i, j) + w_ * demand(i, j);
   }
-  e.last = demand;
   ++n_obs_;
 }
 
-const Matrix* TrafficMonitor::last(int region, int layer) const {
-  auto it = entries_.find({region, layer});
-  return it == entries_.end() ? nullptr : &it->second.last;
-}
-
 const Matrix* TrafficMonitor::smoothed(int region, int layer) const {
-  auto it = entries_.find({region, layer});
-  return it == entries_.end() ? nullptr : &it->second.ewma;
-}
-
-Matrix TrafficMonitor::aggregate(int region) const {
-  Matrix out;
-  for (const auto& [key, e] : entries_) {
-    if (key.first != region) continue;
-    if (out.empty()) {
-      out = e.ewma;
-      continue;
-    }
-    for (std::size_t i = 0; i < out.rows(); ++i)
-      for (std::size_t j = 0; j < out.cols(); ++j) out(i, j) += e.ewma(i, j);
-  }
-  return out;
+  auto it = ewma_.find({region, layer});
+  return it == ewma_.end() ? nullptr : &it->second;
 }
 
 }  // namespace mixnet::control

@@ -1,16 +1,16 @@
 // All-to-all traffic monitor (§5.1).
 //
-// Tracks per-(region, layer) inter-server demand matrices as training
-// iterations execute. The topology controllers consume the latest observed
-// matrix (the four all-to-all phases of a layer share one symmetrized
-// demand); TopoOpt's one-shot optimization consumes the EWMA-smoothed
-// aggregate. The paper notes Megatron-LM already collects these counts for
-// on-demand all-to-all, so monitoring adds no overhead -- here it is simply
-// fed by the gate simulator.
+// Tracks an EWMA of each (region, layer)'s inter-server demand matrix as
+// training iterations execute. Its only reader is Copilot planning
+// (TrainingConfig::use_copilot, §B.1), which rescales the smoothed matrix's
+// columns toward the predicted expert loads; the controllers and TopoOpt plan
+// from the observed demand directly. The paper notes Megatron-LM already
+// collects these counts for on-demand all-to-all, so monitoring adds no
+// overhead -- here it is simply fed by the gate simulator.
 #pragma once
 
 #include <map>
-#include <optional>
+#include <utility>
 
 #include "common/matrix.h"
 
@@ -23,24 +23,14 @@ class TrafficMonitor {
   /// Record an observed inter-server demand matrix for a layer's all-to-all.
   void record(int region, int layer, const Matrix& demand);
 
-  /// Latest observation, or nullptr if none.
-  const Matrix* last(int region, int layer) const;
-
   /// EWMA-smoothed demand, or nullptr if none.
   const Matrix* smoothed(int region, int layer) const;
-
-  /// Sum of smoothed demands over all layers of a region (one-shot planning).
-  Matrix aggregate(int region) const;
 
   std::size_t observations() const { return n_obs_; }
 
  private:
-  struct Entry {
-    Matrix last;
-    Matrix ewma;
-  };
   double w_;
-  std::map<std::pair<int, int>, Entry> entries_;
+  std::map<std::pair<int, int>, Matrix> ewma_;
   std::size_t n_obs_ = 0;
 };
 

@@ -31,7 +31,6 @@ struct LayerTimes {
   TimeNs gate = 0;
   TimeNs expert = 0;
   TimeNs add_norm = 0;
-  TimeNs forward_total() const { return attention + gate + expert + add_norm; }
 };
 
 LayerTimes forward_layer_times(const moe::MoeModelConfig& model,

@@ -63,11 +63,6 @@ ScenarioSpec& ScenarioSpec::failure(control::FailureScenario f) {
   return *this;
 }
 
-ScenarioSpec& ScenarioSpec::copilot(bool on) {
-  cfg_.use_copilot = on;
-  return *this;
-}
-
 ScenarioSpec& ScenarioSpec::reconfig_delay(TimeNs delay) {
   cfg_.reconfig_delay = delay;
   return *this;
@@ -75,11 +70,6 @@ ScenarioSpec& ScenarioSpec::reconfig_delay(TimeNs delay) {
 
 ScenarioSpec& ScenarioSpec::warmup(int iterations) {
   cfg_.warmup_iterations = iterations;
-  return *this;
-}
-
-ScenarioSpec& ScenarioSpec::warmup_policy(moe::WarmupPolicy policy) {
-  cfg_.warmup_policy = policy;
   return *this;
 }
 
@@ -187,14 +177,6 @@ SweepSpec& SweepSpec::failures(
     vs.push_back(
         {control::to_string(f.kind), [f](ScenarioSpec& s) { s.failure(f); }});
   return axis("failure", std::move(vs));
-}
-
-SweepSpec& SweepSpec::copilot_modes(const std::vector<bool>& modes) {
-  std::vector<AxisValue> vs;
-  for (bool on : modes)
-    vs.push_back(
-        {on ? "copilot" : "oracle", [on](ScenarioSpec& s) { s.copilot(on); }});
-  return axis("copilot", std::move(vs));
 }
 
 Sweep SweepSpec::expand() const {

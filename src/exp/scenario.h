@@ -6,8 +6,8 @@
 //     measurement policy (iterations per point, seed policy, a post-run
 //     probe for custom metrics);
 //   * SweepSpec     -- parameter axes (models, fabrics, bandwidths,
-//     micro-batch sizes, failure scenarios, copilot on/off, or arbitrary
-//     custom axes) expanded as a cartesian grid, last axis fastest;
+//     micro-batch sizes, failure scenarios, or arbitrary custom axes)
+//     expanded as a cartesian grid, last axis fastest;
 //   * Sweep         -- the expanded point grid, with exact multi-axis
 //     indexing (`at({i, j})`) so scenario code never re-matches points by
 //     floating-point comparison of axis values.
@@ -73,12 +73,8 @@ class ScenarioSpec {
   ScenarioSpec& micro_batch(int sequences);
   ScenarioSpec& n_microbatches(int n);
   ScenarioSpec& failure(control::FailureScenario f);
-  ScenarioSpec& copilot(bool on);
   ScenarioSpec& reconfig_delay(TimeNs delay);
   ScenarioSpec& warmup(int iterations);
-  /// Warmup fast-forward policy: closed-form OU skip (default) vs exact
-  /// per-iteration stepping (see sim::TrainingConfig::warmup_policy).
-  ScenarioSpec& warmup_policy(moe::WarmupPolicy policy);
 
   /// Escape hatch: arbitrary TrainingConfig mutation, applied at build time
   /// after model/parallelism resolution, in call order.
@@ -172,7 +168,6 @@ class SweepSpec {
   SweepSpec& bandwidths(const std::vector<double>& gbps);
   SweepSpec& micro_batches(const std::vector<int>& sizes);
   SweepSpec& failures(const std::vector<control::FailureScenario>& scenarios);
-  SweepSpec& copilot_modes(const std::vector<bool>& modes);
 
   /// Cartesian expansion in axis declaration order, last axis fastest.
   Sweep expand() const;

@@ -42,8 +42,8 @@ struct GateConfig {
   std::uint64_t seed = 42;
 };
 
-/// How to advance the gate past warmup iterations (TrainingConfig /
-/// ScenarioSpec::warmup_policy).
+/// How to advance the gate past warmup iterations
+/// (sim::TrainingConfig::warmup_policy).
 enum class WarmupPolicy {
   /// skip(n): iterate the stochastic state step by step (exact historical
   /// trajectory; O(n) draws).

@@ -56,12 +56,4 @@ std::vector<MoeModelConfig> simulation_models() {
   return {mixtral_8x22b(), mixtral_8x7b(), qwen_moe(), deepseek_r1()};
 }
 
-MoeModelConfig model_by_name(const std::string& name) {
-  for (const auto& m : {mixtral_8x7b(), mixtral_8x22b(), llama_moe(), qwen_moe(),
-                        deepseek_r1(), deepseek_v3()}) {
-    if (m.name == name) return m;
-  }
-  return mixtral_8x7b();
-}
-
 }  // namespace mixnet::moe

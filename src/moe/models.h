@@ -58,7 +58,4 @@ ParallelismSpec default_parallelism(const MoeModelConfig& model);
 /// All models used in the §7 simulations, in paper order.
 std::vector<MoeModelConfig> simulation_models();
 
-/// Look up by name (returns mixtral_8x7b for unknown names).
-MoeModelConfig model_by_name(const std::string& name);
-
 }  // namespace mixnet::moe

@@ -2,12 +2,23 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace mixnet::moe {
 
 Placement::Placement(const ParallelismSpec& par, int gpus_per_server)
     : par_(par), gpus_per_server_(gpus_per_server) {
-  assert(gpus_per_server_ > 0);
+  const auto require_positive = [](const char* field, int value) {
+    if (value < 1)
+      throw std::invalid_argument(std::string("Placement: ") + field +
+                                  " must be >= 1, got " + std::to_string(value));
+  };
+  require_positive("gpus_per_server", gpus_per_server_);
+  require_positive("par.dp", par_.dp);
+  require_positive("par.pp", par_.pp);
+  require_positive("par.ep", par_.ep);
+  require_positive("par.tp", par_.tp);
 }
 
 int Placement::total_servers() const {
@@ -41,13 +52,6 @@ std::vector<int> Placement::ep_group_servers(int dp, int pp) const {
   }
   servers.erase(std::unique(servers.begin(), servers.end()), servers.end());
   return servers;
-}
-
-std::vector<int> Placement::ep_group_gpus(int dp, int pp) const {
-  std::vector<int> gpus;
-  gpus.reserve(static_cast<std::size_t>(par_.ep));
-  for (int ep = 0; ep < par_.ep; ++ep) gpus.push_back(gpu_of({dp, pp, ep, 0}));
-  return gpus;
 }
 
 int Placement::region_servers() const {

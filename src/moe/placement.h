@@ -24,6 +24,8 @@ struct GpuCoord {
 
 class Placement {
  public:
+  /// Throws std::invalid_argument naming the field when `gpus_per_server` or
+  /// any of par.dp/pp/ep/tp is below 1.
   Placement(const ParallelismSpec& par, int gpus_per_server);
 
   const ParallelismSpec& parallelism() const { return par_; }
@@ -38,12 +40,6 @@ class Placement {
   /// Servers hosting one EP group (fixed dp, pp): the OCS region (§4.2).
   /// GPUs of the group may share servers; the list is deduplicated, ordered.
   std::vector<int> ep_group_servers(int dp, int pp) const;
-
-  /// GPUs of one EP group in ep-major order (each entry is the first TP rank).
-  std::vector<int> ep_group_gpus(int dp, int pp) const;
-
-  /// Number of EP groups ( == dp * pp ).
-  int n_ep_groups() const { return par_.dp * par_.pp; }
 
   /// Servers per EP group (region size for FabricConfig::region_servers).
   int region_servers() const;

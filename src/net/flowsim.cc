@@ -61,38 +61,12 @@ FlowId FlowSim::start_flow(FlowSpec spec) {
   return id;
 }
 
-bool FlowSim::cancel_flow(FlowId id) {
-  if (id <= 0 || static_cast<std::size_t>(id) > id_to_slot_.size()) return false;
-  const std::uint32_t slot = id_to_slot_[static_cast<std::size_t>(id - 1)];
-  if (slot == kNoSlot || !alive_[slot]) return false;
-  advance_progress();
-  remove_flow_from_links(slot);
-  alive_[slot] = 0;
-  on_complete_[slot] = nullptr;
-  --n_live_;
-  dirty_ = true;
-  schedule_commit();
-  return true;
-}
-
-void FlowSim::on_topology_change() {
-  advance_progress();
-  dirty_ = true;
-  schedule_commit();
-}
-
 Bps FlowSim::flow_rate(FlowId id) {
   ensure_rates();
   if (id <= 0 || static_cast<std::size_t>(id) > id_to_slot_.size()) return 0.0;
   const std::uint32_t slot = id_to_slot_[static_cast<std::size_t>(id - 1)];
   if (slot == kNoSlot || !alive_[slot]) return 0.0;
   return rate_[slot];
-}
-
-Bps FlowSim::link_throughput(LinkId id) {
-  ensure_rates();
-  const auto i = static_cast<std::size_t>(id);
-  return i < link_rate_.size() ? link_rate_[i] : 0.0;
 }
 
 void FlowSim::compact_active() {
@@ -141,7 +115,6 @@ void FlowSim::ensure_link_arrays() {
   const std::size_t n = net_.link_count();
   if (link_flow_count_.size() < n) {
     link_flow_count_.resize(n, 0);
-    link_rate_.resize(n, 0.0);
     link_in_use_.resize(n, 0);
     rem_cap_.resize(n, 0.0);
     unfrozen_count_.resize(n, 0);
@@ -169,7 +142,7 @@ void FlowSim::remove_flow_from_links(std::uint32_t slot) {
 
 void FlowSim::solve_rates() {
   // Progressive filling over the links actually in use. The used-link set is
-  // maintained incrementally by start/cancel/completion; here only links
+  // maintained incrementally by start/completion; here only links
   // whose membership changed are (re)initialized, and links that lost their
   // last flow are compacted out.
   ensure_link_arrays();
@@ -177,7 +150,6 @@ void FlowSim::solve_rates() {
   std::size_t w = 0;
   for (LinkId lid : used_links_) {
     const auto i = static_cast<std::size_t>(lid);
-    link_rate_[i] = 0.0;
     if (link_flow_count_[i] <= 0) {
       link_in_use_[i] = 0;
       continue;
@@ -202,7 +174,7 @@ void FlowSim::solve_rates() {
         break;
       }
     }
-    if (stalled) continue;  // rate stays 0 until topology change
+    if (stalled) continue;  // rate stays 0 for the rest of the phase
     unfrozen.push_back(slot);
     for (const LinkId* p = path_begin(slot); p != path_end(slot); ++p)
       ++unfrozen_count_[static_cast<std::size_t>(*p)];
@@ -248,7 +220,6 @@ void FlowSim::solve_rates() {
         rem_cap_[li] -= min_share;
         if (rem_cap_[li] < 0.0) rem_cap_[li] = 0.0;
         --unfrozen_count_[li];
-        link_rate_[li] += min_share;  // O(1) throughput index
       }
       froze_any = true;
     }

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace mixnet::ocs {
 
@@ -16,26 +18,17 @@ Matrix symmetrize_demand(const Matrix& demand) {
   return d;
 }
 
-Matrix server_demand_from_expert_matrix(const Matrix& expert_demand,
-                                        int experts_per_gpu, int gpus_per_server) {
-  assert(experts_per_gpu > 0 && gpus_per_server > 0);
-  const std::size_t e = expert_demand.rows();
-  const std::size_t per_server =
-      static_cast<std::size_t>(experts_per_gpu) * gpus_per_server;
-  const std::size_t n = (e + per_server - 1) / per_server;
-  Matrix out(n, n, 0.0);
-  for (std::size_t i = 0; i < e; ++i)
-    for (std::size_t j = 0; j < e; ++j)
-      out(i / per_server, j / per_server) += expert_demand(i, j);
-  for (std::size_t s = 0; s < n; ++s) out(s, s) = 0.0;  // NVSwitch-internal
-  return out;
-}
-
 OcsTopology reconfigure_ocs(const Matrix& demand, int alpha,
                             const ReconfigureOptions& opts) {
-  assert(demand.rows() == demand.cols());
+  if (demand.rows() != demand.cols())
+    throw std::invalid_argument("reconfigure_ocs: demand is " +
+                                std::to_string(demand.rows()) + "x" +
+                                std::to_string(demand.cols()) + ", not square");
   const std::size_t n = demand.rows();
-  assert(opts.excluded.empty() || opts.excluded.size() == n);
+  if (!opts.excluded.empty() && opts.excluded.size() != n)
+    throw std::invalid_argument("reconfigure_ocs: opts.excluded has " +
+                                std::to_string(opts.excluded.size()) +
+                                " entries for " + std::to_string(n) + " servers");
 
   // Step 1: upper-triangular TX+RX demand, with negligible pairs floored to
   // zero (they ride the EPS fallback; see ReconfigureOptions).

@@ -72,14 +72,10 @@ struct OcsTopology {
 /// Fold a (possibly asymmetric) demand matrix into symmetric TX+RX demand.
 Matrix symmetrize_demand(const Matrix& demand);
 
-/// Map an expert x expert demand matrix onto servers: experts are assigned
-/// round-robin-contiguously, `experts_per_gpu` per GPU, `gpus_per_server`
-/// GPUs per server (Step 1 helper, calculate_server_demand).
-Matrix server_demand_from_expert_matrix(const Matrix& expert_demand,
-                                        int experts_per_gpu, int gpus_per_server);
-
 /// Algorithm 1. `demand` is N x N inter-server bytes; `alpha` the per-server
-/// optical degree. Returns the circuit allocation plus NIC mapping.
+/// optical degree. Returns the circuit allocation plus NIC mapping. Throws
+/// std::invalid_argument for a non-square `demand` or an `opts.excluded` of
+/// the wrong size.
 OcsTopology reconfigure_ocs(const Matrix& demand, int alpha,
                             const ReconfigureOptions& opts = {});
 

@@ -68,10 +68,8 @@ class Copilot {
 double top_k_accuracy(const std::vector<double>& predicted,
                       const std::vector<double>& actual, int k);
 
-/// Baselines for Fig. 19.
+/// Random baseline for Fig. 19 (the "unchanged" baseline is the previous
+/// layer's loads as they are).
 std::vector<double> random_prediction(std::size_t n, Rng& rng);
-inline const std::vector<double>& unchanged_prediction(const std::vector<double>& prev) {
-  return prev;  // reuse previous layer's distribution
-}
 
 }  // namespace mixnet::predict

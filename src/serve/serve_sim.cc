@@ -126,7 +126,6 @@ TimeNs ServeSimulator::simulate_step(double step_tokens, ServeReport& report) {
     const Matrix demand = moe::aggregate_to_servers(
         rank_bytes(l, step_tokens), rank_to_local_server_,
         static_cast<int>(group_servers_.size()));
-    monitor_.record(rep_region_, l, demand);
     TimeNs blocked = 0;
     if (controller_ && pending_reconfig_layers_ > 0) {
       // Post-re-placement circuit re-targeting (Fig. 20 hide-window
@@ -218,8 +217,8 @@ TimeNs ServeSimulator::maybe_replace(ServeReport& report) {
   const auto ep = static_cast<std::size_t>(cfg_.par.ep);
   constexpr int kMaxSwapsPerLayer = 2;
   // Per-layer expert load (the per-expert counters the control plane already
-  // collects; monitor demand is their server aggregate), fed to each layer's
-  // Copilot. The detector watches the stage-aggregate per-rank load.
+  // collects), fed to each layer's Copilot. The detector watches the
+  // stage-aggregate per-rank load.
   std::vector<double> rank_load(ep, 0.0);
   for (int l = 0; l < layers_per_stage_; ++l) {
     const auto li = static_cast<std::size_t>(l);

@@ -32,7 +32,6 @@
 
 #include "control/controller.h"
 #include "control/hotspot.h"
-#include "control/monitor.h"
 #include "moe/gate.h"
 #include "moe/placement.h"
 #include "predict/copilot.h"
@@ -87,7 +86,6 @@ class ServeSimulator {
   std::unique_ptr<moe::GateSimulator> gate_;
   std::unique_ptr<sim::PhaseRunner> runner_;
   std::unique_ptr<control::TopologyController> controller_;
-  control::TrafficMonitor monitor_;
   control::HotspotDetector detector_;
   std::vector<predict::Copilot> copilots_;  ///< one per stage layer
   std::vector<int> group_servers_;

@@ -45,6 +45,15 @@ Matrix rescale_plan_columns(Matrix seen, const std::vector<double>& predicted,
 }
 
 Cluster build_cluster(TrainingConfig& cfg, const moe::Placement& placement) {
+  // A zero micro-batch size or count would run every phase and report an
+  // iteration with no tokens instead of failing.
+  const auto require_positive = [](const char* field, int value) {
+    if (value < 1)
+      throw std::invalid_argument(std::string("build_cluster: ") + field +
+                                  " must be >= 1, got " + std::to_string(value));
+  };
+  require_positive("par.micro_batch", cfg.par.micro_batch);
+  require_positive("par.n_microbatches", cfg.par.n_microbatches);
   topo::FabricConfig fc =
       topo::FabricConfig::preset(cfg.fabric_kind, placement.total_servers())
           .with_gpus_per_server(cfg.gpus_per_server)
@@ -243,7 +252,6 @@ IterationResult TrainingSimulator::run_iteration() {
       static_cast<TimeNs>(bf * static_cast<double>(lt.attention + lt.expert));
   for (int l = 0; l < lps; ++l) {
     const Matrix demand = layer_server_matrix(gate, l);
-    monitor_.record(rep_region_, l, demand);
     if (is_mixnet()) {
       // Planning demand: Copilot predicts this layer's expert loads from the
       // previous layer and scales last iteration's observed matrix columns
@@ -251,6 +259,7 @@ IterationResult TrainingSimulator::run_iteration() {
       // is known from the previous micro-batch's identical routing).
       Matrix plan = demand;
       if (cfg_.use_copilot) {
+        monitor_.record(rep_region_, l, demand);
         const auto& prev_load =
             gate.loads[static_cast<std::size_t>(l == 0 ? 0 : l - 1)];
         auto& cp = copilots_[static_cast<std::size_t>(l)];

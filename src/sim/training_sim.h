@@ -118,8 +118,8 @@ struct Cluster {
 /// with the config's collective efficiencies, backend and packet tuning. On
 /// MixNet fabrics the NICs beyond `eps_nics` go to the OCS, and the derived
 /// degree is written back to `cfg.optical_degree`. Throws
-/// std::invalid_argument for an invalid fabric, or for an analytic core on
-/// the packet backend.
+/// std::invalid_argument for a micro-batch size or count below 1, an invalid
+/// fabric, or an analytic core on the packet backend.
 Cluster build_cluster(TrainingConfig& cfg, const moe::Placement& placement);
 
 /// Forward timeline of one MoE block (Fig. 3 rows).
@@ -186,6 +186,8 @@ class TrainingSimulator {
   topo::Fabric& fabric() { return *fabric_; }
   const moe::Placement& placement() const { return *placement_; }
   const TrainingConfig& config() const { return cfg_; }
+  /// Smoothed demand that Copilot planning rescales; it records only on a
+  /// MixNet fabric with use_copilot set, its one reader.
   const control::TrafficMonitor& monitor() const { return monitor_; }
 
  private:

@@ -494,14 +494,27 @@ std::string Fabric::describe() const {
 
 int Fabric::apply_circuits(int region, const Matrix& counts) {
   if (!has_circuits()) throw std::logic_error("fabric has no reconfigurable circuits");
+  if (region < 0 || region >= n_regions())
+    throw std::out_of_range("apply_circuits: region " + std::to_string(region) +
+                            " outside [0, " + std::to_string(n_regions()) + ")");
   auto& reg = circuits_[static_cast<std::size_t>(region)];
   const auto& members = regions_[static_cast<std::size_t>(region)];
   const auto m = members.size();
-  assert(counts.rows() == m && counts.cols() == m);
+  if (counts.rows() != m || counts.cols() != m)
+    throw std::invalid_argument(
+        "apply_circuits: counts is " + std::to_string(counts.rows()) + "x" +
+        std::to_string(counts.cols()) + ", region " + std::to_string(region) +
+        " has " + std::to_string(m) + " servers");
   const int degree = optical_degree();
   for (std::size_t i = 0; i < m; ++i) {
     double row = 0.0;
-    for (std::size_t j = 0; j < m; ++j) row += counts(i, j);
+    for (std::size_t j = 0; j < m; ++j) {
+      row += counts(i, j);
+      if (std::abs(counts(i, j) - counts(j, i)) >= 1e-9)
+        throw std::invalid_argument(
+            "apply_circuits: counts not symmetric at (" + std::to_string(i) + ", " +
+            std::to_string(j) + ") in region " + std::to_string(region));
+    }
     if (row > degree + 1e-9)
       throw std::invalid_argument("circuit allocation exceeds optical degree");
   }
@@ -510,7 +523,6 @@ int Fabric::apply_circuits(int region, const Matrix& counts) {
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = i + 1; j < m; ++j) {
       const int want = static_cast<int>(std::lround(counts(i, j)));
-      assert(std::abs(counts(i, j) - counts(j, i)) < 1e-9 && "counts must be symmetric");
       const auto key = std::make_pair(static_cast<int>(i), static_cast<int>(j));
       auto it = reg.find(key);
       if (want == 0) {

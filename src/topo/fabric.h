@@ -124,7 +124,6 @@ struct FabricConfig {
   static FabricConfig preset(FabricKind kind, int n_servers);
 
   // --- Fluent tuning layer ----------------------------------------------
-  FabricConfig& with_servers(int n) { n_servers = n; return *this; }
   FabricConfig& with_gpus_per_server(int n) { gpus_per_server = n; return *this; }
   FabricConfig& with_nics_per_server(int n) { nics_per_server = n; return *this; }
   FabricConfig& with_nic_gbps(double g) { nic_gbps = g; return *this; }
@@ -142,8 +141,6 @@ struct FabricConfig {
     return *this;
   }
   FabricConfig& with_ocs_nic_gbps(double g) { ocs_nic_gbps = g; return *this; }
-  FabricConfig& with_link_delay(mixnet::TimeNs d) { link_delay = d; return *this; }
-  FabricConfig& with_servers_per_rack(int n) { servers_per_rack = n; return *this; }
   FabricConfig& with_core_model(CoreModel m) { core_model = m; return *this; }
 
   /// Structured validation: one "field: problem" line per violation, empty
@@ -229,7 +226,9 @@ class Fabric {
   /// indexed by position within the region's server list; entry (i,j) is the
   /// number of NIC-to-NIC circuits between those servers. Existing circuits
   /// not present in `counts` are torn down. Row sums must not exceed the
-  /// optical degree. Returns the number of link objects touched.
+  /// optical degree. Returns the number of link objects touched. Throws
+  /// std::out_of_range for an unknown region and std::invalid_argument for
+  /// a misshapen, asymmetric or over-degree `counts`.
   int apply_circuits(int region, const Matrix& counts);
 
   /// Bring every circuit of a region down/up (OCS dark during reconfig).

@@ -216,15 +216,6 @@ TEST(Rng, DirichletSparsityIncreasesAsAlphaDrops) {
   EXPECT_GT(peakiness(0.1), peakiness(5.0));
 }
 
-TEST(Rng, CategoricalRespectsWeights) {
-  Rng r(19);
-  std::vector<double> w = {1.0, 0.0, 3.0};
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 8000; ++i) ++counts[r.categorical(w)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.4);
-}
-
 TEST(Rng, ExponentialMean) {
   Rng r(23);
   std::vector<double> xs(40000);
@@ -297,17 +288,6 @@ TEST(Stats, PercentileInterpolates) {
 TEST(Stats, JainFairness) {
   EXPECT_DOUBLE_EQ(jain_fairness({1, 1, 1, 1}), 1.0);
   EXPECT_NEAR(jain_fairness({1, 0, 0, 0}), 0.25, 1e-12);
-}
-
-TEST(Stats, EmpiricalCdfMonotone) {
-  std::vector<double> xs;
-  Rng r(37);
-  for (int i = 0; i < 1000; ++i) xs.push_back(r.uniform());
-  auto cdf = empirical_cdf(xs, 21);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_LE(cdf[i - 1].value, cdf[i].value);
-    EXPECT_LE(cdf[i - 1].probability, cdf[i].probability);
-  }
 }
 
 TEST(Stats, CoeffOfVariationZeroForConstant) {

@@ -29,19 +29,14 @@ TEST(Monitor, RecordsLastAndSmoothed) {
   Matrix a(2, 2, 10.0), b(2, 2, 20.0);
   mon.record(0, 0, a);
   mon.record(0, 0, b);
-  EXPECT_DOUBLE_EQ((*mon.last(0, 0))(0, 0), 20.0);
   EXPECT_DOUBLE_EQ((*mon.smoothed(0, 0))(0, 0), 15.0);
   EXPECT_EQ(mon.observations(), 2u);
-  EXPECT_EQ(mon.last(1, 0), nullptr);
-}
-
-TEST(Monitor, AggregateSumsLayers) {
-  TrafficMonitor mon(1.0);
-  mon.record(0, 0, Matrix(2, 2, 1.0));
-  mon.record(0, 1, Matrix(2, 2, 2.0));
-  mon.record(1, 0, Matrix(2, 2, 100.0));  // other region ignored
-  const Matrix agg = mon.aggregate(0);
-  EXPECT_DOUBLE_EQ(agg(0, 0), 3.0);
+  EXPECT_EQ(mon.smoothed(1, 0), nullptr);
+  // At weight 1 the smoothed matrix is the last observation.
+  TrafficMonitor last(1.0);
+  last.record(0, 0, a);
+  last.record(0, 0, b);
+  EXPECT_DOUBLE_EQ((*last.smoothed(0, 0))(0, 0), 20.0);
 }
 
 // ----------------------------------------------------------- controller ----

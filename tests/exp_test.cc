@@ -95,7 +95,9 @@ TEST(ScenarioSpec, WarmupPolicyDefaultsClosedFormAndOverrides) {
   EXPECT_EQ(ScenarioSpec().build_config().warmup_policy,
             moe::WarmupPolicy::kClosedForm);
   EXPECT_EQ(ScenarioSpec()
-                .warmup_policy(moe::WarmupPolicy::kExactSteps)
+                .configure([](sim::TrainingConfig& c) {
+                  c.warmup_policy = moe::WarmupPolicy::kExactSteps;
+                })
                 .build_config()
                 .warmup_policy,
             moe::WarmupPolicy::kExactSteps);

@@ -45,11 +45,6 @@ TEST(Models, ZooMatchesTable1) {
   EXPECT_EQ(default_parallelism(ds).pp, 16);
 }
 
-TEST(Models, LookupByName) {
-  EXPECT_EQ(model_by_name("Qwen-MoE").n_experts, 64);
-  EXPECT_EQ(model_by_name("nonsense").name, "Mixtral 8x7B");
-}
-
 TEST(Models, SimulationModelsInPaperOrder) {
   const auto ms = simulation_models();
   ASSERT_EQ(ms.size(), 4u);

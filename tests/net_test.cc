@@ -302,49 +302,6 @@ TEST(FlowSim, MaxMinNotBottleneckedFlowGetsMore) {
   d.sim.run();
 }
 
-TEST(FlowSim, LinkDownStallsThenResumes) {
-  Dumbbell d;
-  FlowSim fs(d.sim, d.net);
-  TimeNs done = -1;
-  FlowSpec s;
-  s.src = d.a;
-  s.dst = d.y;
-  s.size = mib(80);  // 10 GB/s -> ~8.4 ms
-  s.path = {d.net.find_link(d.a, d.x), d.bottleneck};
-  s.on_complete = [&](FlowId, TimeNs t) { done = t; };
-  fs.start_flow(std::move(s));
-  // Take the bottleneck down at 2 ms and restore at 12 ms.
-  d.sim.schedule_at(ms_to_ns(2), [&] {
-    d.net.set_up(d.bottleneck, false);
-    fs.on_topology_change();
-  });
-  d.sim.schedule_at(ms_to_ns(12), [&] {
-    d.net.set_up(d.bottleneck, true);
-    fs.on_topology_change();
-  });
-  d.sim.run();
-  const double base_ms = mib(80) / gbps(80) * 1e3;
-  EXPECT_NEAR(ns_to_ms(done), base_ms + 10.0, 0.1);
-}
-
-TEST(FlowSim, CancelPreventsCompletion) {
-  Dumbbell d;
-  FlowSim fs(d.sim, d.net);
-  bool fired = false;
-  FlowSpec s;
-  s.src = d.a;
-  s.dst = d.y;
-  s.size = mib(100);
-  s.path = {d.net.find_link(d.a, d.x), d.bottleneck};
-  s.on_complete = [&](FlowId, TimeNs) { fired = true; };
-  FlowId id = fs.start_flow(std::move(s));
-  EXPECT_TRUE(fs.cancel_flow(id));
-  EXPECT_FALSE(fs.cancel_flow(id));
-  d.sim.run();
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(fs.active_flow_count(), 0u);
-}
-
 TEST(FlowSim, IntraNodeFlowCompletesAfterDelay) {
   Network net;
   NodeId a = net.add_node(NodeKind::kServer);
@@ -451,12 +408,6 @@ TEST(FlowSim, EpsilonRateDoesNotOverflowCompletionTime) {
   EXPECT_FALSE(fired);
   EXPECT_EQ(fs.active_flow_count(), 1u);
   EXPECT_GT(fs.flow_rate(id), 0.0);
-  // Restore a sane capacity: the flow now completes normally.
-  net.set_capacity(l, gbps(100));
-  fs.on_topology_change();
-  sim.run();
-  EXPECT_TRUE(fired);
-  EXPECT_EQ(fs.active_flow_count(), 0u);
 }
 
 class FlowCountFairness : public ::testing::TestWithParam<int> {};

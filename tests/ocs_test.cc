@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -112,13 +113,14 @@ TEST(Algorithm, MoreDegreeNeverWorseBottleneck) {
   }
 }
 
-TEST(Algorithm, ServerDemandFromExpertMatrix) {
-  // 8 experts, 2 per GPU, 2 GPUs per server -> 2 servers.
-  Matrix e(8, 8, 1.0);
-  const Matrix s = server_demand_from_expert_matrix(e, 2, 2);
-  EXPECT_EQ(s.rows(), 2u);
-  EXPECT_DOUBLE_EQ(s(0, 0), 0.0);         // intra-server zeroed
-  EXPECT_DOUBLE_EQ(s(0, 1), 16.0);        // 4x4 block of ones
+// Release builds compile assert() out; these checks must hold there too.
+TEST(Algorithm, RejectsMisshapenDemandAndExclusions) {
+  EXPECT_THROW(reconfigure_ocs(Matrix(3, 4, 1.0), 6), std::invalid_argument);
+  ReconfigureOptions opts;
+  opts.excluded = {false, true, false};  // 3 entries for 4 servers
+  EXPECT_THROW(reconfigure_ocs(demand4(), 6, opts), std::invalid_argument);
+  opts.excluded.push_back(false);
+  EXPECT_NO_THROW(reconfigure_ocs(demand4(), 6, opts));
 }
 
 TEST(Algorithm, NicMappingRespectsDegree) {

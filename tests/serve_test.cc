@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "control/hotspot.h"
@@ -195,6 +197,42 @@ TEST(ServeSimulator, AnalyticCoreOnPacketBackendThrowsLikeTraining) {
   cluster.backend = net::NetBackend::kPacket;
   EXPECT_THROW(serve::ServeSimulator(cluster, small_workload()), std::invalid_argument);
   EXPECT_THROW(sim::TrainingSimulator{cluster}, std::invalid_argument);
+}
+
+// Both simulators validate the cluster through the same code (the Placement
+// ctor and sim::build_cluster) and name the bad field: a zero GPU count or
+// parallel degree used to crash with SIGFPE in a Release build, and a zero
+// micro-batch size or count used to return an iteration with no tokens.
+TEST(ServeSimulator, InvalidClusterConfigThrowsLikeTraining) {
+  using Breaker = void (*)(sim::TrainingConfig&);
+  const std::vector<std::pair<std::string, Breaker>> breakers = {
+      {"gpus_per_server", [](sim::TrainingConfig& c) { c.gpus_per_server = 0; }},
+      {"par.dp", [](sim::TrainingConfig& c) { c.par.dp = 0; }},
+      {"par.pp", [](sim::TrainingConfig& c) { c.par.pp = 0; }},
+      {"par.ep", [](sim::TrainingConfig& c) { c.par.ep = 0; }},
+      {"par.tp", [](sim::TrainingConfig& c) { c.par.tp = 0; }},
+      {"par.micro_batch", [](sim::TrainingConfig& c) { c.par.micro_batch = 0; }},
+      {"par.n_microbatches", [](sim::TrainingConfig& c) { c.par.n_microbatches = 0; }},
+  };
+  const auto message_of = [](const auto& construct) -> std::string {
+    try {
+      construct();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no invalid_argument";
+  };
+  for (const auto& [field, breaker] : breakers) {
+    sim::TrainingConfig cluster = small_cluster();
+    breaker(cluster);
+    EXPECT_NE(message_of([&] { serve::ServeSimulator s(cluster, small_workload()); })
+                  .find(field),
+              std::string::npos)
+        << field;
+    EXPECT_NE(message_of([&] { sim::TrainingSimulator t(cluster); }).find(field),
+              std::string::npos)
+        << field;
+  }
 }
 
 TEST(ServeSimulator, ReplacementOffNeverMovesExperts) {

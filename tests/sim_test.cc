@@ -6,7 +6,6 @@
 #include "cost/cost_model.h"
 #include "moe/traffic.h"
 #include "sim/phase_runner.h"
-#include "sim/runtime.h"
 #include "sim/training_sim.h"
 
 namespace mixnet::sim {
@@ -41,56 +40,6 @@ TEST(PhaseRunner, DpAllReduceConcurrentRings) {
   const TimeNs t = pr.dp_all_reduce(4, 2, mib(64));
   EXPECT_GT(t, 0);
   EXPECT_EQ(pr.dp_all_reduce(4, 1, mib(64)), 0);  // dp=1 is free
-}
-
-// ------------------------------------------------------ runtime facade ----
-
-TEST(Runtime, AllReduceAndSendReturnElapsedTime) {
-  auto fabric = topo::Fabric::build(topo::FabricConfig::fat_tree(4));
-  runtime::Communicator comm(fabric, {0, 1, 2, 3});
-  EXPECT_EQ(comm.size(), 4);
-  const TimeNs ar = comm.all_reduce(mib(32));
-  EXPECT_GT(ar, 0);
-  const TimeNs p2p = comm.send(0, 2, mib(16));
-  EXPECT_GT(p2p, 0);
-  EXPECT_EQ(comm.reconfigurations(), 0);  // no OCS on a fat-tree
-}
-
-TEST(Runtime, AllToAllReconfiguresMixNetRegion) {
-  auto fabric = topo::Fabric::build(topo::FabricConfig::mixnet(4)
-                                        .with_region_servers(4)
-                                        .with_nic_gbps(100.0));
-  runtime::Communicator comm(fabric, {0, 1, 2, 3});
-  Matrix bytes(4, 4, 0.0);
-  bytes(0, 1) = mib(200);
-  bytes(1, 0) = mib(200);
-  const TimeNs t1 = comm.all_to_all(bytes, ms_to_ns(100));
-  EXPECT_GT(t1, 0);
-  EXPECT_EQ(comm.reconfigurations(), 1);
-  EXPECT_EQ(comm.reconfig_blocked(), 0);  // hidden under the 100 ms window
-  EXPECT_GT(fabric.circuit_counts(0)(0, 1), 0.0);
-  // Same demand again: topology reused, no new reconfiguration.
-  comm.all_to_all(bytes, ms_to_ns(100));
-  EXPECT_EQ(comm.reconfigurations(), 1);
-}
-
-TEST(Runtime, BlockedTimeChargedWhenWindowTooSmall) {
-  auto fabric = topo::Fabric::build(topo::FabricConfig::mixnet(4)
-                                        .with_region_servers(4)
-                                        .with_nic_gbps(100.0));
-  runtime::RuntimeConfig rc;
-  rc.controller.reconfig_delay = ms_to_ns(25);
-  runtime::Communicator comm(fabric, {0, 1, 2, 3}, rc);
-  Matrix bytes(4, 4, 0.0);
-  bytes(2, 3) = mib(500);
-  bytes(3, 2) = mib(500);
-  comm.all_to_all(bytes, ms_to_ns(5));  // only 5 ms of compute to hide under
-  EXPECT_EQ(comm.reconfig_blocked(), ms_to_ns(20));
-}
-
-TEST(Runtime, RejectsEmptyGroup) {
-  auto fabric = topo::Fabric::build(topo::FabricConfig::fat_tree(4));
-  EXPECT_THROW(runtime::Communicator(fabric, {}), std::invalid_argument);
 }
 
 // ------------------------------------------------- copilot plan rescale ----
@@ -401,6 +350,7 @@ TEST(TrainingSim, DpReplicasAddAllReduce) {
 
 TEST(TrainingSim, MonitorObservesAllStageLayers) {
   auto cfg = base(topo::FabricKind::kMixNet);
+  cfg.use_copilot = true;  // the monitor's only reader
   TrainingSimulator sim(cfg);
   sim.run_iteration();
   const int lps = cfg.model.n_blocks / cfg.par.pp;

@@ -139,6 +139,26 @@ TEST(Fabric, CircuitDegreeEnforced) {
   EXPECT_THROW(f.apply_circuits(0, counts), std::invalid_argument);
 }
 
+// Release builds compile assert() out; these checks must hold there too.
+TEST(Fabric, ApplyCircuitsRejectsBadRegionAndCounts) {
+  FabricConfig c = base_config(FabricKind::kMixNet, 8);
+  c.region_servers = 4;
+  Fabric f = Fabric::build(c);
+  ASSERT_EQ(f.n_regions(), 2);
+  Matrix ok(4, 4, 0.0);
+  ok(0, 1) = ok(1, 0) = 1;
+  EXPECT_THROW(f.apply_circuits(-1, ok), std::out_of_range);
+  EXPECT_THROW(f.apply_circuits(2, ok), std::out_of_range);
+  EXPECT_THROW(f.apply_circuits(0, Matrix(3, 3, 0.0)), std::invalid_argument);
+  EXPECT_THROW(f.apply_circuits(0, Matrix(4, 5, 0.0)), std::invalid_argument);
+  Matrix asym(4, 4, 0.0);
+  asym(0, 1) = 2;
+  asym(1, 0) = 1;
+  EXPECT_THROW(f.apply_circuits(0, asym), std::invalid_argument);
+  EXPECT_EQ(f.circuit_link(0, 0, 1), net::kInvalidLink);  // nothing applied
+  EXPECT_GT(f.apply_circuits(1, ok), 0);
+}
+
 TEST(Fabric, RegionCircuitsDarkDuringReconfig) {
   FabricConfig c = base_config(FabricKind::kMixNet, 8);
   c.region_servers = 4;
