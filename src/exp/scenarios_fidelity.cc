@@ -1,7 +1,7 @@
 // Fidelity-ladder scenario (DESIGN.md §12): one fig12-class training
 // workload swept across every network backend — the contention-free
 // analytic bound, the max-min fluid FlowSim the paper's figures run on, and
-// the burst-pipeline packet engine — on both a fat-tree and a MixNet
+// the MTU-level packet engine — on both a fat-tree and a MixNet
 // fabric. The registered check machine-gates the agreement bounds, turning
 // "flowsim is right" from a spot check into a CI-enforced sweep:
 //

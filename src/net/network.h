@@ -41,7 +41,6 @@ struct Link {
   Bps capacity = 0.0;
   TimeNs delay = 0;
   bool up = true;
-  std::string label;
 };
 
 class Network {
@@ -55,12 +54,11 @@ class Network {
   NodeId add_node(NodeKind kind, std::string label = {});
 
   /// Add a single directed link; returns its id.
-  LinkId add_link(NodeId src, NodeId dst, Bps capacity, TimeNs delay,
-                  std::string label = {});
+  LinkId add_link(NodeId src, NodeId dst, Bps capacity, TimeNs delay);
 
   /// Add a pair of directed links (a->b and b->a); returns {ab, ba}.
   std::pair<LinkId, LinkId> add_duplex(NodeId a, NodeId b, Bps capacity,
-                                       TimeNs delay, std::string label = {});
+                                       TimeNs delay);
 
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t link_count() const { return links_.size(); }

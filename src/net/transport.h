@@ -1,7 +1,7 @@
 // Transport abstraction behind the fidelity ladder (DESIGN.md §12).
 //
 // Every network backend — the contention-free analytic model below, the
-// max-min fluid FlowSim, and the burst-pipeline packet engine in src/pkt —
+// max-min fluid FlowSim, and the MTU-level packet engine in src/pkt —
 // consumes the same FlowSpec and reports completions through the same
 // callback, so PhaseRunner and the collective engine are backend-agnostic.
 // The ladder is ordered by fidelity and cost:

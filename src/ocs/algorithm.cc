@@ -206,9 +206,6 @@ OcsTopology reconfigure_ocs(const Matrix& demand, int alpha,
       if (topo.counts(i, j) > 0.0)
         topo.bottleneck_time = std::max(
             topo.bottleneck_time, d(i, j) / (topo.counts(i, j) * circuit));
-
-  // Steps 4-5: NIC mapping with NUMA-aware permutation.
-  topo.nics = nic_mapping(topo.counts, alpha);
   return topo;
 }
 

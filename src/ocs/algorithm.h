@@ -61,8 +61,6 @@ struct CircuitAssignment {
 struct OcsTopology {
   /// Symmetric circuit-count matrix (N x N).
   Matrix counts;
-  /// Per-circuit NIC mapping after NUMA-aware permutation (Step 4).
-  std::vector<CircuitAssignment> nics;
   /// Completion-time bound of the allocation: max over pairs of
   /// demand / (count * per-circuit bandwidth proxy of 1).
   double bottleneck_time = 0.0;
@@ -73,15 +71,16 @@ struct OcsTopology {
 Matrix symmetrize_demand(const Matrix& demand);
 
 /// Algorithm 1. `demand` is N x N inter-server bytes; `alpha` the per-server
-/// optical degree. Returns the circuit allocation plus NIC mapping. Throws
+/// optical degree. Returns the circuit allocation; the Step-4 NIC mapping is
+/// nic_mapping(result.counts, alpha), computed on demand. Throws
 /// std::invalid_argument for a non-square `demand` or an `opts.excluded` of
 /// the wrong size.
 OcsTopology reconfigure_ocs(const Matrix& demand, int alpha,
                             const ReconfigureOptions& opts = {});
 
-/// Step 4 helper exposed for tests: assign NIC indices for a circuit-count
-/// matrix, permuting so parallel circuits between a server pair land on
-/// different NUMA nodes (NIC i belongs to NUMA node i >= alpha/2).
+/// Step 4: assign NIC indices for a circuit-count matrix, permuting so
+/// parallel circuits between a server pair land on different NUMA nodes
+/// (NIC i belongs to NUMA node i >= alpha/2).
 std::vector<CircuitAssignment> nic_mapping(const Matrix& counts, int alpha);
 
 /// Demand-oblivious baseline for ablations: spread circuits uniformly

@@ -1,4 +1,4 @@
-// Tunables for the burst-pipeline packet engine (DESIGN.md §12).
+// Tunables for the packet engine (DESIGN.md §12).
 #pragma once
 
 #include "common/units.h"
@@ -14,12 +14,6 @@ struct PacketConfig {
   /// Per-flow window: at most this many packets of a flow are in flight
   /// (queued or on the wire) at once. Credit returns on final-hop delivery.
   int window_packets = 8;
-
-  /// Descriptors moved per pipeline-stage burst. Purely mechanical batching:
-  /// results are bit-identical for any value >= 1 (machine-checked by
-  /// pkt_test's burst-invariance cases), so this field is allowlisted out of
-  /// the result-cache key.
-  int burst = 64;
 };
 
 }  // namespace mixnet::pkt

@@ -1,23 +1,36 @@
 #include "pkt/engine.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace mixnet::pkt {
 
 Engine::Engine(const net::Network& net, PacketConfig cfg)
-    : net_(net),
-      cfg_(cfg),
-      stage_(static_cast<std::size_t>(cfg.burst < 1 ? 1 : cfg.burst)) {
+    : net_(net), cfg_(cfg) {
   rebucket(kMinSpan);
 }
 
 PktFlowId Engine::add_flow(Bytes size, const std::vector<net::LinkId>& path,
                            TimeNs now) {
-  assert(!path.empty());
-  assert(path.size() < 32768);  // hop is 16-bit
-  assert(size > 0.0);
+  // Per-flow checks, kept in Release: a path of 32768+ hops would wrap the
+  // 16-bit hop index and read before the flow's slice of the path pool.
+  if (path.empty() || path.size() >= 32768) {
+    throw std::invalid_argument("pkt::Engine::add_flow: path has " +
+                                std::to_string(path.size()) +
+                                " hops; need 1..32767");
+  }
+  if (!(size > 0.0)) {
+    throw std::invalid_argument("pkt::Engine::add_flow: size " +
+                                std::to_string(size) + " is not positive");
+  }
+  if (base_ >= 0 && now < base_) {
+    throw std::invalid_argument("pkt::Engine::add_flow: now " +
+                                std::to_string(now) +
+                                " precedes the first flow's start " +
+                                std::to_string(base_));
+  }
   if (base_ < 0) base_ = now;
-  assert(now >= base_);
   const PktFlowId f = static_cast<PktFlowId>(flows_.size());
   FlowState fs;
   fs.size = size;
@@ -45,10 +58,17 @@ TimeNs Engine::next_time() const {
 }
 
 const std::vector<Completion>& Engine::advance(TimeNs limit) {
-  if (net_.version() != net_version_) refresh_link_params();
   completions_.clear();
   const TimeNs rel_limit = limit >= kTimeInf ? kTimeInf : limit - base_;
   while (completions_.empty()) {
+    if (wheel_live_ == 0) {
+      // Every pending event waits in the overflow heap (a link so slow
+      // that one MTU outlasts the span cap): jump the cursor to the heap
+      // head. That instant is processed right below, so the cursor still
+      // never passes an unprocessed instant.
+      if (heap_.empty() || ev_time(heap_[0]) > rel_limit) break;
+      wheel_pos_ = ev_time(heap_[0]);
+    }
     // Overflow events whose window the cursor has reached drop into the
     // wheel so the instant below gathers every arrival at its time.
     while (!heap_.empty() &&
@@ -56,77 +76,44 @@ const std::vector<Completion>& Engine::advance(TimeNs limit) {
       const std::uint64_t ev = heap_pop();
       wheel_place(ev_time(ev), ev_slot(ev));
     }
-    TimeNs t;
-    if (wheel_live_ > 0) {
-      t = wheel_scan();
-      if (t > rel_limit) break;
-      // The cursor only ever advances to a *processed* instant: add_flow()
-      // injections at later times must still land at or after it.
-      wheel_pos_ = t;
-      const std::size_t b = static_cast<std::size_t>(t) & mask_;
-      const std::int32_t chain = bucket_[b];
-      bucket_[b] = -1;
-      bitmap_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-      if (slab_[chain].next < 0) {
-        // Fast path: a lone arrival — by far the common case — is its own
-        // one-descriptor burst; skip the gather, the sort and the ring.
-        --wheel_live_;
-        refill_.clear();
-        process_arrival(chain, t);
-        for (const PktFlowId f : refill_) inject(f, t);
-        continue;
-      }
-      keyed_.clear();
-      std::int32_t s = chain;
-      while (s >= 0) {
-        const std::int32_t nx = slab_[s].next;
-        gather_sorted(s);
-        s = nx;
-        --wheel_live_;
-      }
-    } else if (!heap_.empty()) {
-      keyed_.clear();
-      // Every pending event is past the wheel cap (pathologically long
-      // horizon): process straight off the heap without moving the cursor.
-      t = ev_time(heap_[0]);
-      if (t > rel_limit) break;
-      while (!heap_.empty() && ev_time(heap_[0]) == t) {
-        gather_sorted(ev_slot(heap_pop()));
-      }
-    } else {
-      break;
+    const TimeNs t = wheel_scan();
+    if (t > rel_limit) break;
+    // The cursor only ever advances to a *processed* instant: add_flow()
+    // injections at later times must still land at or after it.
+    wheel_pos_ = t;
+    const std::size_t b = static_cast<std::size_t>(t) & mask_;
+    const std::int32_t chain = bucket_[b];
+    bucket_[b] = -1;
+    bitmap_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+    if (slab_[chain].next < 0) {
+      // Fast path: a lone arrival — by far the common case — needs no
+      // gather and no sort.
+      --wheel_live_;
+      refill_.clear();
+      process_arrival(chain, t);
+      for (const PktFlowId f : refill_) inject(f, t);
+      continue;
+    }
+    keyed_.clear();
+    std::int32_t s = chain;
+    while (s >= 0) {
+      const std::int32_t nx = slab_[s].next;
+      gather_sorted(s);
+      s = nx;
+      --wheel_live_;
     }
     process_instant(t);
   }
   return completions_;
 }
 
-// One event instant, in stages (the burst pipeline): keyed_ holds every
-// packet arriving at time t, sorted by content key; stream the descriptors
-// through the burst ring, then refill flow windows. Departure times are
-// pure arithmetic over link clear-clocks, so nothing a later burst
-// processes can change what an earlier burst computed — results cannot
-// depend on the burst size. The refill stage runs strictly after all
-// arrivals so FIFO order at time t is (transiting packets, then freshly
-// injected ones) for any burst width.
+// One event instant: keyed_ holds every packet arriving at time t, sorted
+// by content key. Route or deliver each in that order, then refill the
+// flow windows those deliveries freed, so FIFO order at time t is
+// (transiting packets, then freshly injected ones).
 void Engine::process_instant(TimeNs t) {
   refill_.clear();
-  if (keyed_.size() <= stage_.capacity()) {
-    // A tie group that fits in one burst is its own batch: staging it
-    // through the ring would pop it back in the same order.
-    for (const auto& [key, slot] : keyed_) process_arrival(slot, t);
-  } else {
-    // Stage 1: route or deliver, one burst of descriptors at a time, in
-    // content-key order.
-    for (const auto& [key, slot] : keyed_) {
-      if (stage_.full()) {
-        while (!stage_.empty()) process_arrival(stage_.pop(), t);
-      }
-      stage_.push(slot);
-    }
-    while (!stage_.empty()) process_arrival(stage_.pop(), t);
-  }
-  // Stage 2: window credits freed by deliveries inject follow-up packets.
+  for (const auto& [key, slot] : keyed_) process_arrival(slot, t);
   for (const PktFlowId f : refill_) inject(f, t);
 }
 
@@ -237,21 +224,6 @@ void Engine::ensure_link(net::LinkId lid) {
   ls.delay = link.delay;
   ls.tx_mtu = transmission_time(cfg_.mtu_bytes, link.capacity);
   update_horizon(ls);
-  net_version_ = net_.version();
-}
-
-void Engine::refresh_link_params() {
-  // Link ids are dense vector indices, so every slot below the table size
-  // is a valid link (ensure_link only ever grew to a registered id).
-  for (std::size_t l = 0; l < links_.size(); ++l) {
-    LinkState& ls = links_[l];
-    const net::Link& link = net_.link(static_cast<net::LinkId>(l));
-    ls.cap = link.capacity;
-    ls.delay = link.delay;
-    ls.tx_mtu = transmission_time(cfg_.mtu_bytes, link.capacity);
-    update_horizon(ls);
-  }
-  net_version_ = net_.version();
 }
 
 void Engine::update_horizon(const LinkState& ls) {

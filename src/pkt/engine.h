@@ -1,10 +1,9 @@
-// Burst-pipeline packet engine (DESIGN.md §12).
+// Packet engine (DESIGN.md §12).
 //
 // A store-and-forward packet simulator with the same semantics as
 // net::PacketSim — flows chopped into MTU packets, per-flow windowed
-// injection, FIFO links — rebuilt around the dpdk/ndn-dpdk burst
-// architecture so packet-mode runs of full training scenarios are
-// affordable:
+// injection, FIFO links — rebuilt around flat tables so packet-mode runs of
+// full training scenarios are affordable:
 //
 //   * dense flow/link tables and an index-based slab of 32-byte packet
 //     descriptors (zero per-packet allocation once the pool warms up);
@@ -25,17 +24,20 @@
 //     clock runs a whole window ahead), so the span self-sizes: it is
 //     warm-started from max(tx_mtu + delay), doubles on demand up to
 //     2^16 ns, and events beyond the cap wait in a small packed 4-ary heap
-//     that migrates into the wheel as the cursor approaches;
-//   * per-instant staged processing — all arrivals at time t stream through
-//     a ring in bursts of `PacketConfig::burst` descriptors, then window
-//     credits refill — with event ties broken by *content* keys (flow id,
-//     per-flow packet sequence), never by creation order or bucket/heap
-//     order, so results are bit-identical for any burst size;
-//   * completions reported per burst via advance(), not one callback per
+//     that migrates into the wheel as the cursor approaches (or that the
+//     cursor jumps to when the wheel runs empty);
+//   * one in-order pass per event instant — every arrival at time t, then
+//     the window credits those deliveries freed — with event ties broken
+//     by *content* keys (flow id, per-flow packet sequence), never by
+//     creation order or bucket/heap order;
+//   * completions reported per instant via advance(), not one callback per
 //     packet.
 //
-// All internal times are relative to the first add_flow() so they pack
-// into 41 bits (~36 virtual minutes per engine — transports are per-phase,
+// An engine lives for one phase on a fixed topology: PhaseRunner builds a
+// transport per phase, and nothing in collective/pkt/net mutates the
+// network while one runs, so link rates are read once, when a flow first
+// crosses the link. All internal times are relative to the first
+// add_flow() so they pack into 41 bits (~36 virtual minutes per engine —
 // phases are milliseconds).
 //
 // The engine owns no clock: the PacketTransport adapter drains it against
@@ -50,7 +52,6 @@
 #include "common/units.h"
 #include "net/network.h"
 #include "pkt/config.h"
-#include "pkt/ring.h"
 #include "pkt/slab.h"
 
 namespace mixnet::pkt {
@@ -72,7 +73,9 @@ class Engine {
 
   /// Register a flow and inject its initial window at time `now`. `path`
   /// must be non-empty (intra-node transfers are the adapter's job) and
-  /// `size` positive. `now` must be >= every previously processed instant.
+  /// shorter than 32768 hops, `size` positive, and `now` no earlier than
+  /// the first flow's start; otherwise throws std::invalid_argument. `now`
+  /// must also be >= every previously processed instant.
   PktFlowId add_flow(Bytes size, const std::vector<net::LinkId>& path,
                      TimeNs now);
 
@@ -143,11 +146,9 @@ class Engine {
   // A FIFO link needs no queue structure: `clear` — the departure time of
   // the last packet scheduled on it — fully determines every later
   // departure. Capacity, delay and the MTU serialization time are cached
-  // here because net::Link carries a label string — touching it per
-  // scheduled packet is a guaranteed cache miss. The cache is refreshed
-  // whenever Network::version() moves (OCS reconfiguration re-capacitates
-  // links at runtime), checked once per advance() call; rates apply to
-  // packets scheduled after the refresh.
+  // here, two links per cache line, so scheduling a packet never touches
+  // the network's link table (which also carries endpoints and the up
+  // flag).
   struct LinkState {
     TimeNs clear = 0;
     TimeNs delay = 0;
@@ -162,7 +163,6 @@ class Engine {
   void inject(PktFlowId f, TimeNs t);
   void schedule(net::LinkId lid, std::int32_t slot, TimeNs t);
   void ensure_link(net::LinkId lid);
-  void refresh_link_params();
   void update_horizon(const LinkState& ls);
 
   void wheel_insert(TimeNs at, std::int32_t slot);
@@ -179,7 +179,6 @@ class Engine {
   std::vector<FlowState> flows_;
   std::vector<net::LinkId> path_pool_;
   std::vector<LinkState> links_;  // indexed by LinkId; grown on demand
-  std::uint64_t net_version_ = ~std::uint64_t{0};
 
   Slab<PacketSlot> slab_;
 
@@ -203,7 +202,6 @@ class Engine {
   // same-time arrivals as (content key, slot), kept sorted on insert.
   std::vector<std::pair<std::uint64_t, std::int32_t>> keyed_;
   std::vector<PktFlowId> refill_;
-  Ring<std::int32_t> stage_;  // burst-sized descriptor batches
   std::vector<Completion> completions_;
 
   std::uint64_t packets_forwarded_ = 0;

@@ -3,7 +3,7 @@
 // alloc() pops a free slot or grows the backing vector; free() pushes the
 // slot back. After the pool warms up to the peak number of in-flight packets
 // (bounded by flows x window), the steady state does zero allocation — the
-// property the burst engine's slab-reuse test asserts.
+// property the packet engine's slab-reuse test asserts.
 #pragma once
 
 #include <cassert>

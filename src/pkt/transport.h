@@ -1,5 +1,5 @@
-// net::Transport adapter over the burst packet engine, plus the fidelity-
-// ladder factory.
+// net::Transport adapter over the packet engine, plus the fidelity-ladder
+// factory.
 //
 // The engine keeps its own POD event heap; this adapter is the only piece
 // that talks to the shared eventsim::Simulator. A single "pump" event drains
@@ -30,8 +30,6 @@ class PacketTransport final : public net::Transport {
                   PacketConfig cfg = {});
 
   net::FlowId start_flow(net::FlowSpec spec) override;
-
-  const Engine& engine() const { return engine_; }
 
  private:
   struct FlowRec {

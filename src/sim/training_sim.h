@@ -100,7 +100,7 @@ struct TrainingConfig {
 
   /// Fidelity-ladder rung every communication phase is simulated on
   /// (DESIGN.md §12): contention-free analytic bound, max-min fluid flows
-  /// (the paper's model), or the burst-pipeline packet engine.
+  /// (the paper's model), or the MTU-level packet engine.
   net::NetBackend backend = net::NetBackend::kFlow;
   /// Packet-engine tuning; consulted only when backend == kPacket.
   pkt::PacketConfig pkt;

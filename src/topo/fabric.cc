@@ -220,8 +220,7 @@ void Fabric::build_eps_leaf_spine(int nics_toward_eps, double oversub) {
       for (int nic = 0; nic < nics_toward_eps; ++nic) {
         const auto [up, down] = net_.add_duplex(
             servers_[static_cast<std::size_t>(s)], tor, cfg_.nic_bw(),
-            cfg_.link_delay,
-            "eps s" + std::to_string(s) + " nic" + std::to_string(nic));
+            cfg_.link_delay);
         nic_up_.push_back(up);
         nic_down_.push_back(down);
       }
@@ -229,9 +228,7 @@ void Fabric::build_eps_leaf_spine(int nics_toward_eps, double oversub) {
     }
     if (core_collapsed_) continue;
     const Bps up_cap = cfg_.nic_bw() * nics_toward_eps * servers_in_rack / oversub;
-    const auto [up, down] =
-        net_.add_duplex(tor, core, up_cap, cfg_.link_delay,
-                        "uplink" + std::to_string(r));
+    const auto [up, down] = net_.add_duplex(tor, core, up_cap, cfg_.link_delay);
     edge_up_.push_back(up);
     edge_down_.push_back(down);
   }
@@ -268,14 +265,14 @@ void Fabric::build_rail_optimized() {
       for (int s = lo; s < hi; ++s) {
         const auto [up, down] =
             net_.add_duplex(servers_[static_cast<std::size_t>(s)], sw, cfg_.nic_bw(),
-                            cfg_.link_delay, "rail-nic");
+                            cfg_.link_delay);
         const auto k = static_cast<std::size_t>(s) * rails + rail;
         nic_up_[k] = up;
         nic_down_[k] = down;
       }
       const Bps up_cap = cfg_.nic_bw() * (hi - lo);  // 1:1 toward core
       const auto [up, down] =
-          net_.add_duplex(sw, core, up_cap, cfg_.link_delay, "rail-up");
+          net_.add_duplex(sw, core, up_cap, cfg_.link_delay);
       edge_up_.push_back(up);
       edge_down_.push_back(down);
     }
@@ -538,7 +535,7 @@ int Fabric::apply_circuits(int region, const Matrix& counts) {
       if (it == reg.end()) {
         const NodeId a = servers_[static_cast<std::size_t>(members[i])];
         const NodeId b = servers_[static_cast<std::size_t>(members[j])];
-        auto [fwd, rev] = net_.add_duplex(a, b, cap, cfg_.link_delay, "circuit");
+        auto [fwd, rev] = net_.add_duplex(a, b, cap, cfg_.link_delay);
         reg.emplace(key, CircuitPair{fwd, rev, want});
         ++touched;
       } else if (it->second.count != want) {

@@ -20,7 +20,7 @@ TEST(Network, AddNodesAndLinks) {
   Network net;
   NodeId a = net.add_node(NodeKind::kServer, "a");
   NodeId b = net.add_node(NodeKind::kSwitch, "b");
-  LinkId l = net.add_link(a, b, gbps(100), us_to_ns(1), "ab");
+  LinkId l = net.add_link(a, b, gbps(100), us_to_ns(1));
   EXPECT_EQ(net.node_count(), 2u);
   EXPECT_EQ(net.link_count(), 1u);
   EXPECT_EQ(net.link(l).src, a);

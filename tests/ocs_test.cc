@@ -57,7 +57,7 @@ TEST(Algorithm, HottestPairGetsMostCircuits) {
 TEST(Algorithm, ZeroDemandZeroCircuits) {
   const auto topo = reconfigure_ocs(Matrix(4, 4, 0.0), 6);
   EXPECT_EQ(topo.total_circuits, 0);
-  EXPECT_TRUE(topo.nics.empty());
+  EXPECT_TRUE(nic_mapping(topo.counts, 6).empty());
 }
 
 TEST(Algorithm, ExcludedServersGetNoCircuits) {
@@ -125,8 +125,9 @@ TEST(Algorithm, RejectsMisshapenDemandAndExclusions) {
 
 TEST(Algorithm, NicMappingRespectsDegree) {
   const auto topo = reconfigure_ocs(demand4(), 6);
+  const auto nics = nic_mapping(topo.counts, 6);
   std::vector<int> used(4, 0);
-  for (const auto& a : topo.nics) {
+  for (const auto& a : nics) {
     EXPECT_GE(a.nic_a, 0);
     EXPECT_LT(a.nic_a, 6);
     EXPECT_GE(a.nic_b, 0);
@@ -135,7 +136,7 @@ TEST(Algorithm, NicMappingRespectsDegree) {
     ++used[static_cast<std::size_t>(a.server_b)];
   }
   for (int u : used) EXPECT_LE(u, 6);
-  EXPECT_EQ(static_cast<int>(topo.nics.size()), topo.total_circuits);
+  EXPECT_EQ(static_cast<int>(nics.size()), topo.total_circuits);
 }
 
 TEST(Algorithm, NicMappingNumaBalanced) {
@@ -144,7 +145,7 @@ TEST(Algorithm, NicMappingNumaBalanced) {
   d(0, 1) = 100.0;
   const auto topo = reconfigure_ocs(d, 6);
   EXPECT_GE(topo.counts(0, 1), 2.0);
-  EXPECT_TRUE(numa_balanced(topo.nics, 6));
+  EXPECT_TRUE(numa_balanced(nic_mapping(topo.counts, 6), 6));
 }
 
 TEST(Algorithm, UniformTopologySaturatesDegreeEvenly) {
@@ -174,7 +175,8 @@ TEST_P(AlgorithmSizeSweep, InvariantsHoldAcrossRegionSizes) {
   for (int i = 0; i < n; ++i) {
     EXPECT_LE(topo.counts.row_sum(static_cast<std::size_t>(i)), alpha + 1e-9);
   }
-  EXPECT_EQ(static_cast<int>(topo.nics.size()), topo.total_circuits);
+  EXPECT_EQ(static_cast<int>(nic_mapping(topo.counts, alpha).size()),
+            topo.total_circuits);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, AlgorithmSizeSweep,
