@@ -70,8 +70,8 @@ int usage(const char* argv0, int code) {
       "  --shard I/N    execute only points with index %% N == I, streaming\n"
       "                 records into the cache; table output is suppressed\n"
       "                 (run 'merge' once all shards finish)\n"
-      "  --stats FILE   write per-scenario cache hit/miss and gate-trace\n"
-      "                 build/share counts as JSON\n"
+      "  --stats FILE   write per-scenario cache hit/miss, gate-trace\n"
+      "                 build/share and Copilot solve counts as JSON\n"
       "  --backend B    override the network fidelity ladder for every point\n"
       "                 (analytic, flow, packet; DESIGN.md §12). Scenarios\n"
       "                 that pin backends per point (e.g. fidelity-ladder)\n"
@@ -119,13 +119,15 @@ struct ScenarioStatsEntry {
 
 std::string stats_json_object(const ScenarioStatsEntry& e) {
   const SweepStats& s = e.stats;
-  char buf[320];
+  char buf[352];
   std::snprintf(buf, sizeof(buf),
                 "{\"name\":\"%s\",\"points\":%zu,\"hits\":%zu,"
                 "\"computed\":%zu,\"skipped\":%zu,\"failed\":%zu,"
+                "\"copilot_solves\":%zu,"
                 "\"gate_traces\":{\"built\":%zu,\"shared\":%zu}}",
                 e.name.c_str(), s.points, s.hits, s.computed, s.skipped,
-                s.failed, e.gate_traces.built, e.gate_traces.shared);
+                s.failed, s.copilot_solves, e.gate_traces.built,
+                e.gate_traces.shared);
   return buf;
 }
 
@@ -141,13 +143,14 @@ bool write_stats_file(const std::string& path,
     totals.computed += entries[i].stats.computed;
     totals.skipped += entries[i].stats.skipped;
     totals.failed += entries[i].stats.failed;
+    totals.copilot_solves += entries[i].stats.copilot_solves;
   }
-  char buf[192];
+  char buf[224];
   std::snprintf(buf, sizeof(buf),
                 "],\"totals\":{\"points\":%zu,\"hits\":%zu,\"computed\":%zu,"
-                "\"skipped\":%zu,\"failed\":%zu}}\n",
+                "\"skipped\":%zu,\"failed\":%zu,\"copilot_solves\":%zu}}\n",
                 totals.points, totals.hits, totals.computed, totals.skipped,
-                totals.failed);
+                totals.failed, totals.copilot_solves);
   out += buf;
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) return false;

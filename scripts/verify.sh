@@ -117,18 +117,30 @@ for b in $smoke_benches; do
   # unlike wall seconds they do not depend on host speed.
   built=$(grep -o '"built":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
   shared=$(grep -o '"shared":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
+  # Copilot least-squares solves of the computed points (cache hits add 0).
+  solves=$(grep -o '"copilot_solves":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
   awk -v d="$dur" -v n="$b" -v h="${hits:-0}" -v c="${computed:-0}" \
-      -v t="${built:-0}" \
-    'BEGIN{printf "smoke %-28s %8.2f s  (cache: %d hits, %d computed; %d gate traces)\n", n, d/1e9, h, c, t}'
+      -v t="${built:-0}" -v q="${solves:-0}" \
+    'BEGIN{printf "smoke %-28s %8.2f s  (cache: %d hits, %d computed; %d gate traces; %d copilot solves)\n", n, d/1e9, h, c, t, q}'
   entry=$(awk -v d="$dur" -v n="$b" -v h="${hits:-0}" -v c="${computed:-0}" \
       -v p="${points:-0}" -v t="${built:-0}" -v s="${shared:-0}" \
-    'BEGIN{printf "{\"name\":\"%s\",\"seconds\":%.3f,\"cache\":{\"points\":%d,\"hits\":%d,\"computed\":%d},\"gate_traces\":{\"built\":%d,\"shared\":%d}}", n, d/1e9, p, h, c, t, s}')
+      -v q="${solves:-0}" \
+    'BEGIN{printf "{\"name\":\"%s\",\"seconds\":%.3f,\"cache\":{\"points\":%d,\"hits\":%d,\"computed\":%d},\"gate_traces\":{\"built\":%d,\"shared\":%d},\"copilot_solves\":%d}", n, d/1e9, p, h, c, t, s, q}')
   bench_json="${bench_json:+$bench_json,}$entry"
   # fig12 sweeps 4 models x 5 fabrics x 4 bandwidths under one shared seed
   # per model, so a cold run records exactly one gate trace per model. Any
   # other count means points stopped sharing (or shared across models).
   if [ "$b" = fig12 ] && [ "${hits:-0}" -eq 0 ] && [ "${built:-0}" -ne 4 ]; then
     echo "verify.sh: fig12 built ${built:-0} gate traces on a cold run (expected 4)" >&2
+    exit 1
+  fi
+  # serve-storm's re-placement-on arm is the only smoke point that reads a
+  # Copilot prediction, so it is the only one that builds Copilots: 4 stage
+  # layers x 6 solves (its 432 engine steps give each layer 431 observations,
+  # one solve per 64) = 24 on a cold run. Feeding the off arm's Copilots too
+  # (520 steps: 4 x 8 more) would make it 56.
+  if [ "$b" = serve-storm ] && [ "${hits:-0}" -eq 0 ] && [ "${solves:-0}" -ne 24 ]; then
+    echo "verify.sh: serve-storm ran ${solves:-0} Copilot solves on a cold run (expected 24)" >&2
     exit 1
   fi
 done

@@ -30,6 +30,9 @@ struct SweepStats {
   std::size_t computed = 0;  ///< executed in this process (includes failed)
   std::size_t skipped = 0;   ///< other shards' points, absent from the cache
   std::size_t failed = 0;    ///< executed points that threw
+  /// Serve Copilot solves the computed points ran (cache hits add 0): an
+  /// exact work counter, independent of host speed.
+  std::size_t copilot_solves = 0;
   /// One human-readable line per failed point ("point #i (labels): what()").
   std::vector<std::string> failures;
 };

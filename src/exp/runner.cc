@@ -30,6 +30,7 @@ PointResult run_serve_point(const SweepPoint& point) {
   const serve::ServeReport report = simulator.run();
   res.extra = serve::slo_metrics(report, *point.serve);
   res.iter_sec = ns_to_sec(report.makespan);
+  res.copilot_solves = report.copilot_solves;
   return res;
 }
 
@@ -200,6 +201,7 @@ std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
     ctx.stats->skipped += skipped;
     ctx.stats->computed += todo.size();
     for (const std::size_t i : todo) {
+      ctx.stats->copilot_solves += results[i].copilot_solves;
       if (results[i].error.empty()) continue;
       ++ctx.stats->failed;
       std::string labels;

@@ -41,6 +41,10 @@ struct PointResult {
   sim::PhaseTimeline timeline;
   /// Probe-recorded custom metrics (see ScenarioSpec::probe).
   std::map<std::string, double> extra;
+  /// Serve Copilot least-squares solves this process ran for the point: a
+  /// host work counter kept out of `extra`, so the result cache never stores
+  /// it and a cache hit reports 0.
+  std::size_t copilot_solves = 0;
 
   /// Non-empty when the point threw under a keep-going run (ctx.stats set):
   /// the what() text. Failed points carry zeroed measurements.

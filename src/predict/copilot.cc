@@ -1,9 +1,10 @@
 #include "predict/copilot.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace mixnet::predict {
 
@@ -39,8 +40,12 @@ Copilot::Copilot(const CopilotConfig& cfg) : cfg_(cfg) {
 }
 
 void Copilot::observe(const std::vector<double>& x, const std::vector<double>& y) {
-  assert(x.size() == static_cast<std::size_t>(cfg_.n_experts));
-  assert(y.size() == static_cast<std::size_t>(cfg_.n_experts));
+  const auto n = static_cast<std::size_t>(cfg_.n_experts);
+  if (x.size() != n || y.size() != n)
+    throw std::invalid_argument(
+        "predict::Copilot::observe: x has " + std::to_string(x.size()) +
+        " and y has " + std::to_string(y.size()) + " entries, expected " +
+        std::to_string(n) + " (n_experts)");
   window_.emplace_back(x, y);
   while (window_.size() > static_cast<std::size_t>(cfg_.window)) window_.pop_front();
   ++seen_;
@@ -50,6 +55,7 @@ void Copilot::observe(const std::vector<double>& x, const std::vector<double>& y
 void Copilot::solve() {
   const auto n = static_cast<std::size_t>(cfg_.n_experts);
   if (window_.empty()) return;
+  ++solves_;
 
   // Weighted normal-equation pieces: grad = 2 (P * Sxx - Syx).
   Matrix sxx(n, n, 0.0), syx(n, n, 0.0);
@@ -105,7 +111,11 @@ std::vector<double> Copilot::predict(const std::vector<double>& x) const {
 
 double top_k_accuracy(const std::vector<double>& predicted,
                       const std::vector<double>& actual, int k) {
-  assert(predicted.size() == actual.size());
+  if (predicted.size() != actual.size())
+    throw std::invalid_argument(
+        "predict::top_k_accuracy: predicted has " +
+        std::to_string(predicted.size()) + " entries but actual has " +
+        std::to_string(actual.size()));
   const auto n = predicted.size();
   const auto kk = static_cast<std::size_t>(std::min<int>(k, static_cast<int>(n)));
   auto top_idx = [&](const std::vector<double>& v) {

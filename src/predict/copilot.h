@@ -43,7 +43,8 @@ class Copilot {
   explicit Copilot(const CopilotConfig& cfg);
 
   /// Record one observation: normalized expert loads of two adjacent layers
-  /// in the same iteration (X = previous layer, Y = current layer).
+  /// in the same iteration (X = previous layer, Y = current layer). Throws
+  /// std::invalid_argument unless both have n_experts entries.
   void observe(const std::vector<double>& x, const std::vector<double>& y);
 
   /// Predicted load distribution of the next layer given the previous
@@ -54,6 +55,9 @@ class Copilot {
   const Matrix& transition() const { return p_; }
 
   std::size_t observations() const { return seen_; }
+  /// Least-squares solves run so far (one per resolve_every observations):
+  /// an exact work counter.
+  std::size_t solves() const { return solves_; }
 
  private:
   void solve();
@@ -62,9 +66,11 @@ class Copilot {
   Matrix p_;
   std::deque<std::pair<std::vector<double>, std::vector<double>>> window_;
   std::size_t seen_ = 0;
+  std::size_t solves_ = 0;
 };
 
-/// Top-K accuracy: |topK(predicted) ∩ topK(actual)| / K.
+/// Top-K accuracy: |topK(predicted) ∩ topK(actual)| / K. Throws
+/// std::invalid_argument when the two vectors differ in length.
 double top_k_accuracy(const std::vector<double>& predicted,
                       const std::vector<double>& actual, int k);
 

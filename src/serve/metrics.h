@@ -8,6 +8,7 @@
 // format changes.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -45,6 +46,9 @@ struct ServeReport {
   int experts_moved = 0;    ///< total expert migrations (placement churn)
   TimeNs migration_paused = 0;
   double peak_imbalance = 0.0;  ///< max windowed rank-load max/fair ratio
+  /// Copilot least-squares solves: a host work counter, not a simulated
+  /// outcome, so slo_metrics() leaves it out (0 when re-placement is off).
+  std::size_t copilot_solves = 0;
   // OCS control-plane telemetry.
   int reconfigurations = 0;
   TimeNs reconfig_blocked = 0;  ///< unhidden reconfiguration time

@@ -55,16 +55,21 @@ ServeSimulator::ServeSimulator(const sim::TrainingConfig& cluster,
     contiguous[static_cast<std::size_t>(e)] = std::min(e / epr, cfg_.par.ep - 1);
   expert_to_rank_.assign(static_cast<std::size_t>(layers_per_stage_),
                          contiguous);
-  last_loads_.resize(static_cast<std::size_t>(layers_per_stage_));
-  predict::CopilotConfig cc;
-  cc.n_experts = cfg_.model.n_experts;
-  // Serving observes per engine step (milliseconds apart), not per training
-  // iteration: the default re-solve cadence of 4 would spend more time on
-  // least squares than on the fabric simulation, and the load process only
-  // moves on the hotspot-window timescale anyway.
-  cc.resolve_every = 64;
-  copilots_.assign(static_cast<std::size_t>(layers_per_stage_),
-                   predict::Copilot(cc));
+  // Copilot predictions are read only when the loop may act on a trigger,
+  // so a run without re-placement builds and feeds none. Copilot draws no
+  // randomness and the detector reads rank loads, so nothing else changes.
+  if (scfg_.replacement_on) {
+    last_loads_.resize(static_cast<std::size_t>(layers_per_stage_));
+    predict::CopilotConfig cc;
+    cc.n_experts = cfg_.model.n_experts;
+    // Serving observes per engine step (milliseconds apart), not per training
+    // iteration: the default re-solve cadence of 4 would spend more time on
+    // least squares than on the fabric simulation, and the load process only
+    // moves on the hotspot-window timescale anyway.
+    cc.resolve_every = 64;
+    copilots_.assign(static_cast<std::size_t>(layers_per_stage_),
+                     predict::Copilot(cc));
+  }
 
   if (cfg_.warmup_policy == moe::WarmupPolicy::kClosedForm)
     gate_->advance_steps(cfg_.warmup_iterations);
@@ -217,14 +222,16 @@ TimeNs ServeSimulator::maybe_replace(ServeReport& report) {
   const auto ep = static_cast<std::size_t>(cfg_.par.ep);
   constexpr int kMaxSwapsPerLayer = 2;
   // Per-layer expert load (the per-expert counters the control plane already
-  // collects), fed to each layer's Copilot. The detector watches the
-  // stage-aggregate per-rank load.
+  // collects), fed to each layer's Copilot when re-placement is on. The
+  // detector watches the stage-aggregate per-rank load.
   std::vector<double> rank_load(ep, 0.0);
   for (int l = 0; l < layers_per_stage_; ++l) {
     const auto li = static_cast<std::size_t>(l);
     const std::vector<double>& cur = gate_->expert_load(l);
-    if (!last_loads_[li].empty()) copilots_[li].observe(last_loads_[li], cur);
-    last_loads_[li] = cur;
+    if (scfg_.replacement_on) {
+      if (!last_loads_[li].empty()) copilots_[li].observe(last_loads_[li], cur);
+      last_loads_[li] = cur;
+    }
     for (std::size_t e = 0; e < ne; ++e)
       rank_load[static_cast<std::size_t>(expert_to_rank_[li][e])] += cur[e];
   }
@@ -307,6 +314,8 @@ ServeReport ServeSimulator::run() {
     }
   }
   report.makespan = now;
+  for (const auto& copilot : copilots_)
+    report.copilot_solves += copilot.solves();
   return report;
 }
 

@@ -16,12 +16,13 @@
 //      from the flow simulator, expert compute dilated by the hottest EP
 //      rank's load share (the straggler effect re-placement exists to fix).
 //   3. A sliding-window hotspot detector (control/hotspot.h) watches
-//      per-rank expert load; when it trips, per-layer Copilot load
-//      predictions drive bounded hot<->cold expert swaps (each layer's
-//      experts are distinct parameters, so every layer owns its own
-//      expert->rank map). Migration pauses the engine, and the next pass
-//      over the layers re-prepares the regional OCS circuits — both costs
-//      land in the latency records, which is how SLO metrics see
+//      per-rank expert load; when it trips and re-placement is on, per-layer
+//      Copilot load predictions drive bounded hot<->cold expert swaps (each
+//      layer's experts are distinct parameters, so every layer owns its own
+//      expert->rank map). The Copilots exist only when re-placement is on,
+//      the one case that reads them. Migration pauses the engine, and the
+//      next pass over the layers re-prepares the regional OCS circuits —
+//      both costs land in the latency records, which is how SLO metrics see
 //      reconfiguration windows.
 #pragma once
 
@@ -87,14 +88,16 @@ class ServeSimulator {
   std::unique_ptr<sim::PhaseRunner> runner_;
   std::unique_ptr<control::TopologyController> controller_;
   control::HotspotDetector detector_;
-  std::vector<predict::Copilot> copilots_;  ///< one per stage layer
+  /// One per stage layer when re-placement is on, else empty.
+  std::vector<predict::Copilot> copilots_;
   std::vector<int> group_servers_;
   std::vector<int> rank_to_local_server_;
   int rep_region_ = 0;
   int layers_per_stage_ = 1;
   /// Per stage layer: expert -> EP rank (layers own distinct experts).
   std::vector<std::vector<int>> expert_to_rank_;
-  /// Per stage layer: previous step's expert load (Copilot input).
+  /// Per stage layer: previous step's expert load (Copilot input; empty when
+  /// re-placement is off).
   std::vector<std::vector<double>> last_loads_;
   int pending_reconfig_layers_ = 0;
 };

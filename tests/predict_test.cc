@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "common/rng.h"
 #include "moe/gate.h"
@@ -125,7 +127,56 @@ TEST(Copilot, IdentityPriorBeforeObservations) {
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(pred[i], x[i], 1e-12);
 }
 
+TEST(Copilot, SolvesCountsEveryResolve) {
+  CopilotConfig c = small_cfg(4);
+  c.resolve_every = 4;
+  Copilot cp(c);
+  EXPECT_EQ(cp.solves(), 0u);
+  const std::vector<double> x = {0.4, 0.3, 0.2, 0.1};
+  for (int i = 0; i < 10; ++i) cp.observe(x, x);
+  EXPECT_EQ(cp.observations(), 10u);
+  EXPECT_EQ(cp.solves(), 2u);  // after observations 4 and 8
+}
+
+/// what() of the std::invalid_argument `f` throws, or "" when it does not.
+template <typename F>
+std::string invalid_argument_of(F f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Mis-sized inputs throw in every build (they used to be release-mode
+// asserts): the message names both sizes.
+TEST(Copilot, ObserveRejectsWrongLengthX) {
+  Copilot cp(small_cfg(4));
+  const std::string what = invalid_argument_of(
+      [&] { cp.observe({0.5, 0.5, 0.0}, {0.25, 0.25, 0.25, 0.25}); });
+  EXPECT_NE(what.find("x has 3"), std::string::npos) << what;
+  EXPECT_NE(what.find("expected 4"), std::string::npos) << what;
+  EXPECT_EQ(cp.observations(), 0u);
+}
+
+TEST(Copilot, ObserveRejectsWrongLengthY) {
+  Copilot cp(small_cfg(4));
+  const std::string what = invalid_argument_of(
+      [&] { cp.observe({0.25, 0.25, 0.25, 0.25}, {0.2, 0.2, 0.2, 0.2, 0.2}); });
+  EXPECT_NE(what.find("y has 5"), std::string::npos) << what;
+  EXPECT_NE(what.find("expected 4"), std::string::npos) << what;
+  EXPECT_EQ(cp.observations(), 0u);
+}
+
 // --------------------------------------------------------------- top-k ----
+
+TEST(TopK, RejectsMismatchedSizes) {
+  const std::string what = invalid_argument_of(
+      [] { top_k_accuracy({0.5, 0.3, 0.2}, {0.5, 0.5}, 1); });
+  EXPECT_NE(what.find("predicted has 3"), std::string::npos) << what;
+  EXPECT_NE(what.find("actual has 2"), std::string::npos) << what;
+}
 
 TEST(TopK, ExactMatch) {
   const std::vector<double> a = {0.5, 0.3, 0.1, 0.1};

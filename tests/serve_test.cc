@@ -1,7 +1,8 @@
 // Serving subsystem tests (DESIGN.md §11): open-loop workload determinism,
-// hotspot detection, the ServeSimulator end to end, sweep-engine integration
-// (jobs-independence of serve points) and cache-key sensitivity to
-// ServeConfig fields.
+// hotspot detection, the ServeSimulator end to end (including that Copilot
+// runs only where its prediction is read), sweep-engine integration
+// (jobs-independence of serve points), the serve-storm ablation, and
+// cache-key sensitivity to ServeConfig fields.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 
 #include "control/hotspot.h"
 #include "exp/cache_key.h"
+#include "exp/registry.h"
 #include "exp/runner.h"
 #include "exp/scenario.h"
 #include "moe/models.h"
@@ -248,6 +250,38 @@ TEST(ServeSimulator, ReplacementOffNeverMovesExperts) {
   EXPECT_EQ(report.migration_paused, 0);
   // The off arm still observes: triggers are telemetry, not actions.
   EXPECT_GT(report.hotspot_triggers, 0);
+  // ... and builds no Copilot, whose predictions only an action reads.
+  EXPECT_EQ(report.copilot_solves, 0u);
+}
+
+// Feeding the Copilots changes nothing simulated until the loop acts: with a
+// detector that never trips, the off and on arms serve identical records,
+// and only the on arm pays for the solves.
+TEST(ServeSimulator, CopilotFeedIsInvisibleUntilTheLoopActs) {
+  const sim::TrainingConfig cluster = small_cluster();
+  serve::ServeConfig off = small_workload();
+  off.output_mu = 3.0;          // ~20 output tokens: enough steps to solve
+  off.hotspot_threshold = 1e9;  // never trips
+  serve::ServeConfig on = off;
+  on.replacement_on = true;
+  const serve::ServeReport a = serve::ServeSimulator(cluster, off).run();
+  const serve::ServeReport b = serve::ServeSimulator(cluster, on).run();
+  EXPECT_EQ(a.hotspot_triggers, 0);
+  EXPECT_EQ(b.hotspot_triggers, 0);
+  ASSERT_EQ(a.records.size(), b.records.size());
+  for (std::size_t i = 0; i < a.records.size(); ++i) {
+    const serve::RequestRecord& x = a.records[i];
+    const serve::RequestRecord& y = b.records[i];
+    EXPECT_EQ(x.arrival_ns, y.arrival_ns) << i;
+    EXPECT_EQ(x.first_token_ns, y.first_token_ns) << i;
+    EXPECT_EQ(x.finish_ns, y.finish_ns) << i;
+    EXPECT_EQ(x.prompt_tokens, y.prompt_tokens) << i;
+    EXPECT_EQ(x.output_tokens, y.output_tokens) << i;
+  }
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(serve::slo_metrics(a, off), serve::slo_metrics(b, on));
+  EXPECT_EQ(a.copilot_solves, 0u);
+  EXPECT_GT(b.copilot_solves, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -285,6 +319,28 @@ TEST(ServeSweep, ResultsAreIdenticalAcrossJobCounts) {
   }
   // Distinct rates must actually produce distinct workloads.
   EXPECT_NE(serial[0].extra.at("makespan_s"), serial[1].extra.at("makespan_s"));
+}
+
+// ---------------------------------------------------------------------------
+// The serve-storm ablation: only its re-placement-on arm runs Copilot, and
+// that arm still acts on the storm.
+
+TEST(ServeStorm, ReplacementOnArmStillMovesExperts) {
+  const exp::ScenarioInfo* storm =
+      exp::ScenarioRegistry::paper().find("serve-storm");
+  ASSERT_NE(storm, nullptr);
+  exp::SweepStats stats;
+  exp::RunContext ctx;
+  ctx.stats = &stats;
+  const exp::ScenarioResult res = storm->run(ctx);
+  ASSERT_EQ(stats.failed, 0u);
+  ASSERT_EQ(res.tables.size(), 1u);
+  const auto& rows = res.tables.front().rows();
+  ASSERT_EQ(rows.size(), 2u);
+  constexpr std::size_t kReplacements = 5;
+  EXPECT_EQ(rows[0][kReplacements].value(), 0.0);  // re-placement off
+  EXPECT_GT(rows[1][kReplacements].value(), 0.0);  // re-placement on
+  EXPECT_GT(stats.copilot_solves, 0u);
 }
 
 // ---------------------------------------------------------------------------
