@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "moe/gate.h"
 #include "moe/models.h"
+#include "moe/traffic.h"
 #include "predict/copilot.h"
 
 using namespace mixnet;
@@ -14,11 +15,8 @@ using namespace mixnet;
 int main() {
   const auto model = moe::mixtral_8x7b();
   const auto par = moe::default_parallelism(model);
-  moe::GateConfig gc;
-  gc.n_experts = model.n_experts;
+  moe::GateConfig gc = moe::gate_config(model, par);
   gc.n_layers = 4;
-  gc.ep_ranks = par.ep;
-  gc.tokens_per_rank = par.tokens_per_microbatch() * model.top_k / par.ep;
   moe::GateSimulator gate(gc);
 
   predict::CopilotConfig cc;

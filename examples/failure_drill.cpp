@@ -3,13 +3,13 @@
 // EPS/OCS mutual fallback, backup-GPU remapping, and EPS-only replacement
 // nodes excluded from the regional OCS.
 //
-// Sweep-shaped example of the declarative experiment API: the five failure
-// scenarios are one sweep axis, and the post-run circuit census uses a
-// ScenarioSpec probe (custom metrics recorded off the live simulator).
+// Each drill builds its own TrainingSimulator, runs one iteration, and then
+// counts the circuits left on the live fabric.
 #include <cstdio>
+#include <utility>
+#include <vector>
 
-#include "exp/runner.h"
-#include "exp/scenario.h"
+#include "sim/training_sim.h"
 
 using namespace mixnet;
 
@@ -27,36 +27,21 @@ int main() {
   std::printf("%-50s %-10s %-10s %-10s\n", "scenario", "iter (s)", "overhead",
               "circuits");
 
-  std::vector<exp::AxisValue> axis;
-  for (const auto& [kind, label] : drills)
-    axis.push_back({label, [kind = kind](exp::ScenarioSpec& s) {
-      s.failure({kind, 0});
-    }});
-  const exp::Sweep sweep =
-      exp::SweepSpec(
-          exp::ScenarioSpec()
-              .model(moe::mixtral_8x22b())
-              .fabric(topo::FabricKind::kMixNet)
-              .link_gbps(400.0)
-              // Count circuits still terminating at server 0's region after
-              // recovery.
-              .probe([](sim::TrainingSimulator& simulator,
-                        exp::PointResult& res) {
-                const auto counts = simulator.fabric().circuit_counts(
-                    simulator.fabric().region_of(0));
-                res.extra["region0_circuits"] = counts.sum() / 2;
-              }))
-          .axis("failure", std::move(axis))
-          .expand();
-  const auto results = exp::run_sweep(sweep, /*jobs=*/1);
-
-  const double baseline = results[0].iter_sec;  // kNone row
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const double t = results[i].iter_sec;
-    std::printf("%-50s %-10.2f +%-9.1f%% %-10.0f\n",
-                sweep.points()[i].labels[0].c_str(), t,
-                100.0 * (t - baseline) / baseline,
-                results[i].extra.at("region0_circuits"));
+  double baseline = 0.0;  // the kNone row
+  for (const auto& [kind, label] : drills) {
+    sim::TrainingConfig cfg;
+    cfg.model = moe::mixtral_8x22b();
+    cfg.fabric_kind = topo::FabricKind::kMixNet;
+    cfg.nic_gbps = 400.0;
+    cfg.failure = {kind, 0};
+    sim::TrainingSimulator simulator(cfg);
+    const double t = ns_to_sec(simulator.run_iteration().total);
+    if (kind == Kind::kNone) baseline = t;
+    // Circuits still terminating at server 0's region after recovery.
+    const topo::Fabric& fabric = simulator.fabric();
+    const double circuits = fabric.circuit_counts(fabric.region_of(0)).sum() / 2;
+    std::printf("%-50s %-10.2f +%-9.1f%% %-10.0f\n", label, t,
+                100.0 * (t - baseline) / baseline, circuits);
   }
   std::printf("\nNote how the EPS-only replacement node (last row) still trains --\n"
               "its EP traffic rides the two EPS NICs while the regional\n"

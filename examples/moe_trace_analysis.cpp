@@ -22,12 +22,7 @@ int main() {
   auto par = moe::default_parallelism(model);
   par.dp = 1;
 
-  moe::GateConfig gc;
-  gc.n_experts = model.n_experts;
-  gc.n_layers = model.n_blocks;
-  gc.ep_ranks = par.ep;
-  gc.tokens_per_rank = par.tokens_per_microbatch() * model.top_k / par.ep;
-  moe::GateSimulator gate(gc);
+  moe::GateSimulator gate(moe::gate_config(model, par));
 
   std::printf("=== 1. Temporal dynamics (layer 1 expert loads) ===\n");
   std::vector<double> cov_series;

@@ -4,9 +4,10 @@
 # on the phase-simulation hot path show up in CI output AND in a
 # machine-readable perf trajectory (BENCH_verify.json at the repo root).
 # Exits non-zero on the first failing step — including a bench binary that
-# crashes or a registered paper-shape check that fails (`mixnet-bench
-# --check` exits 3 on violations) — so the CI figures-smoke job can gate on
-# this script directly.
+# crashes, a registered paper-shape check that fails (`mixnet-bench
+# --check` exits 3 on violations), or a scenario whose cold output no longer
+# matches bench/scenario_digests.json — so the CI figures-smoke job can gate
+# on this script directly.
 set -euo pipefail
 
 usage() {
@@ -155,3 +156,10 @@ awk -v benches="$bench_json" -v total="$total_ns" -v jobs="$smoke_jobs" 'BEGIN{
   printf "\"total_seconds\":%.3f}\n", total/1e9
 }' > BENCH_verify.json
 echo "wrote BENCH_verify.json"
+
+# Scenario fingerprint gate (ROADMAP item 3(a)): every registered scenario's
+# cold `--no-cache --format json` output must match its sha256 in
+# bench/scenario_digests.json; a mismatch names the scenario and says
+# whether kCacheSchemaVersion moved. The digests are recorded with GCC
+# Release, so on any other build/ the script prints that it skipped.
+python3 scripts/scenario_digests.py --build build --jobs "$jobs"

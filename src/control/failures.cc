@@ -4,17 +4,6 @@
 
 namespace mixnet::control {
 
-const char* to_string(FailureScenario::Kind k) {
-  switch (k) {
-    case FailureScenario::Kind::kNone: return "No Failure";
-    case FailureScenario::Kind::kOneNic: return "One NIC Failure";
-    case FailureScenario::Kind::kTwoNic: return "Two NIC Failures";
-    case FailureScenario::Kind::kOneGpu: return "One GPU Failure";
-    case FailureScenario::Kind::kServerDown: return "One Server (8 GPUs) Failure";
-  }
-  return "?";
-}
-
 FailureManager::FailureManager(topo::Fabric& fabric) : fabric_(fabric) {
   excluded_.assign(static_cast<std::size_t>(fabric_.n_servers()), false);
 }

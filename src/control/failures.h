@@ -32,8 +32,6 @@ struct FailureScenario {
   int server = 0;
 };
 
-const char* to_string(FailureScenario::Kind k);
-
 /// A relay rule: packet-switched traffic touching `server` (peer == -1) or
 /// between (`server`, `peer`) detours through `relay`.
 struct RelayRule {

@@ -43,7 +43,8 @@ struct RunContext {
 
   /// Cache namespace, normally the registry name of the running scenario.
   /// The point content hash mixes this in, so identical configurations in
-  /// different scenarios never alias (their probes may differ).
+  /// different scenarios are cached apart, although a point's content alone
+  /// determines its result.
   std::string scenario;
 
   /// Content-addressed result cache; nullptr disables lookup and streaming.

@@ -50,7 +50,6 @@ PointResult run_point(const SweepPoint& point, moe::GateTraceMemo* memo) {
   }
   res.iter_sec = total / point.iterations;
   res.timeline = simulator.layer_timeline();
-  if (point.probe) point.probe(simulator, res);
   return res;
 }
 

@@ -39,7 +39,8 @@ struct PointResult {
   std::vector<sim::IterationResult> iters;
   /// Fig. 3 timeline of the first MoE block after the last iteration.
   sim::PhaseTimeline timeline;
-  /// Probe-recorded custom metrics (see ScenarioSpec::probe).
+  /// Named metrics beyond the iteration results: a serve point's SLO metrics
+  /// (serve::slo_metrics). Empty for training points.
   std::map<std::string, double> extra;
   /// Serve Copilot least-squares solves this process ran for the point: a
   /// host work counter kept out of `extra`, so the result cache never stores
@@ -61,10 +62,9 @@ struct PointResult {
   const sim::IterationResult& last() const;
 };
 
-/// Execute one point: build the simulator, run the measured iterations,
-/// apply the probe. With a memo a training point reads the memo's gate
-/// trace over exactly its measured iterations; without one it records a
-/// private trace.
+/// Execute one point: build the simulator and run the measured iterations.
+/// With a memo a training point reads the memo's gate trace over exactly its
+/// measured iterations; without one it records a private trace.
 PointResult run_point(const SweepPoint& point,
                       moe::GateTraceMemo* memo = nullptr);
 

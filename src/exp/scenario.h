@@ -3,11 +3,10 @@
 // Experiments are data, not hand-wired main() functions:
 //
 //   * ScenarioSpec  -- fluent builder over sim::TrainingConfig plus the
-//     measurement policy (iterations per point, seed policy, a post-run
-//     probe for custom metrics);
-//   * SweepSpec     -- parameter axes (models, fabrics, bandwidths,
-//     micro-batch sizes, failure scenarios, or arbitrary custom axes)
-//     expanded as a cartesian grid, last axis fastest;
+//     measurement policy (iterations per point, seed policy);
+//   * SweepSpec     -- parameter axes (fabrics, bandwidths, micro-batch
+//     sizes, or arbitrary custom axes) expanded as a cartesian grid, last
+//     axis fastest;
 //   * Sweep         -- the expanded point grid, with exact multi-axis
 //     indexing (`at({i, j})`) so scenario code never re-matches points by
 //     floating-point comparison of axis values.
@@ -23,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -33,8 +31,6 @@
 
 namespace mixnet::exp {
 
-struct PointResult;  // runner.h
-
 enum class SeedPolicy {
   kShared,    ///< every point uses the base seed (historical figure outputs)
   kPerPoint,  ///< seed = derive_point_seed(base, point index)
@@ -42,10 +38,6 @@ enum class SeedPolicy {
 
 /// Deterministic per-point seed derivation (splitmix-style mixing).
 std::uint64_t derive_point_seed(std::uint64_t base_seed, std::size_t index);
-
-/// Post-run hook: inspect the simulator after the measured iterations and
-/// record custom metrics into PointResult::extra.
-using ProbeFn = std::function<void(sim::TrainingSimulator&, PointResult&)>;
 
 class ScenarioSpec {
  public:
@@ -84,7 +76,6 @@ class ScenarioSpec {
   ScenarioSpec& iterations(int n);
   ScenarioSpec& seed(std::uint64_t s);
   ScenarioSpec& seed_policy(SeedPolicy p);
-  ScenarioSpec& probe(ProbeFn fn);
 
   /// Resolve to a concrete TrainingConfig (model -> parallelism ->
   /// overrides -> configure() callbacks).
@@ -93,7 +84,6 @@ class ScenarioSpec {
   int iterations() const { return iterations_; }
   std::uint64_t seed() const { return seed_; }
   SeedPolicy seed_policy() const { return seed_policy_; }
-  const ProbeFn& probe() const { return probe_; }
 
  private:
   sim::TrainingConfig cfg_;
@@ -104,7 +94,6 @@ class ScenarioSpec {
   int iterations_ = 1;
   std::uint64_t seed_ = 42;
   SeedPolicy seed_policy_ = SeedPolicy::kShared;
-  ProbeFn probe_;
 };
 
 /// One value along a sweep axis: a display label plus the spec mutation it
@@ -120,7 +109,6 @@ struct SweepPoint {
   std::vector<std::string> labels;   ///< one label per axis
   sim::TrainingConfig cfg;
   int iterations = 1;
-  ProbeFn probe;
   /// Serving-mode point: when set, the runner executes a ServeSimulator over
   /// this workload (cfg describes the cluster; metrics land in
   /// PointResult::extra) instead of measured training iterations.
@@ -163,11 +151,9 @@ class SweepSpec {
   SweepSpec& axis(std::string name, std::vector<AxisValue> values);
 
   // Canned axes over the standard evaluation parameters.
-  SweepSpec& models(const std::vector<moe::MoeModelConfig>& models);
   SweepSpec& fabrics(const std::vector<topo::FabricKind>& kinds);
   SweepSpec& bandwidths(const std::vector<double>& gbps);
   SweepSpec& micro_batches(const std::vector<int>& sizes);
-  SweepSpec& failures(const std::vector<control::FailureScenario>& scenarios);
 
   /// Cartesian expansion in axis declaration order, last axis fastest.
   Sweep expand() const;

@@ -19,8 +19,6 @@
 // dominate packet-mode cost without adding fidelity signal beyond what the
 // EP phases already exercise.
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <utility>
 #include <vector>
 
@@ -31,18 +29,6 @@
 
 namespace mixnet::exp {
 namespace {
-
-std::string fid_printf_str(const char* format, ...)
-    __attribute__((format(printf, 1, 2)));
-
-std::string fid_printf_str(const char* format, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buf, sizeof(buf), format, args);
-  va_end(args);
-  return buf;
-}
 
 // Agreement bounds asserted by the registered check. Tolerance rationale in
 // DESIGN.md §12: iteration time is diluted by backend-invariant compute, so
@@ -132,7 +118,7 @@ ScenarioResult run_fidelity_ladder(const RunContext& ctx) {
                    Cell::num(comm_ms[2] / comm_ms[1], 4)});
   }
   out.tables.push_back(std::move(table));
-  out.note = fid_printf_str(
+  out.note = printf_str(
       "Gate: analytic <= flow on every metric; |packet/flow - 1| <= %.0f%%\n"
       "for iteration time and <= %.0f%% for the pure-comm EP all-to-all\n"
       "(tolerance rationale: DESIGN.md §12).",
@@ -148,7 +134,7 @@ std::vector<std::string> check_fidelity_ladder(const ScenarioResult& res) {
   }
   const ResultTable& t = res.tables.front();
   if (t.rows().size() != 2 * fidelity_fabrics().size()) {
-    bad.push_back(fid_printf_str("%s: expected %zu rows, got %zu",
+    bad.push_back(printf_str("%s: expected %zu rows, got %zu",
                                  t.title().c_str(),
                                  2 * fidelity_fabrics().size(),
                                  t.rows().size()));
@@ -157,7 +143,7 @@ std::vector<std::string> check_fidelity_ladder(const ScenarioResult& res) {
   for (const auto& row : t.rows()) {
     if (row.size() < 6) {
       bad.push_back(
-          fid_printf_str("%s: row with fewer than 6 columns", t.title().c_str()));
+          printf_str("%s: row with fewer than 6 columns", t.title().c_str()));
       return bad;
     }
     const std::string label = row[0].text() + " " + row[1].text();
@@ -166,11 +152,11 @@ std::vector<std::string> check_fidelity_ladder(const ScenarioResult& res) {
     const double packet = row[4].value();
     if (!(analytic > 0.0) || !(flow > 0.0) || !(packet > 0.0)) {
       bad.push_back(
-          fid_printf_str("%s: non-positive backend time", label.c_str()));
+          printf_str("%s: non-positive backend time", label.c_str()));
       continue;
     }
     if (analytic > flow * (1.0 + kOrderSlack)) {
-      bad.push_back(fid_printf_str(
+      bad.push_back(printf_str(
           "%s: analytic (%.3f) exceeds flow (%.3f) — the contention-free "
           "bound must be a lower bound",
           label.c_str(), analytic, flow));
@@ -179,7 +165,7 @@ std::vector<std::string> check_fidelity_ladder(const ScenarioResult& res) {
     const double tol = comm_row ? kCommTol : kIterTol;
     const double rel = std::fabs(packet / flow - 1.0);
     if (rel > tol) {
-      bad.push_back(fid_printf_str(
+      bad.push_back(printf_str(
           "%s: packet (%.3f) vs flow (%.3f) disagree by %.1f%% (> %.0f%%)",
           label.c_str(), packet, flow, 100.0 * rel, 100.0 * tol));
     }

@@ -14,8 +14,6 @@
 // (base, index) exactly like SweepSpec's kPerPoint policy, so sharded and
 // multi-job runs stay bit-identical.
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <utility>
 #include <vector>
 
@@ -25,18 +23,6 @@
 
 namespace mixnet::exp {
 namespace {
-
-std::string printf_str(const char* format, ...)
-    __attribute__((format(printf, 1, 2)));
-
-std::string printf_str(const char* format, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buf, sizeof(buf), format, args);
-  va_end(args);
-  return buf;
-}
 
 constexpr std::uint64_t kServeBaseSeed = 42;
 

@@ -49,12 +49,8 @@ ScenarioResult run_fig02(const RunContext&) {
 ScenarioResult run_fig04(const RunContext&) {
   const auto model = moe::mixtral_8x7b();
   const auto par = moe::default_parallelism(model);
-  moe::GateConfig gc;
-  gc.n_experts = model.n_experts;
+  moe::GateConfig gc = moe::gate_config(model, par);
   gc.n_layers = 4;
-  gc.ep_ranks = par.ep;
-  gc.tokens_per_rank = par.tokens_per_microbatch() * model.top_k / par.ep;
-  gc.lb_timescale = 2000.0;
   moe::GateSimulator gate(gc);
 
   ScenarioResult out;
@@ -62,7 +58,7 @@ ScenarioResult run_fig04(const RunContext&) {
   ResultTable ta("Figure 4a", "Per-expert all-to-all volume over training (MB)",
                  {"iter", "E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "CoV"},
                  9);
-  const double bytes_per_slot = model.hidden_dim * 2.0;
+  const double bytes_per_slot = moe::slot_bytes(model);
   std::vector<double> early_cov, late_cov;
   for (int iter = 0; iter <= 10000; ++iter) {
     gate.step();
@@ -126,17 +122,12 @@ ScenarioResult run_fig05(const RunContext&) {
   par.dp = 1;
   const moe::Placement placement(par, 8);
 
-  moe::GateConfig gc;
-  gc.n_experts = model.n_experts;
-  gc.n_layers = model.n_blocks;
-  gc.ep_ranks = par.ep;
-  gc.tokens_per_rank = par.tokens_per_microbatch() * model.top_k / par.ep;
-  moe::GateSimulator gate(gc);
+  moe::GateSimulator gate(moe::gate_config(model, par));
   gate.step();
 
   std::vector<Matrix> mats;
   for (int l = 0; l < model.n_blocks; ++l)
-    mats.push_back(gate.rank_dispatch_matrix(l, model.hidden_dim * 2.0));
+    mats.push_back(gate.rank_dispatch_matrix(l, moe::slot_bytes(model)));
   const Matrix gpu = moe::gpu_traffic_matrix(model, par, placement, mats);
 
   ScenarioResult out;
@@ -185,11 +176,8 @@ ScenarioResult run_fig05(const RunContext&) {
 ScenarioResult run_fig19(const RunContext&) {
   const auto model = moe::mixtral_8x7b();
   const auto par = moe::default_parallelism(model);
-  moe::GateConfig gc;
-  gc.n_experts = model.n_experts;
+  moe::GateConfig gc = moe::gate_config(model, par);
   gc.n_layers = 6;
-  gc.ep_ranks = par.ep;
-  gc.tokens_per_rank = par.tokens_per_microbatch() * model.top_k / par.ep;
   gc.seed = 7;
   moe::GateSimulator gate(gc);
 

@@ -4,8 +4,6 @@
 // rows index the grid exactly (Sweep::flat), never by re-matching axis
 // values. Per-figure paper-shape comparisons live in EXPERIMENTS.md.
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -19,18 +17,6 @@
 
 namespace mixnet::exp {
 namespace {
-
-std::string printf_str(const char* format, ...)
-    __attribute__((format(printf, 1, 2)));
-
-std::string printf_str(const char* format, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buf, sizeof(buf), format, args);
-  va_end(args);
-  return buf;
-}
 
 std::vector<std::string> fabric_columns(const std::string& first,
                                         const std::vector<topo::FabricKind>& kinds) {

@@ -9,6 +9,17 @@ namespace {
 constexpr double kBf16 = 2.0;
 }
 
+double slot_bytes(const MoeModelConfig& model) { return model.hidden_dim * kBf16; }
+
+GateConfig gate_config(const MoeModelConfig& model, const ParallelismSpec& par,
+                       GateConfig base) {
+  base.n_experts = model.n_experts;
+  base.n_layers = model.n_blocks;
+  base.ep_ranks = par.ep;
+  base.tokens_per_rank = par.tokens_per_microbatch() * model.top_k / par.ep;
+  return base;
+}
+
 double tp_allreduce_bytes(const MoeModelConfig& model, const ParallelismSpec& par) {
   // Payload = activation shard per EP rank: (tokens per micro-batch / ep) * h.
   const double tokens = par.tokens_per_microbatch() / par.ep;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/matrix.h"
+#include "moe/gate.h"
 #include "moe/models.h"
 #include "moe/placement.h"
 
@@ -30,6 +31,16 @@ struct TrafficVolumes {
   double dp = 0.0;
   double total() const { return tp + ep + pp + dp; }
 };
+
+/// Wire bytes of one dispatched token slot: one bf16 hidden activation.
+double slot_bytes(const MoeModelConfig& model);
+
+/// `base` with the gate dimensions of `model` under `par`: its experts, one
+/// gate layer per MoE block, one token home rank per EP rank, and the token
+/// slots (tokens * top_k) each rank dispatches per micro-batch. The skew
+/// knobs and seed of `base` are kept.
+GateConfig gate_config(const MoeModelConfig& model, const ParallelismSpec& par,
+                       GateConfig base = {});
 
 /// Total wire bytes per training iteration for the whole job.
 TrafficVolumes iteration_traffic(const MoeModelConfig& model,

@@ -8,89 +8,57 @@
 
 namespace mixnet::serve {
 
-namespace {
-constexpr double kBf16 = 2.0;
-}
-
-bool ServeSimulator::is_mixnet() const {
-  return cfg_.fabric_kind == topo::FabricKind::kMixNet ||
-         cfg_.fabric_kind == topo::FabricKind::kMixNetOpticalIO;
-}
-
 ServeSimulator::ServeSimulator(const sim::TrainingConfig& cluster,
                                const ServeConfig& scfg)
-    : cfg_(cluster),
+    : cluster_(sim::build_cluster(cluster)),
       scfg_(scfg),
+      gate_(cluster_.gate),
       detector_(control::HotspotConfig{scfg.hotspot_window,
                                        scfg.hotspot_threshold,
                                        scfg.hotspot_cooldown}) {
-  if (!cfg_.par_overridden) cfg_.par = moe::default_parallelism(cfg_.model);
-  placement_ = std::make_unique<moe::Placement>(cfg_.par, cfg_.gpus_per_server);
-
-  sim::Cluster built = sim::build_cluster(cfg_, *placement_);
-  fabric_ = std::move(built.fabric);
-  runner_ = std::move(built.runner);
-
-  moe::GateConfig gc = cfg_.gate;
-  gc.n_experts = cfg_.model.n_experts;
-  gc.n_layers = cfg_.model.n_blocks;
-  gc.ep_ranks = cfg_.par.ep;
-  gc.tokens_per_rank =
-      cfg_.par.tokens_per_microbatch() * cfg_.model.top_k / cfg_.par.ep;
-  gc.seed = cfg_.seed;
-  gate_ = std::make_unique<moe::GateSimulator>(gc);
-
-  group_servers_ = placement_->ep_group_servers(0, 0);
-  rank_to_local_server_ = placement_->ep_rank_to_local_server(0, 0);
-  if (is_mixnet()) rep_region_ = fabric_->region_of(group_servers_.front());
-  layers_per_stage_ = std::max(cfg_.model.n_blocks / cfg_.par.pp, 1);
-
+  const sim::TrainingConfig& cfg = cluster_.cfg;
+  const int lps = cluster_.layers_per_stage;
   // Contiguous initial placement, matching the gate's dispatch-matrix
   // convention: rank r owns experts [r*epr, (r+1)*epr). Each stage layer
   // owns its own map (its experts are distinct parameters), so the control
   // loop can balance every layer's column loads independently.
-  const int epr = std::max(cfg_.model.n_experts / cfg_.par.ep, 1);
-  std::vector<int> contiguous(static_cast<std::size_t>(cfg_.model.n_experts));
-  for (int e = 0; e < cfg_.model.n_experts; ++e)
-    contiguous[static_cast<std::size_t>(e)] = std::min(e / epr, cfg_.par.ep - 1);
-  expert_to_rank_.assign(static_cast<std::size_t>(layers_per_stage_),
-                         contiguous);
+  const int epr = std::max(cfg.model.n_experts / cfg.par.ep, 1);
+  std::vector<int> contiguous(static_cast<std::size_t>(cfg.model.n_experts));
+  for (int e = 0; e < cfg.model.n_experts; ++e)
+    contiguous[static_cast<std::size_t>(e)] = std::min(e / epr, cfg.par.ep - 1);
+  expert_to_rank_.assign(static_cast<std::size_t>(lps), contiguous);
   // Copilot predictions are read only when the loop may act on a trigger,
   // so a run without re-placement builds and feeds none. Copilot draws no
   // randomness and the detector reads rank loads, so nothing else changes.
   if (scfg_.replacement_on) {
-    last_loads_.resize(static_cast<std::size_t>(layers_per_stage_));
+    last_loads_.resize(static_cast<std::size_t>(lps));
     predict::CopilotConfig cc;
-    cc.n_experts = cfg_.model.n_experts;
+    cc.n_experts = cfg.model.n_experts;
     // Serving observes per engine step (milliseconds apart), not per training
     // iteration: the default re-solve cadence of 4 would spend more time on
     // least squares than on the fabric simulation, and the load process only
     // moves on the hotspot-window timescale anyway.
     cc.resolve_every = 64;
-    copilots_.assign(static_cast<std::size_t>(layers_per_stage_),
-                     predict::Copilot(cc));
+    copilots_.assign(static_cast<std::size_t>(lps), predict::Copilot(cc));
   }
 
-  if (cfg_.warmup_policy == moe::WarmupPolicy::kClosedForm)
-    gate_->advance_steps(cfg_.warmup_iterations);
+  if (cfg.warmup_policy == moe::WarmupPolicy::kClosedForm)
+    gate_.advance_steps(cfg.warmup_iterations);
   else
-    gate_->skip(cfg_.warmup_iterations);
+    gate_.skip(cfg.warmup_iterations);
 
   // Offline circuit setup from the warmed-up gate state: serving starts on
   // circuits matched to the initial demand, fully hidden (no request is in
   // flight yet). Runtime re-preparation only happens after a re-placement.
-  if (is_mixnet()) {
-    control::ControllerConfig cc;
-    cc.reconfig_delay = cfg_.reconfig_delay;
-    cc.policy = cfg_.policy;
-    cc.algo.work_conserving = !cfg_.strict_paper_greedy;
+  if (cluster_.mixnet) {
     controller_ = std::make_unique<control::TopologyController>(
-        *fabric_, rep_region_, cc);
-    for (int l = 0; l < layers_per_stage_; ++l) {
+        *cluster_.fabric, cluster_.region, cluster_.controller_config());
+    for (int l = 0; l < lps; ++l) {
       const Matrix demand = moe::aggregate_to_servers(
-          rank_bytes(l, cfg_.par.tokens_per_microbatch()),
-          rank_to_local_server_, static_cast<int>(group_servers_.size()));
-      controller_->prepare(demand, cfg_.reconfig_delay);
+          rank_bytes(l, cfg.par.tokens_per_microbatch()),
+          cluster_.rank_to_local_server,
+          static_cast<int>(cluster_.group_servers.size()));
+      controller_->prepare(demand, cfg.reconfig_delay);
     }
   }
 }
@@ -98,16 +66,17 @@ ServeSimulator::ServeSimulator(const sim::TrainingConfig& cluster,
 ServeSimulator::~ServeSimulator() = default;
 
 Matrix ServeSimulator::rank_bytes(int layer, double step_tokens) const {
-  const auto ep = static_cast<std::size_t>(cfg_.par.ep);
-  const Matrix& counts = gate_->dispatch_counts(layer);
+  const sim::TrainingConfig& cfg = cluster_.cfg;
+  const auto ep = static_cast<std::size_t>(cfg.par.ep);
+  const Matrix& counts = gate_.dispatch_counts(layer);
   const auto& e2r = expert_to_rank_[static_cast<std::size_t>(layer)];
   Matrix bytes(ep, ep, 0.0);
   const double total = counts.sum();
   if (total <= 0.0) return bytes;
   // Scale the gate's token-slot matrix to this step's dispatched slots
-  // (tokens * top_k), in bf16 bytes of hidden activations per slot.
+  // (tokens * top_k), in bytes of hidden activations per slot.
   const double scale =
-      step_tokens * cfg_.model.top_k * cfg_.model.hidden_dim * kBf16 / total;
+      step_tokens * cfg.model.top_k * moe::slot_bytes(cfg.model) / total;
   for (std::size_t r = 0; r < counts.rows(); ++r)
     for (std::size_t e = 0; e < counts.cols(); ++e) {
       const double v = counts(r, e);
@@ -118,19 +87,21 @@ Matrix ServeSimulator::rank_bytes(int layer, double step_tokens) const {
 }
 
 TimeNs ServeSimulator::simulate_step(double step_tokens, ServeReport& report) {
+  const sim::TrainingConfig& cfg = cluster_.cfg;
   const dag::LayerTimes lt =
-      dag::forward_layer_times(cfg_.model, cfg_.par, cfg_.compute);
+      dag::forward_layer_times(cfg.model, cfg.par, cfg.compute);
   const double token_scale =
-      step_tokens / std::max(cfg_.par.tokens_per_microbatch(), 1.0);
+      step_tokens / std::max(cfg.par.tokens_per_microbatch(), 1.0);
   const auto scaled = [token_scale](TimeNs t) {
     return static_cast<TimeNs>(static_cast<double>(t) * token_scale);
   };
-  const auto ep = static_cast<std::size_t>(cfg_.par.ep);
+  const auto ep = static_cast<std::size_t>(cfg.par.ep);
+  const std::vector<int>& group = cluster_.group_servers;
   TimeNs stage = 0;
-  for (int l = 0; l < layers_per_stage_; ++l) {
+  for (int l = 0; l < cluster_.layers_per_stage; ++l) {
     const Matrix demand = moe::aggregate_to_servers(
-        rank_bytes(l, step_tokens), rank_to_local_server_,
-        static_cast<int>(group_servers_.size()));
+        rank_bytes(l, step_tokens), cluster_.rank_to_local_server,
+        static_cast<int>(group.size()));
     TimeNs blocked = 0;
     if (controller_ && pending_reconfig_layers_ > 0) {
       // Post-re-placement circuit re-targeting (Fig. 20 hide-window
@@ -147,9 +118,9 @@ TimeNs ServeSimulator::simulate_step(double step_tokens, ServeReport& report) {
       report.reconfig_blocked += outcome.blocked;
       --pending_reconfig_layers_;
     }
-    const TimeNs a2a = runner_->ep_all_to_all(group_servers_, demand);
+    const TimeNs a2a = cluster_.runner->ep_all_to_all(group, demand);
     // Expert compute dilation: the stage finishes with its hottest rank.
-    const Matrix& counts = gate_->dispatch_counts(l);
+    const Matrix& counts = gate_.dispatch_counts(l);
     const auto& e2r = expert_to_rank_[static_cast<std::size_t>(l)];
     std::vector<double> rank_load(ep, 0.0);
     double total = 0.0;
@@ -168,7 +139,7 @@ TimeNs ServeSimulator::simulate_step(double step_tokens, ServeReport& report) {
   }
   // A request traverses every pipeline stage; stages beyond the simulated
   // representative one are statistically identical.
-  return stage * cfg_.par.pp;
+  return stage * cfg.par.pp;
 }
 
 namespace {
@@ -218,16 +189,17 @@ int swap_balance(const std::vector<double>& basis, std::vector<int>& e2r,
 }  // namespace
 
 TimeNs ServeSimulator::maybe_replace(ServeReport& report) {
-  const auto ne = static_cast<std::size_t>(cfg_.model.n_experts);
-  const auto ep = static_cast<std::size_t>(cfg_.par.ep);
+  const auto ne = static_cast<std::size_t>(cluster_.cfg.model.n_experts);
+  const auto ep = static_cast<std::size_t>(cluster_.cfg.par.ep);
+  const int lps = cluster_.layers_per_stage;
   constexpr int kMaxSwapsPerLayer = 2;
   // Per-layer expert load (the per-expert counters the control plane already
   // collects), fed to each layer's Copilot when re-placement is on. The
   // detector watches the stage-aggregate per-rank load.
   std::vector<double> rank_load(ep, 0.0);
-  for (int l = 0; l < layers_per_stage_; ++l) {
+  for (int l = 0; l < lps; ++l) {
     const auto li = static_cast<std::size_t>(l);
-    const std::vector<double>& cur = gate_->expert_load(l);
+    const std::vector<double>& cur = gate_.expert_load(l);
     if (scfg_.replacement_on) {
       if (!last_loads_[li].empty()) copilots_[li].observe(last_loads_[li], cur);
       last_loads_[li] = cur;
@@ -246,7 +218,7 @@ TimeNs ServeSimulator::maybe_replace(ServeReport& report) {
   // have independent hot columns, so one global assignment cannot fix them.
   // The least-squares prediction runs only on triggers, never per step.
   int moved = 0;
-  for (int l = 0; l < layers_per_stage_; ++l) {
+  for (int l = 0; l < lps; ++l) {
     const auto li = static_cast<std::size_t>(l);
     const std::vector<double> basis = copilots_[li].observations() > 4
                                           ? copilots_[li].predict(last_loads_[li])
@@ -258,7 +230,7 @@ TimeNs ServeSimulator::maybe_replace(ServeReport& report) {
   report.experts_moved += moved;
   // The next pass over the stage's layers re-targets the regional OCS
   // circuits for the new placement (simulate_step picks this up).
-  pending_reconfig_layers_ = layers_per_stage_;
+  pending_reconfig_layers_ = lps;
   const TimeNs pause = ms_to_ns(scfg_.migration_ms_per_expert * moved);
   report.migration_paused += pause;
   return pause;
@@ -266,7 +238,7 @@ TimeNs ServeSimulator::maybe_replace(ServeReport& report) {
 
 ServeReport ServeSimulator::run() {
   ServeReport report;
-  const std::vector<Request> trace = generate_workload(scfg_, cfg_.seed);
+  const std::vector<Request> trace = generate_workload(scfg_, cluster_.cfg.seed);
   report.records.resize(trace.size());
   std::vector<ActiveRequest> active;
   const auto batch_cap =
@@ -288,7 +260,7 @@ ServeReport ServeSimulator::run() {
     double step_tokens = 0.0;
     for (const auto& a : active)
       step_tokens += a.prefilled ? 1.0 : trace[a.id].prompt_tokens;
-    gate_->step();
+    gate_.step();
     now += simulate_step(step_tokens, report);
     now += maybe_replace(report);
     ++report.engine_steps;

@@ -1,11 +1,12 @@
 // ServeSimulator: continuous-batching MoE inference serving on the MixNet
 // fabric (DESIGN.md §11).
 //
-// Reuses the training stack end to end — Placement/Fabric for the cluster,
-// GateSimulator for per-request expert routing (the moe/traffic skew model),
-// PhaseRunner for flow-level all-to-all measurement, TopologyController for
-// OCS circuits — but drives it with an open-loop request trace instead of
-// synchronous iterations:
+// Reuses the training stack end to end — the replica sim::build_cluster
+// builds for training (placement, fabric, phase runner, gate config,
+// representative EP group), GateSimulator for per-request expert routing
+// (the moe/traffic skew model), TopologyController for OCS circuits — but
+// drives it with an open-loop request trace instead of synchronous
+// iterations:
 //
 //   1. Admit arrived requests up to the continuous-batching cap; jump to the
 //      next arrival when idle.
@@ -27,21 +28,17 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "control/controller.h"
 #include "control/hotspot.h"
 #include "moe/gate.h"
-#include "moe/placement.h"
 #include "predict/copilot.h"
 #include "serve/metrics.h"
 #include "serve/serve_config.h"
 #include "serve/workload.h"
-#include "sim/phase_runner.h"
 #include "sim/training_sim.h"
-#include "topo/fabric.h"
 
 namespace mixnet::serve {
 
@@ -70,7 +67,6 @@ class ServeSimulator {
     int emitted = 0;          ///< output tokens emitted so far
   };
 
-  bool is_mixnet() const;
   /// Per-layer EP-rank byte matrix under the current expert placement,
   /// scaled to this step's token count.
   Matrix rank_bytes(int layer, double step_tokens) const;
@@ -80,20 +76,14 @@ class ServeSimulator {
   /// the migration pause (0 when nothing moved).
   TimeNs maybe_replace(ServeReport& report);
 
-  sim::TrainingConfig cfg_;
+  sim::Cluster cluster_;
   ServeConfig scfg_;
-  std::unique_ptr<moe::Placement> placement_;
-  std::unique_ptr<topo::Fabric> fabric_;
-  std::unique_ptr<moe::GateSimulator> gate_;
-  std::unique_ptr<sim::PhaseRunner> runner_;
+  moe::GateSimulator gate_;
+  /// The representative region's controller (MixNet only).
   std::unique_ptr<control::TopologyController> controller_;
   control::HotspotDetector detector_;
   /// One per stage layer when re-placement is on, else empty.
   std::vector<predict::Copilot> copilots_;
-  std::vector<int> group_servers_;
-  std::vector<int> rank_to_local_server_;
-  int rep_region_ = 0;
-  int layers_per_stage_ = 1;
   /// Per stage layer: expert -> EP rank (layers own distinct experts).
   std::vector<std::vector<int>> expert_to_rank_;
   /// Per stage layer: previous step's expert load (Copilot input; empty when

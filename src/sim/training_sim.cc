@@ -11,10 +11,6 @@
 
 namespace mixnet::sim {
 
-namespace {
-constexpr double kBf16 = 2.0;
-}
-
 Matrix rescale_plan_columns(Matrix seen, const std::vector<double>& predicted,
                             const std::vector<int>& rank_to_local_server,
                             int experts_per_rank) {
@@ -44,7 +40,9 @@ Matrix rescale_plan_columns(Matrix seen, const std::vector<double>& predicted,
   return seen;
 }
 
-Cluster build_cluster(TrainingConfig& cfg, const moe::Placement& placement) {
+Cluster build_cluster(TrainingConfig cfg) {
+  if (!cfg.par_overridden) cfg.par = moe::default_parallelism(cfg.model);
+  auto placement = std::make_unique<moe::Placement>(cfg.par, cfg.gpus_per_server);
   // A zero micro-batch size or count would run every phase and report an
   // iteration with no tokens instead of failing.
   const auto require_positive = [](const char* field, int value) {
@@ -54,19 +52,20 @@ Cluster build_cluster(TrainingConfig& cfg, const moe::Placement& placement) {
   };
   require_positive("par.micro_batch", cfg.par.micro_batch);
   require_positive("par.n_microbatches", cfg.par.n_microbatches);
+  const bool mixnet = cfg.fabric_kind == topo::FabricKind::kMixNet ||
+                      cfg.fabric_kind == topo::FabricKind::kMixNetOpticalIO;
   topo::FabricConfig fc =
-      topo::FabricConfig::preset(cfg.fabric_kind, placement.total_servers())
+      topo::FabricConfig::preset(cfg.fabric_kind, placement->total_servers())
           .with_gpus_per_server(cfg.gpus_per_server)
           .with_nics_per_server(cfg.nics_per_server)
           .with_nic_gbps(cfg.nic_gbps)
           .with_oversub(cfg.oversub)
           .with_eps_split(cfg.eps_nics, cfg.optical_degree)
-          .with_region_servers(placement.region_servers())
+          .with_region_servers(placement->region_servers())
           .with_nvlink_gbps_per_gpu(cfg.nvlink_gbps_per_gpu)
           .with_ocs_nic_gbps(cfg.ocs_nic_gbps)
           .with_core_model(cfg.core_model);
-  if (cfg.fabric_kind == topo::FabricKind::kMixNet ||
-      cfg.fabric_kind == topo::FabricKind::kMixNetOpticalIO) {
+  if (mixnet) {
     fc.with_eps_split(cfg.eps_nics, cfg.nics_per_server - cfg.eps_nics);
     cfg.optical_degree = fc.optical_degree;
   }
@@ -80,111 +79,98 @@ Cluster build_cluster(TrainingConfig& cfg, const moe::Placement& placement) {
   ecfg.switched_path_efficiency = cfg.switched_path_efficiency;
   c.runner = std::make_unique<PhaseRunner>(*c.fabric, ecfg, std::size_t{},
                                            cfg.backend, cfg.pkt);
+
+  c.gate = moe::gate_config(cfg.model, cfg.par, cfg.gate);
+  c.gate.seed = cfg.seed;
+  c.group_servers = placement->ep_group_servers(0, 0);
+  c.rank_to_local_server = placement->ep_rank_to_local_server(0, 0);
+  if (mixnet) c.region = c.fabric->region_of(c.group_servers.front());
+  c.layers_per_stage = std::max(cfg.model.n_blocks / cfg.par.pp, 1);
+  c.mixnet = mixnet;
+  c.placement = std::move(placement);
+  c.cfg = std::move(cfg);
   return c;
 }
 
-bool TrainingSimulator::is_mixnet() const {
-  return cfg_.fabric_kind == topo::FabricKind::kMixNet ||
-         cfg_.fabric_kind == topo::FabricKind::kMixNetOpticalIO;
+control::ControllerConfig Cluster::controller_config() const {
+  control::ControllerConfig cc;
+  cc.reconfig_delay = cfg.reconfig_delay;
+  cc.policy = cfg.policy;
+  cc.algo.work_conserving = !cfg.strict_paper_greedy;
+  return cc;
 }
 
-TrainingSimulator::TrainingSimulator(TrainingConfig cfg, moe::GateTraceMemo* memo,
-                                     int horizon)
-    : cfg_(std::move(cfg)) {
-  if (!cfg_.par_overridden) cfg_.par = moe::default_parallelism(cfg_.model);
-  placement_ = std::make_unique<moe::Placement>(cfg_.par, cfg_.gpus_per_server);
-
-  Cluster built = build_cluster(cfg_, *placement_);
-  fabric_ = std::move(built.fabric);
-  runner_ = std::move(built.runner);
-
-  moe::GateConfig gc = cfg_.gate;
-  gc.n_experts = cfg_.model.n_experts;
-  gc.n_layers = cfg_.model.n_blocks;
-  gc.ep_ranks = cfg_.par.ep;
-  gc.tokens_per_rank =
-      cfg_.par.tokens_per_microbatch() * cfg_.model.top_k / cfg_.par.ep;
-  gc.seed = cfg_.seed;
+TrainingSimulator::TrainingSimulator(TrainingConfig config,
+                                     moe::GateTraceMemo* memo, int horizon)
+    : cluster_(build_cluster(std::move(config))) {
+  const TrainingConfig& cfg = cluster_.cfg;
+  topo::Fabric& fabric = *cluster_.fabric;
   // Warmup advances the gate past the planning snapshot that TopoOpt reads
   // as initial() (see warmup_iterations / warmup_policy); iterations read
   // only the representative stage's layers.
-  const int lps = std::max(cfg_.model.n_blocks / cfg_.par.pp, 1);
+  const int lps = cluster_.layers_per_stage;
   trace_ = memo != nullptr
-               ? memo->get(gc, cfg_.warmup_iterations, cfg_.warmup_policy, lps,
-                           horizon)
+               ? memo->get(cluster_.gate, cfg.warmup_iterations, cfg.warmup_policy,
+                           lps, horizon)
                : std::make_shared<const moe::GateTrace>(
-                     gc, cfg_.warmup_iterations, cfg_.warmup_policy, lps);
+                     cluster_.gate, cfg.warmup_iterations, cfg.warmup_policy, lps);
 
-  group_servers_ = placement_->ep_group_servers(0, 0);
-  rank_to_local_server_ = placement_->ep_rank_to_local_server(0, 0);
-  if (is_mixnet()) rep_region_ = fabric_->region_of(group_servers_.front());
-
-  failures_ = std::make_unique<control::FailureManager>(*fabric_);
-  if (cfg_.failure.kind != control::FailureScenario::Kind::kNone) {
-    failures_->apply(cfg_.failure);
-    runner_->set_relays(failures_->relays());
-    if (is_mixnet()) {
-      // Translate global exclusions into region-local ones.
-      const auto& excluded = failures_->excluded_servers();
-      const int region = fabric_->region_of(cfg_.failure.server);
-      const auto& members = fabric_->region_servers(region);
+  if (cluster_.mixnet)
+    controller_ = std::make_unique<control::TopologyController>(
+        fabric, cluster_.region, cluster_.controller_config());
+  if (cfg.failure.kind != control::FailureScenario::Kind::kNone) {
+    control::FailureManager failures(fabric);
+    failures.apply(cfg.failure);
+    cluster_.runner->set_relays(failures.relays());
+    if (controller_) {
+      // Translate global exclusions into the representative region's local
+      // ones.
+      const auto& excluded = failures.excluded_servers();
+      const auto& members = fabric.region_servers(cluster_.region);
       std::vector<bool> local(members.size(), false);
       bool any = false;
       for (std::size_t i = 0; i < members.size(); ++i) {
         local[i] = excluded[static_cast<std::size_t>(members[i])];
         any = any || local[i];
       }
-      if (any) controller_for(region).exclude(local);
+      if (any) controller_->exclude(local);
     }
-    if (failures_->tp_over_scale_out() && cfg_.par.tp > 1) {
+    if (failures.tp_over_scale_out() && cfg.par.tp > 1) {
       // TP all-reduce of the victim's shard crosses the scale-out fabric:
       // 4 ring all-reduces per layer between the victim and backup servers.
-      const int backup = (cfg_.failure.server + 1) % fabric_->n_servers();
-      const Bytes payload = moe::tp_allreduce_bytes(cfg_.model, cfg_.par);
-      const TimeNs one = runner_->all_reduce({cfg_.failure.server, backup}, payload);
+      const int backup = (cfg.failure.server + 1) % fabric.n_servers();
+      const Bytes payload = moe::tp_allreduce_bytes(cfg.model, cfg.par);
+      const TimeNs one =
+          cluster_.runner->all_reduce({cfg.failure.server, backup}, payload);
       tp_penalty_per_layer_ = 4 * one;
     }
   }
 
-  if (cfg_.use_copilot) {
+  if (cfg.use_copilot) {
     predict::CopilotConfig cc;
-    cc.n_experts = cfg_.model.n_experts;
-    for (int l = 0; l < lps; ++l) copilots_.emplace_back(cc);
-    last_loads_.assign(static_cast<std::size_t>(lps + 1), {});
+    cc.n_experts = cfg.model.n_experts;
+    copilots_.assign(static_cast<std::size_t>(lps), predict::Copilot(cc));
   }
 
-  if (cfg_.fabric_kind == topo::FabricKind::kTopoOpt) install_topoopt_circuits();
-}
-
-control::TopologyController& TrainingSimulator::controller_for(int region) {
-  auto it = controllers_.find(region);
-  if (it == controllers_.end()) {
-    control::ControllerConfig cc;
-    cc.reconfig_delay = cfg_.reconfig_delay;
-    cc.policy = cfg_.policy;
-    cc.algo.work_conserving = !cfg_.strict_paper_greedy;
-    it = controllers_
-             .emplace(region, std::make_unique<control::TopologyController>(
-                                  *fabric_, region, cc))
-             .first;
-  }
-  return *it->second;
+  if (cfg.fabric_kind == topo::FabricKind::kTopoOpt) install_topoopt_circuits();
 }
 
 Matrix TrainingSimulator::layer_server_matrix(const moe::GateSnapshot& gate,
                                               int layer) const {
-  const Matrix rank =
-      trace_->rank_dispatch_matrix(gate, layer, cfg_.model.hidden_dim * kBf16);
-  return moe::aggregate_to_servers(rank, rank_to_local_server_,
-                                   static_cast<int>(group_servers_.size()));
+  const Matrix rank = trace_->rank_dispatch_matrix(
+      gate, layer, moe::slot_bytes(cluster_.cfg.model));
+  return moe::aggregate_to_servers(rank, cluster_.rank_to_local_server,
+                                   static_cast<int>(cluster_.group_servers.size()));
 }
 
 void TrainingSimulator::install_topoopt_circuits() {
   // One-shot topology (§7.1): a Hamiltonian ring for global connectivity
   // (TopoOpt's all-reduce rings) plus per-EP-group greedy circuits from the
   // initial demand estimate, using the remaining optical degree.
-  const int n = fabric_->n_servers();
-  const int alpha = cfg_.nics_per_server;
+  const TrainingConfig& cfg = cluster_.cfg;
+  const moe::Placement& placement = *cluster_.placement;
+  const int n = cluster_.fabric->n_servers();
+  const int alpha = cfg.nics_per_server;
   Matrix counts(static_cast<std::size_t>(n), static_cast<std::size_t>(n), 0.0);
   if (n > 1) {
     for (int ring = 0; ring < 2; ++ring) {
@@ -202,21 +188,21 @@ void TrainingSimulator::install_topoopt_circuits() {
   // ring structure it co-optimizes with (multi-ring DP + PP chains); the
   // remainder serves the group's all-to-all demand.
   const int group_alpha = std::max(alpha - 4, 0);
-  const int lps = std::max(cfg_.model.n_blocks / cfg_.par.pp, 1);
+  const int lps = cluster_.layers_per_stage;
   // Demand per group: sum the stage's layer matrices from the initial gate
   // state (dp=0 matrices reused for every replica -- statistically identical).
   const moe::GateSnapshot& initial = trace_->initial();
-  for (int dp = 0; dp < cfg_.par.dp; ++dp) {
-    for (int pp = 0; pp < cfg_.par.pp; ++pp) {
-      const auto members = placement_->ep_group_servers(dp, pp);
+  for (int dp = 0; dp < cfg.par.dp; ++dp) {
+    for (int pp = 0; pp < cfg.par.pp; ++pp) {
+      const auto members = placement.ep_group_servers(dp, pp);
       if (members.size() < 2) continue;
       Matrix demand(members.size(), members.size(), 0.0);
       for (int l = 0; l < lps; ++l) {
-        const int layer = std::min(pp * lps + l, cfg_.model.n_blocks - 1);
+        const int layer = std::min(pp * lps + l, cfg.model.n_blocks - 1);
         const Matrix rank = trace_->rank_dispatch_matrix(
-            initial, layer, cfg_.model.hidden_dim * kBf16);
+            initial, layer, moe::slot_bytes(cfg.model));
         const Matrix m = moe::aggregate_to_servers(
-            rank, placement_->ep_rank_to_local_server(dp, pp),
+            rank, placement.ep_rank_to_local_server(dp, pp),
             static_cast<int>(members.size()));
         for (std::size_t a = 0; a < demand.rows(); ++a)
           for (std::size_t b = 0; b < demand.cols(); ++b) demand(a, b) += m(a, b);
@@ -228,7 +214,7 @@ void TrainingSimulator::install_topoopt_circuits() {
                  static_cast<std::size_t>(members[b])) += topo.counts(a, b);
     }
   }
-  fabric_->apply_circuits(0, counts);
+  cluster_.fabric->apply_circuits(0, counts);
 }
 
 IterationResult TrainingSimulator::run_iteration() {
@@ -236,12 +222,15 @@ IterationResult TrainingSimulator::run_iteration() {
   ++trace_iteration_;
   IterationResult res;
 
+  const TrainingConfig& cfg = cluster_.cfg;
+  PhaseRunner& runner = *cluster_.runner;
+  const std::vector<int>& group = cluster_.group_servers;
   const dag::LayerTimes lt =
-      dag::forward_layer_times(cfg_.model, cfg_.par, cfg_.compute);
-  const double bf = cfg_.compute.backward_factor;
-  const int lps = std::max(cfg_.model.n_blocks / cfg_.par.pp, 1);
-  const int stages = cfg_.par.pp;
-  const int micro = cfg_.par.n_microbatches;
+      dag::forward_layer_times(cfg.model, cfg.par, cfg.compute);
+  const double bf = cfg.compute.backward_factor;
+  const int lps = cluster_.layers_per_stage;
+  const int stages = cfg.par.pp;
+  const int micro = cfg.par.n_microbatches;
 
   // --- Per-layer all-to-all phases (representative region) -----------------
   std::vector<TimeNs> a2a(static_cast<std::size_t>(lps), 0);
@@ -252,36 +241,36 @@ IterationResult TrainingSimulator::run_iteration() {
       static_cast<TimeNs>(bf * static_cast<double>(lt.attention + lt.expert));
   for (int l = 0; l < lps; ++l) {
     const Matrix demand = layer_server_matrix(gate, l);
-    if (is_mixnet()) {
+    if (controller_) {
       // Planning demand: Copilot predicts this layer's expert loads from the
       // previous layer and scales last iteration's observed matrix columns
       // accordingly (§B.1); otherwise the oracle matrix is used (the demand
       // is known from the previous micro-batch's identical routing).
       Matrix plan = demand;
-      if (cfg_.use_copilot) {
-        monitor_.record(rep_region_, l, demand);
+      if (cfg.use_copilot) {
+        monitor_.record(cluster_.region, l, demand);
         const auto& prev_load =
             gate.loads[static_cast<std::size_t>(l == 0 ? 0 : l - 1)];
         auto& cp = copilots_[static_cast<std::size_t>(l)];
         const auto predicted = cp.predict(prev_load);
-        const Matrix* seen = monitor_.smoothed(rep_region_, l);
+        const Matrix* seen = monitor_.smoothed(cluster_.region, l);
         if (seen != nullptr && cp.observations() > 4) {
           // Rescale destination columns toward the predicted rank loads.
-          const auto epr = std::max(cfg_.model.n_experts / cfg_.par.ep, 1);
-          plan = rescale_plan_columns(*seen, predicted, rank_to_local_server_, epr);
+          const auto epr = std::max(cfg.model.n_experts / cfg.par.ep, 1);
+          plan = rescale_plan_columns(*seen, predicted,
+                                      cluster_.rank_to_local_server, epr);
         }
         cp.observe(prev_load, gate.loads[static_cast<std::size_t>(l)]);
       }
-      auto outcome = controller_for(rep_region_).prepare(plan, fp_window);
+      auto outcome = controller_->prepare(plan, fp_window);
       blocked_fp[static_cast<std::size_t>(l)] = outcome.blocked;
       if (outcome.reconfigured) {
         ++res.reconfigurations;
         blocked_bp[static_cast<std::size_t>(l)] =
-            std::max<TimeNs>(cfg_.reconfig_delay - bp_window, 0);
+            std::max<TimeNs>(cfg.reconfig_delay - bp_window, 0);
       }
     }
-    a2a[static_cast<std::size_t>(l)] =
-        runner_->ep_all_to_all(group_servers_, demand);
+    a2a[static_cast<std::size_t>(l)] = runner.ep_all_to_all(group, demand);
   }
   last_timeline_ = PhaseTimeline{lt.attention, lt.gate,     a2a[0],
                                  lt.expert,    a2a[0],      lt.add_norm,
@@ -290,18 +279,19 @@ IterationResult TrainingSimulator::run_iteration() {
   // --- PP boundary transfer -------------------------------------------------
   TimeNs pp_time = 0;
   if (stages > 1) {
-    const auto next_group = placement_->ep_group_servers(0, 1);
-    const Bytes act = moe::pp_activation_bytes(cfg_.model, cfg_.par) /
-                      static_cast<double>(group_servers_.size());
-    pp_time = runner_->send(group_servers_.front(), next_group.front(), act);
+    const auto next_group = cluster_.placement->ep_group_servers(0, 1);
+    const Bytes act = moe::pp_activation_bytes(cfg.model, cfg.par) /
+                      static_cast<double>(group.size());
+    pp_time = runner.send(group.front(), next_group.front(), act);
   }
 
   // --- DP gradient all-reduce ----------------------------------------------
   TimeNs dp_time = 0;
-  if (cfg_.par.dp > 1) {
-    const int spr = std::max(placement_->total_servers() / cfg_.par.dp, 1);
-    dp_time = runner_->dp_all_reduce(
-        spr, cfg_.par.dp, moe::dp_gradient_bytes_per_gpu(cfg_.model, cfg_.par));
+  if (cfg.par.dp > 1) {
+    const int spr =
+        std::max(cluster_.placement->total_servers() / cfg.par.dp, 1);
+    dp_time = runner.dp_all_reduce(
+        spr, cfg.par.dp, moe::dp_gradient_bytes_per_gpu(cfg.model, cfg.par));
   }
 
   // --- Build and execute the iteration DAG ---------------------------------
@@ -407,7 +397,7 @@ IterationResult TrainingSimulator::run_iteration() {
   res.compute = static_cast<TimeNs>((1.0 + bf) *
                                     static_cast<double>(comp1 + comp_exp + comp_norm) *
                                     lps * micro);
-  res.tokens = cfg_.par.tokens_per_microbatch() * micro * cfg_.par.dp;
+  res.tokens = cfg.par.tokens_per_microbatch() * micro * cfg.par.dp;
   return res;
 }
 

@@ -1,5 +1,9 @@
 // TrainingSimulator: end-to-end distributed MoE training iteration simulation.
 //
+// The replica (resolved config, placement, fabric, phase runner, gate config,
+// representative EP group) comes from sim::build_cluster, the same recipe
+// serve::ServeSimulator runs on.
+//
 // Composition (DESIGN.md §6):
 //   1. The gate trace supplies this iteration's per-layer routing: the
 //      recorded dispatch counts and expert loads of one GateSimulator
@@ -22,7 +26,6 @@
 // backward-compute window in BP; only the remainder blocks training.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -106,21 +109,40 @@ struct TrainingConfig {
   pkt::PacketConfig pkt;
 };
 
-/// Fabric and phase runner of one simulated cluster, as TrainingSimulator
-/// and serve::ServeSimulator both build it.
+/// One simulated replica: everything TrainingSimulator and
+/// serve::ServeSimulator derive from a TrainingConfig before they run.
 struct Cluster {
+  /// The config as resolved: parallelism from the model unless
+  /// par_overridden, and on MixNet the optical degree of the NIC split.
+  TrainingConfig cfg;
+  std::unique_ptr<moe::Placement> placement;
   std::unique_ptr<topo::Fabric> fabric;
   std::unique_ptr<PhaseRunner> runner;
+  /// cfg.gate with the model's gate dimensions and cfg.seed.
+  moe::GateConfig gate;
+  /// The representative EP group (dp 0, pp 0): its servers, the group-local
+  /// server of each EP rank, and its OCS region (0 off MixNet).
+  std::vector<int> group_servers;
+  std::vector<int> rank_to_local_server;
+  int region = 0;
+  /// MoE blocks of one pipeline stage, at least 1.
+  int layers_per_stage = 1;
+  /// A MixNet fabric: its regional OCS circuits are re-targeted at runtime.
+  bool mixnet = false;
+
+  /// Topology-controller settings: the config's reconfiguration delay,
+  /// circuit policy and Algorithm 1 variant.
+  control::ControllerConfig controller_config() const;
 };
 
-/// Build the cluster `cfg` describes over `placement`'s servers: the fabric
-/// preset with every TrainingConfig fabric knob applied, and a phase runner
-/// with the config's collective efficiencies, backend and packet tuning. On
-/// MixNet fabrics the NICs beyond `eps_nics` go to the OCS, and the derived
-/// degree is written back to `cfg.optical_degree`. Throws
-/// std::invalid_argument for a micro-batch size or count below 1, an invalid
-/// fabric, or an analytic core on the packet backend.
-Cluster build_cluster(TrainingConfig& cfg, const moe::Placement& placement);
+/// Build the replica `cfg` describes: the placement, the fabric preset with
+/// every TrainingConfig fabric knob applied, a phase runner with the config's
+/// collective efficiencies, backend and packet tuning, the gate config and
+/// the representative group. On MixNet fabrics the NICs beyond `eps_nics` go
+/// to the OCS. Throws std::invalid_argument for a GPU count or parallel
+/// degree below 1, a micro-batch size or count below 1, an invalid fabric,
+/// or an analytic core on the packet backend.
+Cluster build_cluster(TrainingConfig cfg);
 
 /// Forward timeline of one MoE block (Fig. 3 rows).
 struct PhaseTimeline {
@@ -183,33 +205,25 @@ class TrainingSimulator {
   /// Fig. 3 timeline of the first MoE block under the current gate state.
   const PhaseTimeline& layer_timeline() const { return last_timeline_; }
 
-  topo::Fabric& fabric() { return *fabric_; }
-  const moe::Placement& placement() const { return *placement_; }
-  const TrainingConfig& config() const { return cfg_; }
+  topo::Fabric& fabric() { return *cluster_.fabric; }
+  const moe::Placement& placement() const { return *cluster_.placement; }
+  const TrainingConfig& config() const { return cluster_.cfg; }
   /// Smoothed demand that Copilot planning rescales; it records only on a
   /// MixNet fabric with use_copilot set, its one reader.
   const control::TrafficMonitor& monitor() const { return monitor_; }
 
  private:
-  bool is_mixnet() const;
   void install_topoopt_circuits();
-  control::TopologyController& controller_for(int region);
   Matrix layer_server_matrix(const moe::GateSnapshot& gate, int layer) const;
 
-  TrainingConfig cfg_;
-  std::unique_ptr<moe::Placement> placement_;
-  std::unique_ptr<topo::Fabric> fabric_;
+  Cluster cluster_;
   std::shared_ptr<const moe::GateTrace> trace_;
   int trace_iteration_ = 0;  // last trace iteration read
-  std::unique_ptr<PhaseRunner> runner_;
-  std::unique_ptr<control::FailureManager> failures_;
   control::TrafficMonitor monitor_;
-  std::map<int, std::unique_ptr<control::TopologyController>> controllers_;
-  std::vector<predict::Copilot> copilots_;  // per layer boundary (use_copilot)
-  std::vector<std::vector<double>> last_loads_;  // per layer, previous iteration
-  std::vector<int> group_servers_;          // representative EP group (dp0,pp0)
-  std::vector<int> rank_to_local_server_;
-  int rep_region_ = 0;
+  /// The representative region's controller (MixNet only): iterations
+  /// prepare no other region.
+  std::unique_ptr<control::TopologyController> controller_;
+  std::vector<predict::Copilot> copilots_;  // per stage layer (use_copilot)
   TimeNs tp_penalty_per_layer_ = 0;
   PhaseTimeline last_timeline_;
 };

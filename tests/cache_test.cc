@@ -52,6 +52,17 @@ ScenarioSpec tiny_spec() {
       .link_gbps(100.0);
 }
 
+// `spec` with a micro-batch size of 0 on every 200 Gbps point: running such
+// a point throws from sim::build_cluster, a failure that comes from the
+// point's own config.
+ScenarioSpec failing_at_200g(ScenarioSpec spec) {
+  return spec.configure([](sim::TrainingConfig& cfg) {
+    if (cfg.nic_gbps == 200.0) cfg.par.micro_batch = 0;
+  });
+}
+constexpr const char* kBadMicroBatch =
+    "build_cluster: par.micro_batch must be >= 1, got 0";
+
 Sweep tiny_sweep() {
   return SweepSpec(tiny_spec().iterations(2).seed_policy(SeedPolicy::kPerPoint))
       .fabrics({topo::FabricKind::kFatTree, topo::FabricKind::kMixNet})
@@ -191,8 +202,8 @@ TEST(CacheKey, SemanticChangesProduceNewKeys) {
   q.cfg.pkt.window_packets += 4;
   expect_fresh(q, "packet window change");
 
-  // Scenario id namespaces the key: fig12 and fig13 share configs but may
-  // carry different probes.
+  // Scenario id namespaces the key: fig12 and fig13 share configs but are
+  // cached apart.
   EXPECT_NE(point_cache_key("figY", p), base);
 
   // Display labels are metadata, not identity.
@@ -420,11 +431,7 @@ TEST(SweepEngine, KeepGoingRecordsErrorsAndNeverCachesThem) {
   TempCacheDir dir;
   ResultCache cache(dir.path);
   const Sweep sweep =
-      SweepSpec(tiny_spec().iterations(1).probe(
-                    [](sim::TrainingSimulator& simulator, PointResult&) {
-                      if (simulator.config().nic_gbps == 200.0)
-                        throw std::runtime_error("probe exploded");
-                    }))
+      SweepSpec(failing_at_200g(tiny_spec().iterations(1)))
           .bandwidths({100.0, 200.0, 400.0})
           .expand();
 
@@ -438,12 +445,12 @@ TEST(SweepEngine, KeepGoingRecordsErrorsAndNeverCachesThem) {
   ASSERT_EQ(results.size(), 3u);
   EXPECT_TRUE(results[0].ok());
   EXPECT_FALSE(results[1].ok());
-  EXPECT_EQ(results[1].error, "probe exploded");
+  EXPECT_EQ(results[1].error, kBadMicroBatch);
   EXPECT_TRUE(results[2].ok());
   EXPECT_EQ(stats.failed, 1u);
   ASSERT_EQ(stats.failures.size(), 1u);
   EXPECT_NE(stats.failures[0].find("figX point #1"), std::string::npos);
-  EXPECT_NE(stats.failures[0].find("probe exploded"), std::string::npos);
+  EXPECT_NE(stats.failures[0].find(kBadMicroBatch), std::string::npos);
 
   // Failed points must not poison the cache: a retry recomputes the failed
   // point and serves the good ones from disk.
@@ -452,7 +459,7 @@ TEST(SweepEngine, KeepGoingRecordsErrorsAndNeverCachesThem) {
   // Without ctx.stats the same sweep is fail-fast (legacy behavior).
   RunContext strict;
   strict.scenario = "figX";
-  EXPECT_THROW(run_sweep(sweep, strict), std::runtime_error);
+  EXPECT_THROW(run_sweep(sweep, strict), std::invalid_argument);
 }
 
 TEST(SweepEngine, ParallelStreamingMatchesSerialBitExactly) {
@@ -463,13 +470,8 @@ TEST(SweepEngine, ParallelStreamingMatchesSerialBitExactly) {
   // keep-going error capture -- so the TSan CI job (DESIGN.md §10) observes
   // every shared write the streaming path performs.
   const Sweep sweep =
-      SweepSpec(tiny_spec()
-                    .iterations(1)
-                    .seed_policy(SeedPolicy::kPerPoint)
-                    .probe([](sim::TrainingSimulator& simulator, PointResult&) {
-                      if (simulator.config().nic_gbps == 200.0)
-                        throw std::runtime_error("probe exploded");
-                    }))
+      SweepSpec(failing_at_200g(
+                    tiny_spec().iterations(1).seed_policy(SeedPolicy::kPerPoint)))
           .fabrics({topo::FabricKind::kFatTree, topo::FabricKind::kMixNet})
           .bandwidths({100.0, 200.0, 400.0})
           .expand();

@@ -222,19 +222,6 @@ TEST(SweepRunner, ParallelSweepBuildsOneGateTracePerModel) {
   }
 }
 
-TEST(SweepRunner, ProbeRecordsCustomMetrics) {
-  const Sweep sweep =
-      SweepSpec(tiny_spec().probe(
-                    [](sim::TrainingSimulator& simulator, PointResult& res) {
-                      res.extra["servers"] =
-                          static_cast<double>(simulator.fabric().n_servers());
-                    }))
-          .expand();
-  const auto results = run_sweep(sweep, 1);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].extra.at("servers"), 4.0);  // 32 GPUs / 8 per server
-}
-
 TEST(SweepRunner, EmptyPointListIsFine) {
   EXPECT_TRUE(run_sweep(std::vector<SweepPoint>{}, 4).empty());
 }

@@ -90,6 +90,81 @@ TEST(RescalePlanColumns, ColumnOrderInvariant) {
           << "r=" << r << " c=" << c;
 }
 
+// ---------------------------------------------------------- build_cluster ----
+
+TEST(BuildCluster, ParallelismFromModelUnlessOverridden) {
+  TrainingConfig cfg = base(topo::FabricKind::kFatTree);
+  cfg.par.pp = 2;
+  cfg.par_overridden = false;
+  const moe::ParallelismSpec table1 = moe::default_parallelism(cfg.model);
+  EXPECT_EQ(build_cluster(cfg).cfg.par.pp, table1.pp);
+  cfg.par_overridden = true;
+  const Cluster kept = build_cluster(cfg);
+  EXPECT_EQ(kept.cfg.par.pp, 2);
+  EXPECT_EQ(kept.placement->parallelism().pp, 2);
+}
+
+TEST(BuildCluster, GateDimensionsAndSeedDerivedSkewKept) {
+  TrainingConfig cfg = base(topo::FabricKind::kFatTree);
+  cfg.gate.n_experts = 3;  // derived fields are overwritten
+  cfg.gate.tokens_per_rank = 1.0;
+  cfg.gate.seed = 1;
+  cfg.gate.dirichlet_alpha = 0.5;
+  cfg.gate.lb_final = 0.2;
+  cfg.seed = 1234;
+  const Cluster c = build_cluster(cfg);
+  EXPECT_EQ(c.gate.n_experts, cfg.model.n_experts);
+  EXPECT_EQ(c.gate.n_layers, cfg.model.n_blocks);
+  EXPECT_EQ(c.gate.ep_ranks, cfg.par.ep);
+  EXPECT_DOUBLE_EQ(c.gate.tokens_per_rank,
+                   cfg.par.tokens_per_microbatch() * cfg.model.top_k / cfg.par.ep);
+  EXPECT_EQ(c.gate.seed, 1234u);
+  EXPECT_DOUBLE_EQ(c.gate.dirichlet_alpha, 0.5);
+  EXPECT_DOUBLE_EQ(c.gate.lb_final, 0.2);
+}
+
+TEST(BuildCluster, RepresentativeGroupAndRegion) {
+  const Cluster mix = build_cluster(base(topo::FabricKind::kMixNet));
+  EXPECT_TRUE(mix.mixnet);
+  EXPECT_EQ(mix.group_servers, mix.placement->ep_group_servers(0, 0));
+  EXPECT_EQ(mix.rank_to_local_server, mix.placement->ep_rank_to_local_server(0, 0));
+  EXPECT_EQ(mix.region, mix.fabric->region_of(mix.group_servers.front()));
+  // The NICs beyond the EPS pair go to the OCS, written back to the config.
+  EXPECT_EQ(mix.cfg.optical_degree, mix.cfg.nics_per_server - mix.cfg.eps_nics);
+  for (auto kind : {topo::FabricKind::kFatTree, topo::FabricKind::kTopoOpt}) {
+    const Cluster c = build_cluster(base(kind));
+    EXPECT_FALSE(c.mixnet) << topo::to_string(kind);
+    EXPECT_EQ(c.region, 0) << topo::to_string(kind);
+    EXPECT_EQ(c.group_servers, c.placement->ep_group_servers(0, 0));
+  }
+}
+
+TEST(BuildCluster, LayersPerStageAtLeastOne) {
+  TrainingConfig cfg = base(topo::FabricKind::kFatTree);
+  EXPECT_EQ(build_cluster(cfg).layers_per_stage, cfg.model.n_blocks / cfg.par.pp);
+  cfg.model.n_blocks = 2;  // fewer blocks than the 4 pipeline stages
+  EXPECT_EQ(build_cluster(cfg).layers_per_stage, 1);
+}
+
+TEST(BuildCluster, ControllerConfigFromTrainingConfig) {
+  TrainingConfig cfg = base(topo::FabricKind::kMixNet);
+  cfg.reconfig_delay = ms_to_ns(7);
+  cfg.policy = control::CircuitPolicy::kUniform;
+  cfg.strict_paper_greedy = true;
+  const control::ControllerConfig strict = build_cluster(cfg).controller_config();
+  EXPECT_EQ(strict.reconfig_delay, ms_to_ns(7));
+  EXPECT_EQ(strict.policy, control::CircuitPolicy::kUniform);
+  EXPECT_FALSE(strict.algo.work_conserving);
+  cfg.strict_paper_greedy = false;
+  EXPECT_TRUE(build_cluster(cfg).controller_config().algo.work_conserving);
+}
+
+TEST(BuildCluster, ZeroMicroBatchThrows) {
+  TrainingConfig cfg = base(topo::FabricKind::kFatTree);
+  cfg.par.micro_batch = 0;
+  EXPECT_THROW(build_cluster(cfg), std::invalid_argument);
+}
+
 // --------------------------------------------------------- training sim ----
 
 TEST(TrainingSim, IterationCompletesOnAllFabrics) {
