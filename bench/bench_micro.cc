@@ -5,14 +5,19 @@
 // delay (25 ms) to be usable in-training.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "eventsim/simulator.h"
 #include "moe/gate.h"
+#include "moe/gate_trace.h"
+#include "moe/models.h"
+#include "moe/traffic.h"
 #include "net/flowsim.h"
 #include "net/packetsim.h"
 #include "net/routing.h"
@@ -271,6 +276,24 @@ void BM_GateAdvanceSteps(benchmark::State& state) {
   state.SetLabel("iterations_advanced=" + std::to_string(n));
 }
 BENCHMARK(BM_GateAdvanceSteps)->Arg(100);
+
+/// The gate's biggest trace: one fig12 DeepSeek-R1 GateTrace (256 experts,
+/// 58 layers, EP 64, PP 16) -- construction with every layer snapshotted,
+/// the 100-iteration closed-form warmup, and iteration(1) of the 3 layers
+/// one pipeline stage reads.
+void BM_GateTraceDeepSeekR1(benchmark::State& state) {
+  const moe::MoeModelConfig model = moe::deepseek_r1();
+  const moe::ParallelismSpec par = moe::default_parallelism(model);
+  const moe::GateConfig gc = moe::gate_config(model, par);
+  const int layers = std::max(model.n_blocks / par.pp, 1);
+  for (auto _ : state) {
+    const moe::GateTrace trace(gc, 100, moe::WarmupPolicy::kClosedForm, layers);
+    benchmark::DoNotOptimize(trace.iteration(1).loads.data());
+  }
+  state.SetLabel("layers_read=" + std::to_string(layers) + "/" +
+                 std::to_string(model.n_blocks));
+}
+BENCHMARK(BM_GateTraceDeepSeekR1)->Unit(benchmark::kMillisecond);
 
 /// Bulk standard-normal draws (the block Box-Muller primitive under the gate
 /// OU walks and count realization).

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/simd_math.h"
 #include "common/stats.h"
@@ -23,6 +25,14 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 }
 
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+// A NaN shape never passes Marsaglia-Tsang's acceptance test, so the
+// rejection loop would spin forever; reject it (and shapes <= 0) up front.
+void check_gamma_shape(double shape) {
+  if (!(shape > 0.0) || !std::isfinite(shape))
+    throw std::invalid_argument("Rng: gamma shape must be finite and positive (got " +
+                                std::to_string(shape) + ")");
+}
 
 }  // namespace
 
@@ -128,7 +138,7 @@ double Rng::exponential(double rate) {
 }
 
 double Rng::gamma(double shape) {
-  assert(shape > 0.0);
+  check_gamma_shape(shape);
   if (shape < 1.0) {
     // Boost to shape+1 then scale back (Marsaglia-Tsang trick).
     const double u = uniform();
@@ -148,7 +158,7 @@ double Rng::gamma(double shape) {
 }
 
 void Rng::fill_gamma(double* out, std::size_t n, double shape) {
-  assert(shape > 0.0);
+  check_gamma_shape(shape);
   if (shape < 1.0) {
     // Marsaglia-Tsang shape boost, batched: gamma(a) = gamma(a+1) * U^(1/a).
     fill_gamma(out, n, shape + 1.0);

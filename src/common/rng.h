@@ -54,7 +54,8 @@ class Rng {
 
   /// Fill `out[0..n)` with gamma(shape, 1) variates: batched Marsaglia-Tsang
   /// candidate generation (normals + uniforms drawn in blocks, acceptance
-  /// evaluated branch-free, rejects re-drawn).
+  /// evaluated branch-free, rejects re-drawn). Throws std::invalid_argument
+  /// unless shape is finite and positive (as gamma() does).
   void fill_gamma(double* out, std::size_t n, double shape);
 
   /// Fill `out[0..n)` with a Dirichlet(alpha, ..., alpha) sample (sums to
@@ -70,7 +71,8 @@ class Rng {
   /// Exponential with given rate (lambda).
   double exponential(double rate);
 
-  /// Marsaglia-Tsang gamma variate, shape k > 0, scale theta = 1.
+  /// Marsaglia-Tsang gamma variate, shape k > 0, scale theta = 1. Throws
+  /// std::invalid_argument unless shape is finite and positive.
   double gamma(double shape);
 
   /// Dirichlet sample of dimension n with common concentration alpha.

@@ -62,7 +62,6 @@ void canonicalize_config(const sim::TrainingConfig& cfg, CanonicalWriter& w) {
   w.field("gate.n_layers", cfg.gate.n_layers);
   w.field("gate.ep_ranks", cfg.gate.ep_ranks);
   w.field("gate.tokens_per_rank", cfg.gate.tokens_per_rank);
-  w.field("gate.dirichlet_alpha", cfg.gate.dirichlet_alpha);
   w.field("gate.transition_alpha", cfg.gate.transition_alpha);
   w.field("gate.personalization", cfg.gate.personalization);
   w.field("gate.drift_sigma", cfg.gate.drift_sigma);

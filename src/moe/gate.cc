@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/simd_math.h"
 #include "common/stats.h"
@@ -20,12 +21,44 @@ void normalize(std::vector<double>& v) { normalize_span(v.data(), v.size()); }
 
 }  // namespace
 
-GateSimulator::GateSimulator(const GateConfig& cfg) : cfg_(cfg), rng_(cfg.seed) {
+GateSimulator::GateSimulator(const GateConfig& cfg, int read_layers)
+    : cfg_(cfg),
+      rng_(cfg.seed),
+      read_layers_(read_layers == 0 ? cfg.n_layers : read_layers),
+      live_layers_(cfg.n_layers) {
   if (cfg_.n_experts <= 0 || cfg_.n_layers <= 0 || cfg_.ep_ranks <= 0)
     throw std::invalid_argument(
         "GateConfig: n_experts, n_layers and ep_ranks must be positive (got " +
         std::to_string(cfg_.n_experts) + ", " + std::to_string(cfg_.n_layers) +
         ", " + std::to_string(cfg_.ep_ranks) + ")");
+  // A NaN transition_alpha never leaves fill_gamma's rejection loop, and a
+  // zero lb_timescale makes the constructor's loads NaN: reject both kinds
+  // here, in every build, naming the field.
+  const std::pair<const char*, double> knobs[] = {
+      {"tokens_per_rank", cfg_.tokens_per_rank},
+      {"transition_alpha", cfg_.transition_alpha},
+      {"personalization", cfg_.personalization},
+      {"drift_sigma", cfg_.drift_sigma},
+      {"pref_drift_sigma", cfg_.pref_drift_sigma},
+      {"pref_retention", cfg_.pref_retention},
+      {"lb_final", cfg_.lb_final},
+      {"lb_timescale", cfg_.lb_timescale},
+  };
+  const auto reject = [](const char* field, const char* rule, double v) {
+    throw std::invalid_argument(std::string("GateConfig::") + field +
+                                " must be " + rule + " (got " +
+                                std::to_string(v) + ")");
+  };
+  for (const auto& [name, v] : knobs)
+    if (!std::isfinite(v)) reject(name, "finite", v);
+  if (cfg_.transition_alpha <= 0.0)
+    reject("transition_alpha", "positive", cfg_.transition_alpha);
+  if (cfg_.lb_timescale <= 0.0)
+    reject("lb_timescale", "positive", cfg_.lb_timescale);
+  if (read_layers < 0 || read_layers > cfg_.n_layers)
+    throw std::invalid_argument("GateSimulator: read_layers " +
+                                std::to_string(read_layers) + " outside [0, " +
+                                std::to_string(cfg_.n_layers) + "]");
   experts_per_rank_ = std::max(1, cfg_.n_experts / cfg_.ep_ranks);
 
   logits_.resize(static_cast<std::size_t>(cfg_.n_experts));
@@ -106,7 +139,9 @@ void GateSimulator::apply_ou_update(double pop_a, double pop_sd, double pref_a,
                                     double pref_sd) {
   // All of one update's walk draws -- popularity plus every (rank, layer)
   // preference vector -- come from ONE bulk fill_normal, and the OU update
-  // is a single fused pass over the scratch.
+  // is a single fused pass over the scratch. Preference walks are stored
+  // layer-major, so the held layers' walks are the first
+  // live_layers_ * ep_ranks; the rest are drawn but not updated.
   const std::size_t E = logits_.size();
   normal_scratch_.resize(E + pref_logits_.size() * E);
   rng_.fill_normal(normal_scratch_.data(), normal_scratch_.size());
@@ -114,13 +149,16 @@ void GateSimulator::apply_ou_update(double pop_a, double pop_sd, double pref_a,
   for (std::size_t e = 0; e < E; ++e)
     logits_[e] = pop_a * logits_[e] + pop_sd * eps[e];
   eps += E;
-  for (std::size_t k = 0; k < pref_logits_.size(); ++k, eps += E) {
+  const std::size_t live_walks = static_cast<std::size_t>(live_layers_) *
+                                 static_cast<std::size_t>(cfg_.ep_ranks);
+  for (std::size_t k = 0; k < live_walks; ++k, eps += E) {
     auto& z = pref_logits_[k];
     for (std::size_t e = 0; e < E; ++e) z[e] = pref_a * z[e] + pref_sd * eps[e];
   }
 }
 
 void GateSimulator::advance_state() {
+  live_layers_ = read_layers_;
   // Popularity random walk with mean reversion (Ornstein-Uhlenbeck): the
   // walk keeps expert popularity moving between iterations (Fig. 4a) while
   // the pull toward 0 keeps its stationary spread bounded, so the
@@ -141,8 +179,10 @@ void GateSimulator::transition_drift() {
   for (int l = 1; l < cfg_.n_layers; ++l) {
     Matrix& m = transitions_[static_cast<std::size_t>(l)];
     // One bulk gamma fill per layer; each E-sized chunk normalizes into the
-    // Dirichlet noise for one source column.
+    // Dirichlet noise for one source column. An unread layer still draws,
+    // so the stream stays the same, but mixes nothing in.
     rng_.fill_gamma(gamma_scratch_.data(), E * E, cfg_.transition_alpha);
+    if (l >= live_layers_) continue;
     for (int src = 0; src < cfg_.n_experts; ++src) {
       double* noise = gamma_scratch_.data() + static_cast<std::size_t>(src) * E;
       normalize_span(noise, E);
@@ -160,6 +200,7 @@ void GateSimulator::transition_drift() {
 
 void GateSimulator::advance_steps(int n) {
   if (n <= 0) return;
+  live_layers_ = read_layers_;
   // Exact discrete-time OU transition: for z' = a z + sigma eps iterated n
   // times, z_n | z_0 ~ N(a^n z_0, sigma^2 (1 - a^{2n}) / (1 - a^2)). One
   // draw per dimension replaces n per-iteration draws; the warmup
@@ -251,8 +292,8 @@ void GateSimulator::refresh_distributions() {
   }
   balance_layer(0);
   // Propagate through the Markov chain, re-personalizing and re-balancing at
-  // every layer.
-  for (int l = 1; l < cfg_.n_layers; ++l) {
+  // every layer the state holds.
+  for (int l = 1; l < live_layers_; ++l) {
     const Matrix& m = transitions_[static_cast<std::size_t>(l)];
     for (int h = 0; h < cfg_.ep_ranks; ++h) {
       auto& q = q_[static_cast<std::size_t>(l)][static_cast<std::size_t>(h)];
@@ -265,7 +306,7 @@ void GateSimulator::refresh_distributions() {
     }
     balance_layer(l);
   }
-  for (int l = 0; l < cfg_.n_layers; ++l) {
+  for (int l = 0; l < live_layers_; ++l) {
     auto& load = load_[static_cast<std::size_t>(l)];
     std::fill(load.begin(), load.end(), 0.0);
     for (int h = 0; h < cfg_.ep_ranks; ++h)
@@ -279,12 +320,13 @@ void GateSimulator::realize_counts() {
   const auto E = static_cast<std::size_t>(cfg_.n_experts);
   const double n = cfg_.tokens_per_rank;
   // One bulk fill for every (layer, rank, expert) Gaussian count draw of the
-  // iteration, then a fused realize + clamp + renormalize pass.
+  // iteration, then a fused realize + clamp + renormalize pass over the
+  // layers the state holds (the draws are layer-major).
   normal_scratch_.resize(static_cast<std::size_t>(cfg_.n_layers) *
                          static_cast<std::size_t>(cfg_.ep_ranks) * E);
   rng_.fill_normal(normal_scratch_.data(), normal_scratch_.size());
   const double* eps = normal_scratch_.data();
-  for (int l = 0; l < cfg_.n_layers; ++l) {
+  for (int l = 0; l < live_layers_; ++l) {
     Matrix& c = counts_[static_cast<std::size_t>(l)];
     for (int h = 0; h < cfg_.ep_ranks; ++h, eps += E) {
       const auto& q = q_[static_cast<std::size_t>(l)][static_cast<std::size_t>(h)];
@@ -305,11 +347,22 @@ void GateSimulator::realize_counts() {
   }
 }
 
+void GateSimulator::check_live(int layer, int first, const char* what) const {
+  if (layer < first || layer >= live_layers_)
+    throw std::out_of_range(std::string("GateSimulator::") + what + ": layer " +
+                            std::to_string(layer) + " outside [" +
+                            std::to_string(first) + ", " +
+                            std::to_string(live_layers_) +
+                            ") the current state holds");
+}
+
 const std::vector<double>& GateSimulator::expert_load(int layer) const {
+  check_live(layer, 0, "expert_load");
   return load_[static_cast<std::size_t>(layer)];
 }
 
 const Matrix& GateSimulator::dispatch_counts(int layer) const {
+  check_live(layer, 0, "dispatch_counts");
   return counts_[static_cast<std::size_t>(layer)];
 }
 
@@ -328,7 +381,7 @@ Matrix rank_dispatch_matrix(const Matrix& counts, int n_experts, int ep_ranks,
 }
 
 Matrix GateSimulator::rank_dispatch_matrix(int layer, double bytes_per_slot) const {
-  return moe::rank_dispatch_matrix(counts_[static_cast<std::size_t>(layer)],
+  return moe::rank_dispatch_matrix(dispatch_counts(layer),
                                    cfg_.n_experts, cfg_.ep_ranks,
                                    experts_per_rank_, bytes_per_slot);
 }
@@ -336,10 +389,7 @@ Matrix GateSimulator::rank_dispatch_matrix(int layer, double bytes_per_slot) con
 const Matrix& GateSimulator::transition(int layer) const {
   // Layer 0 has no predecessor: its slot is an empty matrix, and reading
   // it as a transition would index out of bounds.
-  if (layer < 1 || layer >= cfg_.n_layers)
-    throw std::out_of_range("GateSimulator::transition: layer " +
-                            std::to_string(layer) + " outside [1, " +
-                            std::to_string(cfg_.n_layers) + ")");
+  check_live(layer, 1, "transition");
   return transitions_[static_cast<std::size_t>(layer)];
 }
 

@@ -6,9 +6,9 @@
 //   1. temporal dynamics  -- expert popularity follows a logit random walk,
 //      with a load-balancing-loss pull toward uniform that strengthens as
 //      training progresses (Fig. 4a: variability decreases over time);
-//   2. spatial non-uniformity -- popularity is Dirichlet-sparse and each
-//      token home rank has a personalized preference mix, so all-to-all
-//      matrices have hot rows *and* columns (Fig. 4b);
+//   2. spatial non-uniformity -- popularity is a softmax of random logits
+//      and each token home rank has a personalized preference mix, so
+//      all-to-all matrices have hot rows *and* columns (Fig. 4b);
 //   3. inter-layer structure -- expert choice at layer l+1 is Markov in the
 //      choice at layer l (column-stochastic transition matrix per layer),
 //      which is exactly the structure MixNet-Copilot (§B.1) exploits.
@@ -16,6 +16,13 @@
 // Token counts are realized with a Gaussian approximation of the multinomial
 // (exact for the >10^3 tokens per rank used everywhere), clipped and
 // renormalized so per-rank totals are preserved.
+//
+// A reader that consumes only layers [0, read_layers) (one pipeline stage)
+// says so at construction: the constructor still computes every layer, but
+// each later advance updates, propagates and realizes only the read layers.
+// Every random draw is still taken for every layer, in the same order, so
+// the RNG stream -- and every read layer -- is bit-identical to a simulator
+// that computes them all.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +38,6 @@ struct GateConfig {
   int n_layers = 4;
   int ep_ranks = 8;            ///< token home ranks (== EP degree)
   double tokens_per_rank = 4096.0;  ///< token*top_k slots dispatched per rank
-  double dirichlet_alpha = 0.25;    ///< popularity sparsity (lower = sparser)
   double transition_alpha = 0.08;   ///< Markov column concentration
   double personalization = 0.75;    ///< per-rank preference strength [0,1]
   double drift_sigma = 0.06;        ///< per-iteration popularity logit walk
@@ -65,9 +71,12 @@ Matrix rank_dispatch_matrix(const Matrix& counts, int n_experts, int ep_ranks,
 
 class GateSimulator {
  public:
-  /// Throws std::invalid_argument unless n_experts, n_layers and ep_ranks
-  /// are all positive.
-  explicit GateSimulator(const GateConfig& cfg);
+  /// `read_layers` is how many layers [0, read_layers) the caller reads
+  /// after the first advance (0: all of them). Throws std::invalid_argument,
+  /// naming the field, unless n_experts, n_layers and ep_ranks are positive,
+  /// every real knob is finite, transition_alpha and lb_timescale are
+  /// positive, and 0 <= read_layers <= n_layers.
+  explicit GateSimulator(const GateConfig& cfg, int read_layers = 0);
 
   /// Advance one training iteration (re-samples routing).
   void step();
@@ -92,7 +101,11 @@ class GateSimulator {
   int iteration() const { return iter_; }
   const GateConfig& config() const { return cfg_; }
 
-  /// Normalized expert load for a layer (sums to 1).
+  /// Normalized expert load for a layer (sums to 1). The state holds every
+  /// layer right after construction and layers [0, read_layers) once
+  /// step/skip/advance_steps has moved it; reading any other layer throws
+  /// std::out_of_range (so do dispatch_counts, transition and
+  /// preference_logits).
   const std::vector<double>& expert_load(int layer) const;
 
   /// Realized dispatch counts: rows = home rank, cols = expert (token slots).
@@ -104,8 +117,8 @@ class GateSimulator {
 
   /// Ground-truth inter-layer transition matrix (column-stochastic),
   /// mapping layer `layer-1` loads to layer `layer` loads. For tests and
-  /// Copilot oracle comparisons. Throws std::out_of_range unless
-  /// 1 <= layer < n_layers.
+  /// Copilot oracle comparisons. Throws std::out_of_range for layer 0 and
+  /// for a layer the state does not hold.
   const Matrix& transition(int layer) const;
 
   /// Current load-balancing mixing coefficient (0 early, -> lb_final).
@@ -115,14 +128,18 @@ class GateSimulator {
   /// forwards); exposed for the closed-form-vs-stepped distribution tests.
   const std::vector<double>& popularity_logits() const { return logits_; }
 
-  /// Preference logits of one (rank, layer) OU walk (test accessor).
+  /// Preference logits of one (rank, layer) OU walk (test accessor; throws
+  /// std::out_of_range for a layer the state does not hold).
   const std::vector<double>& preference_logits(int rank, int layer) const {
+    check_live(layer, 0, "preference_logits");
     return pref_logits_[static_cast<std::size_t>(layer) *
                             static_cast<std::size_t>(cfg_.ep_ranks) +
                         static_cast<std::size_t>(rank)];
   }
 
  private:
+  /// Throws std::out_of_range unless first <= layer < live_layers_.
+  void check_live(int layer, int first, const char* what) const;
   void advance_state();
   /// Shared OU-walk update of popularity + every preference vector: one bulk
   /// fill_normal over all dimensions, then z = a z + sd eps per walk. Called
@@ -138,6 +155,8 @@ class GateSimulator {
   Rng rng_;
   int experts_per_rank_ = 1;
   int iter_ = 0;
+  int read_layers_;  // layers computed by every advance
+  int live_layers_;  // layers the state holds: n_layers until the first advance
   std::vector<double> logits_;                 // layer-0 popularity logits
   std::vector<Matrix> transitions_;            // per layer >= 1
   // Per (layer, rank) preference logits (OU process); the normalized

@@ -28,12 +28,13 @@ GateTrace::GateTrace(const GateConfig& cfg, int warmup_iterations,
     : cfg_(cfg),
       layers_(layers),
       horizon_(std::max(horizon, 0)),
-      experts_per_rank_(1),
-      producer_(std::make_unique<GateSimulator>(cfg)) {
+      experts_per_rank_(1) {
   if (layers < 1 || layers > cfg_.n_layers)
     throw std::invalid_argument("GateTrace: layers read " + std::to_string(layers) +
                                 " outside [1, " + std::to_string(cfg_.n_layers) +
                                 "]");
+  // The producer computes only the recorded layers after initial().
+  producer_ = std::make_unique<GateSimulator>(cfg_, layers_);
   experts_per_rank_ = std::max(1, cfg_.n_experts / cfg_.ep_ranks);
   initial_ = snapshot(*producer_, cfg_.n_layers);
   if (policy == WarmupPolicy::kClosedForm)
@@ -72,7 +73,6 @@ std::string gate_trace_key(const GateConfig& gc, int warmup_iterations,
   w.field("n_layers", gc.n_layers);
   w.field("ep_ranks", gc.ep_ranks);
   w.field("tokens_per_rank", gc.tokens_per_rank);
-  w.field("dirichlet_alpha", gc.dirichlet_alpha);
   w.field("transition_alpha", gc.transition_alpha);
   w.field("personalization", gc.personalization);
   w.field("drift_sigma", gc.drift_sigma);

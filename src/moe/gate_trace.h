@@ -34,12 +34,13 @@ struct GateSnapshot {
 
 class GateTrace {
  public:
-  /// Construct the producer from `cfg` (throws std::invalid_argument on
-  /// non-positive dimensions, as GateSimulator does), snapshot every layer
-  /// as initial(), then advance `warmup_iterations` under `policy`.
-  /// iteration(i) snapshots layers [0, layers). With horizon > 0 exactly
-  /// `horizon` iterations are recorded and the producer is freed after the
-  /// last; horizon <= 0 keeps the producer and extends on demand.
+  /// Construct the producer from `cfg` (throws std::invalid_argument on a
+  /// config GateSimulator rejects), snapshot every layer as initial(), then
+  /// advance `warmup_iterations` under `policy`. iteration(i) snapshots
+  /// layers [0, layers), the only layers the producer computes after
+  /// construction. With horizon > 0 exactly `horizon` iterations are
+  /// recorded and the producer is freed after the last; horizon <= 0 keeps
+  /// the producer and extends on demand.
   GateTrace(const GateConfig& cfg, int warmup_iterations, WarmupPolicy policy,
             int layers, int horizon = 0);
 

@@ -12,7 +12,7 @@ ServeSimulator::ServeSimulator(const sim::TrainingConfig& cluster,
                                const ServeConfig& scfg)
     : cluster_(sim::build_cluster(cluster)),
       scfg_(scfg),
-      gate_(cluster_.gate),
+      gate_(cluster_.gate, cluster_.layers_per_stage),
       detector_(control::HotspotConfig{scfg.hotspot_window,
                                        scfg.hotspot_threshold,
                                        scfg.hotspot_cooldown}) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 
 #include "common/matrix.h"
 #include "common/rng.h"
@@ -175,6 +176,17 @@ TEST(Rng, VectorizedFillGammaMoments) {
     var /= static_cast<double>(xs.size());
     EXPECT_NEAR(m, shape, 0.05 * std::max(shape, 0.2)) << "shape=" << shape;
     EXPECT_NEAR(var, shape, 0.08 * std::max(shape, 0.2)) << "shape=" << shape;
+  }
+}
+
+TEST(Rng, GammaRejectsShapesThatAreNotFiniteAndPositive) {
+  // A NaN shape used to spin forever in the rejection loop; every bad shape
+  // now throws in every build, from the per-call and the bulk path.
+  Rng r(37);
+  double out[4];
+  for (double bad : {std::nan(""), 0.0, -0.5, HUGE_VAL}) {
+    EXPECT_THROW(r.gamma(bad), std::invalid_argument) << bad;
+    EXPECT_THROW(r.fill_gamma(out, 4, bad), std::invalid_argument) << bad;
   }
 }
 

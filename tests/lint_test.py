@@ -173,7 +173,7 @@ class GateTraceKeyAcceptance(unittest.TestCase):
             for m in [re.search(r'w\.field\("[^"]+",\s*gc\.([\w.]+)\)', l)]
             if m
         ]
-        self.assertEqual(len(field_lines), 13,
+        self.assertEqual(len(field_lines), 12,
                          "gate_trace_key lost its GateConfig field lines?")
         with tempfile.TemporaryDirectory() as td:
             mutated = Path(td) / "gate_trace_mut.cc"

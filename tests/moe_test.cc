@@ -6,7 +6,9 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -194,9 +196,7 @@ TEST(Gate, DispatchMatrixConservesBytes) {
 }
 
 TEST(Gate, SpatialNonUniformity) {
-  GateConfig g = small_gate();
-  g.dirichlet_alpha = 0.15;
-  GateSimulator gs(g);
+  GateSimulator gs(small_gate());
   gs.step();
   const Matrix t = gs.rank_dispatch_matrix(1, 1.0);
   // Off-diagonal entries should span a wide range (hot pairs, Fig. 4b).
@@ -243,6 +243,56 @@ TEST(Gate, RejectsNonPositiveDimensions) {
   }
 }
 
+TEST(Gate, RejectsNonFiniteKnobs) {
+  // A NaN transition_alpha used to hang fill_gamma; NaN or infinite knobs
+  // now fail at construction, naming the field.
+  const std::vector<std::pair<double GateConfig::*, const char*>> knobs = {
+      {&GateConfig::tokens_per_rank, "tokens_per_rank"},
+      {&GateConfig::transition_alpha, "transition_alpha"},
+      {&GateConfig::personalization, "personalization"},
+      {&GateConfig::drift_sigma, "drift_sigma"},
+      {&GateConfig::pref_drift_sigma, "pref_drift_sigma"},
+      {&GateConfig::pref_retention, "pref_retention"},
+      {&GateConfig::lb_final, "lb_final"},
+      {&GateConfig::lb_timescale, "lb_timescale"},
+  };
+  for (const auto& [field, name] : knobs) {
+    for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+      GateConfig g = small_gate();
+      g.*field = bad;
+      try {
+        GateSimulator gs(g);
+        ADD_FAILURE() << name << " = " << bad << " accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+      }
+    }
+  }
+}
+
+TEST(Gate, RejectsNonPositiveTransitionAlpha) {
+  for (double bad : {0.0, -0.08}) {
+    GateConfig g = small_gate();
+    g.transition_alpha = bad;
+    EXPECT_THROW(GateSimulator{g}, std::invalid_argument) << bad;
+  }
+}
+
+TEST(Gate, RejectsNonPositiveLbTimescale) {
+  // lb_timescale = 0 made iteration 0's loads and counts NaN (0/0 in lb_mix).
+  for (double bad : {0.0, -2000.0}) {
+    GateConfig g = small_gate();
+    g.lb_timescale = bad;
+    EXPECT_THROW(GateSimulator{g}, std::invalid_argument) << bad;
+  }
+}
+
+TEST(Gate, RejectsReadLayersOutsideTheModel) {
+  for (int bad : {-1, small_gate().n_layers + 1})
+    EXPECT_THROW(GateSimulator(small_gate(), bad), std::invalid_argument) << bad;
+  EXPECT_NO_THROW(GateSimulator(small_gate(), small_gate().n_layers));
+}
+
 TEST(Gate, TransitionRejectsLayersWithoutAPredecessor) {
   GateSimulator gs(small_gate());
   EXPECT_THROW(gs.transition(0), std::out_of_range);
@@ -256,6 +306,82 @@ TEST(Gate, TransitionRejectsLayersWithoutAPredecessor) {
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Layers [0, k) of `part` hold exactly the bits of the full simulator's.
+void expect_read_layers_equal(const GateSimulator& full,
+                              const GateSimulator& part, int k) {
+  for (int l = 0; l < k; ++l) {
+    EXPECT_TRUE(same_bits(part.expert_load(l), full.expert_load(l))) << l;
+    EXPECT_TRUE(same_bits(part.dispatch_counts(l).data(),
+                          full.dispatch_counts(l).data()))
+        << l;
+    if (l > 0) {
+      EXPECT_TRUE(same_bits(part.transition(l).data(), full.transition(l).data()))
+          << l;
+    }
+  }
+}
+
+TEST(Gate, ReadLayersAreBitEqualToTheFullSimulator) {
+  // Unread layers still take every draw, so the read layers see the same
+  // RNG stream as a full simulator of the same seed: through step, skip and
+  // advance_steps, and across the 50- and 100-iteration transition drifts
+  // (crossed by step at 50 and 100, by advance_steps at 150, by skip at 200).
+  const GateConfig g = small_gate();
+  for (int k = 1; k < g.n_layers; ++k) {
+    SCOPED_TRACE("read_layers " + std::to_string(k));
+    GateSimulator full(g), part(g, k);
+    expect_read_layers_equal(full, part, g.n_layers);  // constructor: all
+    const std::vector<std::pair<const char*, std::function<void(GateSimulator&)>>>
+        moves = {
+            {"advance_steps(48)", [](GateSimulator& s) { s.advance_steps(48); }},
+            {"step x3 (crosses 50)",
+             [](GateSimulator& s) {
+               for (int i = 0; i < 3; ++i) s.step();
+             }},
+            {"skip(48)", [](GateSimulator& s) { s.skip(48); }},
+            {"step (lands on 100)", [](GateSimulator& s) { s.step(); }},
+            {"advance_steps(60) (crosses 150)",
+             [](GateSimulator& s) { s.advance_steps(60); }},
+            {"skip(45) (crosses 200)", [](GateSimulator& s) { s.skip(45); }},
+            {"step", [](GateSimulator& s) { s.step(); }},
+        };
+    for (const auto& [what, move] : moves) {
+      SCOPED_TRACE(what);
+      move(full);
+      move(part);
+      ASSERT_EQ(part.iteration(), full.iteration());
+      expect_read_layers_equal(full, part, k);
+    }
+    EXPECT_EQ(full.iteration(), 206);
+  }
+}
+
+TEST(Gate, UnreadLayersAreReadableOnlyBeforeTheFirstAdvance) {
+  // The constructor computes every layer (GateTrace::initial() and TopoOpt
+  // read them all); after the first advance only [0, read_layers) is held.
+  for (const auto& advance :
+       std::vector<std::function<void(GateSimulator&)>>{
+           [](GateSimulator& s) { s.step(); },
+           [](GateSimulator& s) { s.skip(3); },
+           [](GateSimulator& s) { s.advance_steps(3); }}) {
+    GateSimulator gs(small_gate(), 2);
+    EXPECT_NO_THROW(gs.expert_load(3));
+    EXPECT_NO_THROW(gs.dispatch_counts(2));
+    EXPECT_NO_THROW(gs.transition(3));
+    gs.advance_steps(0);  // no advance: the state still holds every layer
+    EXPECT_NO_THROW(gs.expert_load(3));
+    advance(gs);
+    EXPECT_NO_THROW(gs.expert_load(1));
+    EXPECT_NO_THROW(gs.transition(1));
+    EXPECT_THROW(gs.expert_load(2), std::out_of_range);
+    EXPECT_THROW(gs.dispatch_counts(2), std::out_of_range);
+    EXPECT_THROW(gs.rank_dispatch_matrix(3, 1.0), std::out_of_range);
+    EXPECT_THROW(gs.transition(2), std::out_of_range);
+    EXPECT_THROW(gs.preference_logits(0, 2), std::out_of_range);
+    EXPECT_THROW(gs.expert_load(-1), std::out_of_range);
+  }
 }
 
 // The snapshot holds exactly what the live gate returns for layers [0, layers).
@@ -277,28 +403,33 @@ void expect_snapshot_is_live_state(const GateTrace& trace, const GateSnapshot& s
 TEST(GateTrace, SnapshotsEqualLiveGateBitForBit) {
   // 3 ranks over 8 experts: the last rank owns the remainder, so the
   // dispatch-matrix ownership rule is exercised too. Warmup 48 makes the
-  // recorded steps cross the iteration-50 transition drift.
+  // recorded steps cross the iteration-50 transition drift. The producer
+  // computes only the recorded layers (1 or 3 of 4) after initial(); the
+  // live gate computes all of them.
   GateConfig g = small_gate();
   g.ep_ranks = 3;
-  constexpr int kWarmup = 48, kLayers = 3, kHorizon = 3;
-  for (const WarmupPolicy policy :
-       {WarmupPolicy::kClosedForm, WarmupPolicy::kExactSteps}) {
-    SCOPED_TRACE(policy == WarmupPolicy::kClosedForm ? "closed-form" : "exact");
-    const GateTrace trace(g, kWarmup, policy, kLayers, kHorizon);
-    GateSimulator live(g);
-    expect_snapshot_is_live_state(trace, trace.initial(), live, g.n_layers);
-    if (policy == WarmupPolicy::kClosedForm)
-      live.advance_steps(kWarmup);
-    else
-      live.skip(kWarmup);
-    for (int i = 1; i <= kHorizon; ++i) {
-      live.step();
-      expect_snapshot_is_live_state(trace, trace.iteration(i), live, kLayers);
+  constexpr int kWarmup = 48, kHorizon = 3;
+  for (const int layers : {1, 3}) {
+    for (const WarmupPolicy policy :
+         {WarmupPolicy::kClosedForm, WarmupPolicy::kExactSteps}) {
+      SCOPED_TRACE(policy == WarmupPolicy::kClosedForm ? "closed-form" : "exact");
+      SCOPED_TRACE("layers " + std::to_string(layers));
+      const GateTrace trace(g, kWarmup, policy, layers, kHorizon);
+      GateSimulator live(g);
+      expect_snapshot_is_live_state(trace, trace.initial(), live, g.n_layers);
+      if (policy == WarmupPolicy::kClosedForm)
+        live.advance_steps(kWarmup);
+      else
+        live.skip(kWarmup);
+      for (int i = 1; i <= kHorizon; ++i) {
+        live.step();
+        expect_snapshot_is_live_state(trace, trace.iteration(i), live, layers);
+      }
+      EXPECT_THROW(trace.iteration(kHorizon + 1), std::out_of_range);
+      EXPECT_THROW(trace.iteration(0), std::out_of_range);
+      // Recorded iterations stay readable after the producer is freed.
+      expect_snapshot_is_live_state(trace, trace.iteration(kHorizon), live, layers);
     }
-    EXPECT_THROW(trace.iteration(kHorizon + 1), std::out_of_range);
-    EXPECT_THROW(trace.iteration(0), std::out_of_range);
-    // Recorded iterations stay readable after the producer is freed.
-    expect_snapshot_is_live_state(trace, trace.iteration(kHorizon), live, kLayers);
   }
 }
 
@@ -334,7 +465,6 @@ TEST(GateTraceMemo, OnePointerPerKeyAndADistinctTracePerField) {
       [](GateConfig& c) { c.n_layers = 5; },
       [](GateConfig& c) { c.ep_ranks = 4; },
       [](GateConfig& c) { c.tokens_per_rank = 2048.0; },
-      [](GateConfig& c) { c.dirichlet_alpha = 0.3; },
       [](GateConfig& c) { c.transition_alpha = 0.1; },
       [](GateConfig& c) { c.personalization = 0.5; },
       [](GateConfig& c) { c.drift_sigma = 0.07; },

@@ -109,7 +109,6 @@ TEST(BuildCluster, GateDimensionsAndSeedDerivedSkewKept) {
   cfg.gate.n_experts = 3;  // derived fields are overwritten
   cfg.gate.tokens_per_rank = 1.0;
   cfg.gate.seed = 1;
-  cfg.gate.dirichlet_alpha = 0.5;
   cfg.gate.lb_final = 0.2;
   cfg.seed = 1234;
   const Cluster c = build_cluster(cfg);
@@ -119,7 +118,6 @@ TEST(BuildCluster, GateDimensionsAndSeedDerivedSkewKept) {
   EXPECT_DOUBLE_EQ(c.gate.tokens_per_rank,
                    cfg.par.tokens_per_microbatch() * cfg.model.top_k / cfg.par.ep);
   EXPECT_EQ(c.gate.seed, 1234u);
-  EXPECT_DOUBLE_EQ(c.gate.dirichlet_alpha, 0.5);
   EXPECT_DOUBLE_EQ(c.gate.lb_final, 0.2);
 }
 
