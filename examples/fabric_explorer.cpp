@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
           exp::ScenarioSpec().model(model).link_gbps(gbps_).iterations(iters))
           .fabrics(exp::evaluated_fabrics())
           .expand();
-  const auto results = exp::run_sweep(sweep, jobs);
+  const auto results = exp::run_sweep(sweep.points(), jobs);
 
   double ref_ppd = 0.0;
   for (std::size_t k = 0; k < sweep.size(); ++k) {

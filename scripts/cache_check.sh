@@ -5,8 +5,9 @@
 #    The cold run must compute every point; the warm run must be 100% cache
 #    hits with zero simulation work, and its stdout must be byte-identical.
 # 2. Shard-merge check: run fig12 as 2 shards into a second fresh cache dir,
-#    `mixnet-bench merge`, and require the merged output to be byte-identical
-#    to a serial --no-cache run.
+#    then merge with a plain `mixnet-bench --run fig12 --cache DIR` over the
+#    shared cache. The merge must recompute nothing, and its output must be
+#    byte-identical to a serial --no-cache run.
 #
 # Expects an already-built tree (build/bench/mixnet-bench). Exits non-zero
 # with a diagnostic on the first violated invariant.
@@ -57,7 +58,7 @@ shard_cache="$work/cache-shard"
 "$bench" --run fig12 --jobs "$jobs" --shard 1/2 --cache "$shard_cache" > "$work/s1.txt"
 [ ! -s "$work/s0.txt" ] && [ ! -s "$work/s1.txt" ] || {
   echo "FAIL: shard runs must not render tables to stdout" >&2; exit 1; }
-"$bench" merge --run fig12 --cache "$shard_cache" \
+"$bench" --run fig12 --cache "$shard_cache" \
   --stats "$work/merge.json" > "$work/merged.txt"
 merge_computed=$(stat_field "$work/merge.json" computed)
 [ "$merge_computed" -eq 0 ] || {

@@ -191,11 +191,6 @@ void Rng::fill_gamma(double* out, std::size_t n, double shape) {
   }
 }
 
-void Rng::fill_dirichlet(double* out, std::size_t n, double alpha) {
-  fill_gamma(out, n, alpha);
-  normalize_span(out, n);
-}
-
 std::vector<double> Rng::dirichlet(std::size_t n, double alpha) {
   return dirichlet(std::vector<double>(n, alpha));
 }

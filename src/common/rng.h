@@ -58,10 +58,6 @@ class Rng {
   /// unless shape is finite and positive (as gamma() does).
   void fill_gamma(double* out, std::size_t n, double shape);
 
-  /// Fill `out[0..n)` with a Dirichlet(alpha, ..., alpha) sample (sums to
-  /// 1). Bulk counterpart of dirichlet(n, alpha) built on fill_gamma.
-  void fill_dirichlet(double* out, std::size_t n, double alpha);
-
   /// Normal with mean/stddev.
   double normal(double mean, double stddev);
 
@@ -80,15 +76,6 @@ class Rng {
 
   /// Dirichlet with per-component concentrations.
   std::vector<double> dirichlet(const std::vector<double>& alpha);
-
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      std::size_t j = uniform_int(i);
-      std::swap(v[i - 1], v[j]);
-    }
-  }
 
   /// Fork a statistically independent child stream (for per-component seeds).
   Rng fork();

@@ -1,8 +1,8 @@
 #include "dag/taskgraph.h"
 
 #include <algorithm>
-#include <cassert>
-#include <deque>
+#include <stdexcept>
+#include <string>
 
 namespace mixnet::dag {
 
@@ -12,34 +12,12 @@ TaskId TaskGraph::add(Task t) {
 }
 
 void TaskGraph::add_dep(TaskId task, TaskId dep) {
-  assert(task >= 0 && static_cast<std::size_t>(task) < tasks_.size());
-  assert(dep >= 0 && static_cast<std::size_t>(dep) < tasks_.size());
+  for (const TaskId id : {task, dep})
+    if (id < 0 || static_cast<std::size_t>(id) >= tasks_.size())
+      throw std::out_of_range("TaskGraph::add_dep: task " + std::to_string(id) +
+                              " outside [0, " + std::to_string(tasks_.size()) +
+                              ")");
   tasks_[static_cast<std::size_t>(task)].deps.push_back(dep);
-}
-
-bool TaskGraph::is_acyclic() const {
-  // Kahn's algorithm.
-  const std::size_t n = tasks_.size();
-  std::vector<int> indeg(n, 0);
-  std::vector<std::vector<TaskId>> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (TaskId d : tasks_[i].deps) {
-      ++indeg[i];
-      out[static_cast<std::size_t>(d)].push_back(static_cast<TaskId>(i));
-    }
-  }
-  std::deque<TaskId> q;
-  for (std::size_t i = 0; i < n; ++i)
-    if (indeg[i] == 0) q.push_back(static_cast<TaskId>(i));
-  std::size_t seen = 0;
-  while (!q.empty()) {
-    const TaskId v = q.front();
-    q.pop_front();
-    ++seen;
-    for (TaskId w : out[static_cast<std::size_t>(v)])
-      if (--indeg[static_cast<std::size_t>(w)] == 0) q.push_back(w);
-  }
-  return seen == n;
 }
 
 Executor::Executor(eventsim::Simulator& sim, TaskGraph& graph)
@@ -116,20 +94,12 @@ void Executor::finish_task(TaskId id, TimeNs t) {
   makespan_ = std::max(makespan_, t);
   ++done_count_;
   Task& task = graph_.tasks_[i];
-  if (task.resource >= 0) {
-    resource_busy_now_[task.resource] = false;
-    resource_busy_total_[task.resource] += task.duration;
-  }
+  if (task.resource >= 0) resource_busy_now_[task.resource] = false;
   std::vector<int> touched;
   for (TaskId w : dependents_[i])
     if (--unmet_deps_[static_cast<std::size_t>(w)] == 0) on_ready(w, touched);
   if (task.resource >= 0) touched.push_back(task.resource);
   for (int r : touched) dispatch_resource(r);
-}
-
-TimeNs Executor::resource_busy(int resource) const {
-  auto it = resource_busy_total_.find(resource);
-  return it == resource_busy_total_.end() ? 0 : it->second;
 }
 
 }  // namespace mixnet::dag

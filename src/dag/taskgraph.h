@@ -37,13 +37,12 @@ struct Task {
 class TaskGraph {
  public:
   TaskId add(Task t);
+  /// Make `task` wait for `dep`. Throws std::out_of_range unless both ids
+  /// name tasks already added.
   void add_dep(TaskId task, TaskId dep);
   std::size_t size() const { return tasks_.size(); }
   const Task& task(TaskId id) const { return tasks_[static_cast<std::size_t>(id)]; }
   Task& task(TaskId id) { return tasks_[static_cast<std::size_t>(id)]; }
-
-  /// True if the dependency relation is acyclic (tests).
-  bool is_acyclic() const;
 
  private:
   friend class Executor;
@@ -65,9 +64,6 @@ class Executor {
     return finish_[static_cast<std::size_t>(id)];
   }
 
-  /// Total time each resource spent executing (utilization reports).
-  TimeNs resource_busy(int resource) const;
-
  private:
   void on_ready(TaskId id, std::vector<int>& touched_resources);
   void dispatch_resource(int resource);
@@ -81,7 +77,6 @@ class Executor {
   std::vector<bool> started_;
   std::vector<TimeNs> finish_;
   std::map<int, bool> resource_busy_now_;
-  std::map<int, TimeNs> resource_busy_total_;
   std::map<int, std::vector<TaskId>> pending_;  // ready, waiting for resource
   std::size_t done_count_ = 0;
   TimeNs makespan_ = 0;

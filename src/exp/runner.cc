@@ -55,6 +55,18 @@ PointResult run_point(const SweepPoint& point, moe::GateTraceMemo* memo) {
 
 namespace {
 
+/// The what() text of a captured exception, "unknown exception" for a
+/// thrown non-exception.
+std::string error_text(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown exception";
+  }
+}
+
 /// Execute `todo` (indices into `points`) on a worker pool, writing into
 /// `results` slots. keep_going: capture a throwing point's what() in its
 /// result slot; otherwise fail fast and rethrow after workers drain.
@@ -79,24 +91,12 @@ void execute_points(const std::vector<SweepPoint>& points,
       try {
         results[i] = run_point(points[i], memo);
         on_done(i);
-      } catch (const std::exception& e) {
-        if (keep_going) {
-          results[i] = PointResult{};
-          results[i].index = points[i].index;
-          results[i].iterations = points[i].iterations;
-          results[i].error = e.what();
-          continue;
-        }
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-        failed.store(true);
-        return;
       } catch (...) {
         if (keep_going) {
           results[i] = PointResult{};
           results[i].index = points[i].index;
           results[i].iterations = points[i].iterations;
-          results[i].error = "unknown exception";
+          results[i].error = error_text(std::current_exception());
           continue;
         }
         std::lock_guard<std::mutex> lock(error_mu);
@@ -124,17 +124,9 @@ void execute_points(const std::vector<SweepPoint>& points,
 
 std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
                                    int jobs) {
-  std::vector<PointResult> results(points.size());
-  std::vector<std::size_t> todo(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) todo[i] = i;
-  moe::GateTraceMemo memo;
-  execute_points(points, todo, results, jobs, /*keep_going=*/false, &memo,
-                 [](std::size_t) {});
-  return results;
-}
-
-std::vector<PointResult> run_sweep(const Sweep& sweep, int jobs) {
-  return run_sweep(sweep.points(), jobs);
+  RunContext ctx;
+  ctx.jobs = jobs;
+  return run_sweep(points, ctx);
 }
 
 std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
@@ -215,10 +207,6 @@ std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
     }
   }
   return results;
-}
-
-std::vector<PointResult> run_sweep(const Sweep& sweep, const RunContext& ctx) {
-  return run_sweep(sweep.points(), ctx);
 }
 
 }  // namespace mixnet::exp

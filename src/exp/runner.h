@@ -9,12 +9,12 @@
 // into a pre-sized vector slot keyed by point index, so the collected
 // ResultTable is identical whether the sweep runs with --jobs 1 or --jobs N.
 //
-// The RunContext overload adds the content-addressed stages: each point's
-// canonical key (exp/cache_key.h) is looked up in the ResultCache before
-// execution; hits are returned with zero simulation work, misses owned by
-// this shard execute and stream their record to disk the moment they
-// finish, and the result vector -- indexed by point, independent of
-// completion order -- is the deterministic merge. Because per-point seeds
+// With a ResultCache in the RunContext the engine adds the content-addressed
+// stages: each point's canonical key (exp/cache_key.h) is looked up in the
+// cache before execution; hits are returned with zero simulation work,
+// misses owned by this shard execute and stream their record to disk the
+// moment they finish, and the result vector -- indexed by point,
+// independent of completion order -- is the deterministic merge. Because per-point seeds
 // derive from (base seed, index), an N-way sharded run merged from the
 // cache is bit-identical to a serial run by construction.
 #pragma once
@@ -68,22 +68,19 @@ struct PointResult {
 PointResult run_point(const SweepPoint& point,
                       moe::GateTraceMemo* memo = nullptr);
 
-/// Execute all points with `jobs` worker threads (<= 1 means serial).
-/// Results are indexed by point index regardless of execution order. A
-/// point that throws rethrows on the caller's thread after all workers
-/// drain. (Plain path: no cache, no shard, fail-fast -- examples/tests.)
-/// The points share gate traces through a memo local to the call.
-std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
-                                   int jobs = 1);
-std::vector<PointResult> run_sweep(const Sweep& sweep, int jobs = 1);
-
-/// The full engine: cache lookup under ctx.scenario, shard filtering,
+/// The sweep engine: cache lookup under ctx.scenario, shard filtering,
 /// streamed records, per-point keep-going error capture into ctx.stats.
-/// Without ctx.stats a throwing point rethrows (fail-fast) after workers
+/// Results are indexed by point index regardless of execution order, with
+/// ctx.jobs worker threads (<= 1 means serial). Without ctx.stats a
+/// throwing point rethrows on the caller's thread (fail-fast) after workers
 /// drain; with it the point's error is recorded and the sweep continues.
 /// Points share gate traces through ctx.gate_traces.
 std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
                                    const RunContext& ctx);
-std::vector<PointResult> run_sweep(const Sweep& sweep, const RunContext& ctx);
+
+/// run_sweep under a default RunContext with `jobs` workers: no cache, no
+/// shard, fail-fast, and a gate-trace memo local to the call.
+std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
+                                   int jobs = 1);
 
 }  // namespace mixnet::exp

@@ -93,7 +93,7 @@ ScenarioResult run_fidelity_ladder(const RunContext& ctx) {
           .fabrics(fidelity_fabrics())
           .axis("backend", std::move(backend_axis))
           .expand();
-  const auto results = run_sweep(sweep, ctx);
+  const auto results = run_sweep(sweep.points(), ctx);
 
   ScenarioResult out;
   out.name = "fidelity-ladder";

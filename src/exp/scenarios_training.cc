@@ -38,7 +38,7 @@ ScenarioResult run_fig03(const RunContext& ctx) {
         SweepSpec(ScenarioSpec::paper(model, topo::FabricKind::kMixNet, 400.0))
             .micro_batches({8, 16, 24, 32})
             .expand();
-    const auto results = run_sweep(sweep, ctx);
+    const auto results = run_sweep(sweep.points(), ctx);
 
     ResultTable table(model.name == "Mixtral 8x7B" ? "Figure 3" : "Figure 17",
                       model.name + " MoE-block timeline, 400 Gbps (ms)",
@@ -105,7 +105,7 @@ ScenarioResult run_fig10(const RunContext& ctx) {
           .axis("model", std::move(model_axis))
           .fabrics({topo::FabricKind::kFatTree, topo::FabricKind::kMixNet})
           .expand();
-  const auto results = run_sweep(sweep, ctx);
+  const auto results = run_sweep(sweep.points(), ctx);
 
   ScenarioResult out;
   out.name = "fig10";
@@ -140,7 +140,7 @@ ScenarioResult run_fig12(const RunContext& ctx) {
             .fabrics(evaluated_fabrics())
             .bandwidths(bandwidths)
             .expand();
-    const auto results = run_sweep(sweep, ctx);
+    const auto results = run_sweep(sweep.points(), ctx);
     // Fat-tree at the highest bandwidth is a grid point: index it exactly.
     const double ref = results[sweep.flat({0, bandwidths.size() - 1})].iter_sec;
 
@@ -178,7 +178,7 @@ ScenarioResult run_fig13(const RunContext& ctx) {
             .fabrics(kinds)
             .bandwidths(bandwidths)
             .expand();
-    const auto results = run_sweep(sweep, ctx);
+    const auto results = run_sweep(sweep.points(), ctx);
 
     std::vector<double> costs(sweep.size());
     double max_cost = 0.0, min_time = 1e300;
@@ -251,7 +251,7 @@ ScenarioResult run_fig14(const RunContext& ctx) {
                       .iterations(2))
             .axis("failure", std::move(failure_axis))
             .expand();
-    const auto results = run_sweep(sweep, ctx);
+    const auto results = run_sweep(sweep.points(), ctx);
 
     ResultTable table("Figure 14", model.name + " under failures (400 Gbps)",
                       {"Scenario", "iter (s)", "overhead"}, 30);
@@ -319,7 +319,7 @@ ScenarioResult run_fig16(const RunContext& ctx) {
                     s.fabric(topo::FabricKind::kMixNetOpticalIO);
                   }}})
           .expand();
-  const auto results = run_sweep(sweep, ctx);
+  const auto results = run_sweep(sweep.points(), ctx);
 
   ScenarioResult out;
   out.name = "fig16";
@@ -361,7 +361,7 @@ ScenarioResult run_fig25(const RunContext& ctx) {
               .fabrics(kinds)
               .bandwidths(bandwidths)
               .expand();
-      const auto results = run_sweep(sweep, ctx);
+      const auto results = run_sweep(sweep.points(), ctx);
       const double ref = results[sweep.flat({0, bandwidths.size() - 1})].iter_sec;
 
       ResultTable table("Figure 25",
@@ -414,7 +414,7 @@ ScenarioResult run_fig26(const RunContext& ctx) {
           .axis("gpus", std::move(size_axis))
           .fabrics(kinds)
           .expand();
-  const auto results = run_sweep(sweep, ctx);
+  const auto results = run_sweep(sweep.points(), ctx);
   auto tput = [&](std::size_t s, std::size_t k) {
     return results[sweep.flat({s, k})].last().tokens_per_sec();
   };
@@ -497,7 +497,7 @@ ScenarioResult run_fig26_xl(const RunContext& ctx) {
             .axis("gpus", std::move(size_axis))
             .axis("core", std::move(core_axis))
             .expand();
-    const auto results = run_sweep(sweep, ctx);
+    const auto results = run_sweep(sweep.points(), ctx);
     ResultTable t("fig26-xl equivalence",
                   "Explicit vs analytic core, non-oversubscribed fat-tree "
                   "(400 Gbps)",
@@ -527,7 +527,7 @@ ScenarioResult run_fig26_xl(const RunContext& ctx) {
                       .core_model(topo::CoreModel::kAnalytic))
             .axis("gpus", std::move(size_axis))
             .expand();
-    const auto results = run_sweep(sweep, ctx);
+    const auto results = run_sweep(sweep.points(), ctx);
     const double ref = results[sweep.flat({std::size_t{0}})]
                            .last()
                            .tokens_per_sec();
@@ -626,7 +626,7 @@ ScenarioResult run_fig27(const RunContext& ctx) {
                     .iterations(2))
           .axis("alpha", std::move(alpha_axis))
           .expand();
-  const auto results = run_sweep(sweep, ctx);
+  const auto results = run_sweep(sweep.points(), ctx);
 
   ScenarioResult out;
   out.name = "fig27";
@@ -664,7 +664,7 @@ ScenarioResult run_fig28(const RunContext& ctx) {
                                     topo::FabricKind::kMixNet, 400.0))
           .axis("delay", std::move(delay_axis))
           .expand();
-  const auto results = run_sweep(sweep, ctx);
+  const auto results = run_sweep(sweep.points(), ctx);
 
   ScenarioResult out;
   out.name = "fig28";

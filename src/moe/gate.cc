@@ -59,7 +59,6 @@ GateSimulator::GateSimulator(const GateConfig& cfg, int read_layers)
     throw std::invalid_argument("GateSimulator: read_layers " +
                                 std::to_string(read_layers) + " outside [0, " +
                                 std::to_string(cfg_.n_layers) + "]");
-  experts_per_rank_ = std::max(1, cfg_.n_experts / cfg_.ep_ranks);
 
   logits_.resize(static_cast<std::size_t>(cfg_.n_experts));
   for (auto& z : logits_) z = rng_.normal(0.0, 1.0);
@@ -366,24 +365,37 @@ const Matrix& GateSimulator::dispatch_counts(int layer) const {
   return counts_[static_cast<std::size_t>(layer)];
 }
 
-Matrix rank_dispatch_matrix(const Matrix& counts, int n_experts, int ep_ranks,
-                            int experts_per_rank, double bytes_per_slot) {
-  const auto R = static_cast<std::size_t>(ep_ranks);
+std::vector<int> contiguous_expert_ranks(int n_experts, int ep_ranks) {
+  if (ep_ranks <= 0)
+    throw std::invalid_argument("contiguous_expert_ranks: ep_ranks must be "
+                                "positive (got " + std::to_string(ep_ranks) + ")");
+  const int epr = std::max(1, n_experts / ep_ranks);
+  std::vector<int> owner(static_cast<std::size_t>(n_experts));
+  for (int e = 0; e < n_experts; ++e)
+    owner[static_cast<std::size_t>(e)] = std::min(e / epr, ep_ranks - 1);
+  return owner;
+}
+
+Matrix rank_dispatch_matrix(const Matrix& counts,
+                            const std::vector<int>& expert_to_rank,
+                            double bytes_per_slot) {
+  if (expert_to_rank.size() != counts.cols())
+    throw std::invalid_argument(
+        "rank_dispatch_matrix: " + std::to_string(expert_to_rank.size()) +
+        " expert owners for " + std::to_string(counts.cols()) + " experts");
+  const std::size_t R = counts.rows();
   Matrix t(R, R, 0.0);
-  const auto epr = static_cast<std::size_t>(experts_per_rank);
-  for (std::size_t h = 0; h < R; ++h) {
-    for (std::size_t e = 0; e < static_cast<std::size_t>(n_experts); ++e) {
-      const std::size_t owner = std::min(e / epr, R - 1);
-      t(h, owner) += counts(h, e) * bytes_per_slot;
-    }
-  }
+  for (std::size_t h = 0; h < R; ++h)
+    for (std::size_t e = 0; e < counts.cols(); ++e)
+      t(h, static_cast<std::size_t>(expert_to_rank[e])) +=
+          counts(h, e) * bytes_per_slot;
   return t;
 }
 
 Matrix GateSimulator::rank_dispatch_matrix(int layer, double bytes_per_slot) const {
-  return moe::rank_dispatch_matrix(dispatch_counts(layer),
-                                   cfg_.n_experts, cfg_.ep_ranks,
-                                   experts_per_rank_, bytes_per_slot);
+  return moe::rank_dispatch_matrix(
+      dispatch_counts(layer),
+      contiguous_expert_ranks(cfg_.n_experts, cfg_.ep_ranks), bytes_per_slot);
 }
 
 const Matrix& GateSimulator::transition(int layer) const {

@@ -60,14 +60,23 @@ enum class WarmupPolicy {
   kClosedForm,
 };
 
+/// The EP rank that owns each expert under contiguous placement: with
+/// epr = max(1, n_experts / ep_ranks), rank r owns experts
+/// [r*epr, (r+1)*epr) and the last rank also owns any remainder. The one
+/// ownership rule every dispatch-matrix reader derives from. Throws
+/// std::invalid_argument unless ep_ranks is positive.
+std::vector<int> contiguous_expert_ranks(int n_experts, int ep_ranks);
+
 /// EP-rank all-to-all matrix in bytes for the *dispatch* (first) all-to-all
 /// of one layer: entry (src_rank, dst_rank) sums the `counts` (rank x
-/// expert token slots) of the experts `dst_rank` owns. `experts_per_rank`
-/// experts are owned contiguously per rank (the last rank also owns any
-/// remainder); `bytes_per_slot` is hidden*dtype bytes. The combine (second)
-/// all-to-all is this matrix transposed (§5.1).
-Matrix rank_dispatch_matrix(const Matrix& counts, int n_experts, int ep_ranks,
-                            int experts_per_rank, double bytes_per_slot);
+/// expert token slots) of the experts e with expert_to_rank[e] == dst_rank,
+/// times `bytes_per_slot` (hidden*dtype bytes, or any per-slot scale). The
+/// matrix is square over the counts' home ranks; the combine (second)
+/// all-to-all is its transpose (§5.1). Throws std::invalid_argument unless
+/// expert_to_rank has one entry per counts column.
+Matrix rank_dispatch_matrix(const Matrix& counts,
+                            const std::vector<int>& expert_to_rank,
+                            double bytes_per_slot);
 
 class GateSimulator {
  public:
@@ -112,7 +121,8 @@ class GateSimulator {
   const Matrix& dispatch_counts(int layer) const;
 
   /// EP-rank all-to-all matrix in bytes for the *dispatch* (first) all-to-all
-  /// of a layer: moe::rank_dispatch_matrix over dispatch_counts(layer).
+  /// of a layer: moe::rank_dispatch_matrix over dispatch_counts(layer) under
+  /// contiguous_expert_ranks.
   Matrix rank_dispatch_matrix(int layer, double bytes_per_slot) const;
 
   /// Ground-truth inter-layer transition matrix (column-stochastic),
@@ -153,7 +163,6 @@ class GateSimulator {
 
   GateConfig cfg_;
   Rng rng_;
-  int experts_per_rank_ = 1;
   int iter_ = 0;
   int read_layers_;  // layers computed by every advance
   int live_layers_;  // layers the state holds: n_layers until the first advance

@@ -27,15 +27,13 @@ GateTrace::GateTrace(const GateConfig& cfg, int warmup_iterations,
                      WarmupPolicy policy, int layers, int horizon)
     : cfg_(cfg),
       layers_(layers),
-      horizon_(std::max(horizon, 0)),
-      experts_per_rank_(1) {
+      horizon_(std::max(horizon, 0)) {
   if (layers < 1 || layers > cfg_.n_layers)
     throw std::invalid_argument("GateTrace: layers read " + std::to_string(layers) +
                                 " outside [1, " + std::to_string(cfg_.n_layers) +
                                 "]");
   // The producer computes only the recorded layers after initial().
   producer_ = std::make_unique<GateSimulator>(cfg_, layers_);
-  experts_per_rank_ = std::max(1, cfg_.n_experts / cfg_.ep_ranks);
   initial_ = snapshot(*producer_, cfg_.n_layers);
   if (policy == WarmupPolicy::kClosedForm)
     producer_->advance_steps(warmup_iterations);
@@ -55,13 +53,6 @@ const GateSnapshot& GateTrace::iteration(int i) const {
     if (static_cast<int>(iterations_.size()) == horizon_) producer_.reset();
   }
   return iterations_[static_cast<std::size_t>(i - 1)];
-}
-
-Matrix GateTrace::rank_dispatch_matrix(const GateSnapshot& s, int layer,
-                                       double bytes_per_slot) const {
-  return moe::rank_dispatch_matrix(s.counts[static_cast<std::size_t>(layer)],
-                                   cfg_.n_experts, cfg_.ep_ranks,
-                                   experts_per_rank_, bytes_per_slot);
 }
 
 std::string gate_trace_key(const GateConfig& gc, int warmup_iterations,

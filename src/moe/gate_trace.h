@@ -53,16 +53,10 @@ class GateTrace {
   /// finite horizon.
   const GateSnapshot& iteration(int i) const;
 
-  /// moe::rank_dispatch_matrix of one snapshot layer under this trace's
-  /// expert ownership.
-  Matrix rank_dispatch_matrix(const GateSnapshot& s, int layer,
-                              double bytes_per_slot) const;
-
  private:
   GateConfig cfg_;
   int layers_;
   int horizon_;
-  int experts_per_rank_;
   GateSnapshot initial_;
   mutable std::mutex mu_;
   mutable std::unique_ptr<GateSimulator> producer_;  // null once exhausted

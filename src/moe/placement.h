@@ -44,8 +44,8 @@ class Placement {
   /// Servers per EP group (region size for FabricConfig::region_servers).
   int region_servers() const;
 
-  /// Map EP rank -> region-local server index for a group, given
-  /// `experts_per_rank` GPUs aggregated per rank. Multiple EP ranks may map
+  /// Map EP rank -> region-local server index (into ep_group_servers) for a
+  /// group: the server of the rank's first TP GPU. Multiple EP ranks may map
   /// to the same server (TP groups sharing a server).
   std::vector<int> ep_rank_to_local_server(int dp, int pp) const;
 

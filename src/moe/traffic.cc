@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace mixnet::moe {
 
@@ -83,8 +85,17 @@ TrafficVolumes iteration_traffic(const MoeModelConfig& model,
 Matrix aggregate_to_servers(const Matrix& rank_matrix,
                             const std::vector<int>& rank_to_local_server,
                             int n_local_servers) {
-  assert(rank_matrix.rows() == rank_matrix.cols());
-  assert(rank_matrix.rows() == rank_to_local_server.size());
+  if (rank_matrix.rows() != rank_matrix.cols() ||
+      rank_matrix.rows() != rank_to_local_server.size())
+    throw std::invalid_argument(
+        "aggregate_to_servers: " + std::to_string(rank_matrix.rows()) + "x" +
+        std::to_string(rank_matrix.cols()) + " rank matrix for " +
+        std::to_string(rank_to_local_server.size()) + " mapped ranks");
+  for (const int s : rank_to_local_server)
+    if (s < 0 || s >= n_local_servers)
+      throw std::invalid_argument("aggregate_to_servers: local server " +
+                                  std::to_string(s) + " outside [0, " +
+                                  std::to_string(n_local_servers) + ")");
   Matrix out(static_cast<std::size_t>(n_local_servers),
              static_cast<std::size_t>(n_local_servers), 0.0);
   for (std::size_t i = 0; i < rank_matrix.rows(); ++i) {

@@ -64,6 +64,8 @@ double tp_allreduce_bytes(const MoeModelConfig& model, const ParallelismSpec& pa
 /// Aggregate an EP-rank matrix to region-local *server* granularity.
 /// `rank_to_local_server[r]` maps EP rank -> local server index; intra-server
 /// entries land on the diagonal (carried by NVSwitch, not the scale-out net).
+/// Throws std::invalid_argument unless the matrix is square with one row per
+/// mapped rank and every mapped server lies in [0, n_local_servers).
 Matrix aggregate_to_servers(const Matrix& rank_matrix,
                             const std::vector<int>& rank_to_local_server,
                             int n_local_servers);

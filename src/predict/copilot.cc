@@ -71,12 +71,10 @@ void Copilot::solve() {
     w *= cfg_.decay;
   }
 
-  double lr = cfg_.gd_lr;
-  if (lr <= 0.0) {
-    double max_diag = 1e-12;
-    for (std::size_t a = 0; a < n; ++a) max_diag = std::max(max_diag, sxx(a, a));
-    lr = 0.5 / (max_diag * static_cast<double>(n));
-  }
+  // Step size from the largest input energy: 0.5 / (n * max_a Sxx(a, a)).
+  double max_diag = 1e-12;
+  for (std::size_t a = 0; a < n; ++a) max_diag = std::max(max_diag, sxx(a, a));
+  const double lr = 0.5 / (max_diag * static_cast<double>(n));
 
   Matrix p = p_;
   std::vector<double> col(n);

@@ -31,7 +31,6 @@ struct CopilotConfig {
   int window = 16;          ///< k in Eq. 1: recent iterations kept
   double decay = 0.85;      ///< w_i = decay^(age)
   int gd_steps = 60;        ///< projected-gradient iterations per solve
-  double gd_lr = 0.0;       ///< 0 => auto (1 / max column energy)
   int resolve_every = 4;    ///< recompute P every this many observations
 };
 

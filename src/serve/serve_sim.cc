@@ -18,15 +18,10 @@ ServeSimulator::ServeSimulator(const sim::TrainingConfig& cluster,
                                        scfg.hotspot_cooldown}) {
   const sim::TrainingConfig& cfg = cluster_.cfg;
   const int lps = cluster_.layers_per_stage;
-  // Contiguous initial placement, matching the gate's dispatch-matrix
-  // convention: rank r owns experts [r*epr, (r+1)*epr). Each stage layer
+  // Serving starts from the cluster's contiguous placement. Each stage layer
   // owns its own map (its experts are distinct parameters), so the control
   // loop can balance every layer's column loads independently.
-  const int epr = std::max(cfg.model.n_experts / cfg.par.ep, 1);
-  std::vector<int> contiguous(static_cast<std::size_t>(cfg.model.n_experts));
-  for (int e = 0; e < cfg.model.n_experts; ++e)
-    contiguous[static_cast<std::size_t>(e)] = std::min(e / epr, cfg.par.ep - 1);
-  expert_to_rank_.assign(static_cast<std::size_t>(lps), contiguous);
+  expert_to_rank_.assign(static_cast<std::size_t>(lps), cluster_.expert_to_rank);
   // Copilot predictions are read only when the loop may act on a trigger,
   // so a run without re-placement builds and feeds none. Copilot draws no
   // randomness and the detector reads rank loads, so nothing else changes.
@@ -67,23 +62,15 @@ ServeSimulator::~ServeSimulator() = default;
 
 Matrix ServeSimulator::rank_bytes(int layer, double step_tokens) const {
   const sim::TrainingConfig& cfg = cluster_.cfg;
-  const auto ep = static_cast<std::size_t>(cfg.par.ep);
   const Matrix& counts = gate_.dispatch_counts(layer);
-  const auto& e2r = expert_to_rank_[static_cast<std::size_t>(layer)];
-  Matrix bytes(ep, ep, 0.0);
   const double total = counts.sum();
-  if (total <= 0.0) return bytes;
+  if (total <= 0.0) return Matrix(counts.rows(), counts.rows(), 0.0);
   // Scale the gate's token-slot matrix to this step's dispatched slots
   // (tokens * top_k), in bytes of hidden activations per slot.
   const double scale =
       step_tokens * cfg.model.top_k * moe::slot_bytes(cfg.model) / total;
-  for (std::size_t r = 0; r < counts.rows(); ++r)
-    for (std::size_t e = 0; e < counts.cols(); ++e) {
-      const double v = counts(r, e);
-      if (v <= 0.0) continue;
-      bytes(r, static_cast<std::size_t>(e2r[e])) += v * scale;
-    }
-  return bytes;
+  return moe::rank_dispatch_matrix(
+      counts, expert_to_rank_[static_cast<std::size_t>(layer)], scale);
 }
 
 TimeNs ServeSimulator::simulate_step(double step_tokens, ServeReport& report) {

@@ -13,27 +13,21 @@ namespace mixnet::sim {
 
 Matrix rescale_plan_columns(Matrix seen, const std::vector<double>& predicted,
                             const std::vector<int>& rank_to_local_server,
-                            int experts_per_rank) {
+                            const std::vector<int>& expert_to_rank) {
   // Total captured once, before any column is touched: normalizing against a
   // running seen.sum() would make each column's scale depend on the columns
   // rescaled before it (order-dependent and self-referential).
   const double total = seen.sum();
   if (total <= 0.0) return seen;
-  const int n_experts = static_cast<int>(predicted.size());
-  const int ep_ranks = static_cast<int>(rank_to_local_server.size());
+  std::vector<double> pred_col(seen.cols(), 0.0);
+  for (std::size_t e = 0; e < expert_to_rank.size(); ++e) {
+    const auto rank = static_cast<std::size_t>(expert_to_rank[e]);
+    pred_col[static_cast<std::size_t>(rank_to_local_server[rank])] += predicted[e];
+  }
   for (std::size_t c = 0; c < seen.cols(); ++c) {
-    double pred_col = 0.0;
     const double seen_col = seen.col_sum(c);  // only column c is mutated below
-    for (int r = 0; r < ep_ranks; ++r) {
-      if (static_cast<std::size_t>(
-              rank_to_local_server[static_cast<std::size_t>(r)]) != c)
-        continue;
-      for (int e = r * experts_per_rank;
-           e < (r + 1) * experts_per_rank && e < n_experts; ++e)
-        pred_col += predicted[static_cast<std::size_t>(e)];
-    }
-    if (seen_col > 0.0 && pred_col > 0.0) {
-      const double scale = pred_col * total / seen_col;
+    if (seen_col > 0.0 && pred_col[c] > 0.0) {
+      const double scale = pred_col[c] * total / seen_col;
       for (std::size_t r = 0; r < seen.rows(); ++r) seen(r, c) *= scale;
     }
   }
@@ -84,6 +78,7 @@ Cluster build_cluster(TrainingConfig cfg) {
   c.gate.seed = cfg.seed;
   c.group_servers = placement->ep_group_servers(0, 0);
   c.rank_to_local_server = placement->ep_rank_to_local_server(0, 0);
+  c.expert_to_rank = moe::contiguous_expert_ranks(c.gate.n_experts, c.gate.ep_ranks);
   if (mixnet) c.region = c.fabric->region_of(c.group_servers.front());
   c.layers_per_stage = std::max(cfg.model.n_blocks / cfg.par.pp, 1);
   c.mixnet = mixnet;
@@ -157,8 +152,9 @@ TrainingSimulator::TrainingSimulator(TrainingConfig config,
 
 Matrix TrainingSimulator::layer_server_matrix(const moe::GateSnapshot& gate,
                                               int layer) const {
-  const Matrix rank = trace_->rank_dispatch_matrix(
-      gate, layer, moe::slot_bytes(cluster_.cfg.model));
+  const Matrix rank = moe::rank_dispatch_matrix(
+      gate.counts[static_cast<std::size_t>(layer)], cluster_.expert_to_rank,
+      moe::slot_bytes(cluster_.cfg.model));
   return moe::aggregate_to_servers(rank, cluster_.rank_to_local_server,
                                    static_cast<int>(cluster_.group_servers.size()));
 }
@@ -199,8 +195,9 @@ void TrainingSimulator::install_topoopt_circuits() {
       Matrix demand(members.size(), members.size(), 0.0);
       for (int l = 0; l < lps; ++l) {
         const int layer = std::min(pp * lps + l, cfg.model.n_blocks - 1);
-        const Matrix rank = trace_->rank_dispatch_matrix(
-            initial, layer, moe::slot_bytes(cfg.model));
+        const Matrix rank = moe::rank_dispatch_matrix(
+            initial.counts[static_cast<std::size_t>(layer)],
+            cluster_.expert_to_rank, moe::slot_bytes(cfg.model));
         const Matrix m = moe::aggregate_to_servers(
             rank, placement.ep_rank_to_local_server(dp, pp),
             static_cast<int>(members.size()));
@@ -256,9 +253,9 @@ IterationResult TrainingSimulator::run_iteration() {
         const Matrix* seen = monitor_.smoothed(cluster_.region, l);
         if (seen != nullptr && cp.observations() > 4) {
           // Rescale destination columns toward the predicted rank loads.
-          const auto epr = std::max(cfg.model.n_experts / cfg.par.ep, 1);
           plan = rescale_plan_columns(*seen, predicted,
-                                      cluster_.rank_to_local_server, epr);
+                                      cluster_.rank_to_local_server,
+                                      cluster_.expert_to_rank);
         }
         cp.observe(prev_load, gate.loads[static_cast<std::size_t>(l)]);
       }

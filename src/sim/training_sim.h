@@ -124,6 +124,9 @@ struct Cluster {
   /// server of each EP rank, and its OCS region (0 off MixNet).
   std::vector<int> group_servers;
   std::vector<int> rank_to_local_server;
+  /// The EP rank that owns each expert: moe::contiguous_expert_ranks over
+  /// the gate's experts and ranks.
+  std::vector<int> expert_to_rank;
   int region = 0;
   /// MoE blocks of one pipeline stage, at least 1.
   int layers_per_stage = 1;
@@ -175,14 +178,14 @@ struct IterationResult {
 /// Copilot planning-demand rescale (§B.1): scale each destination column of
 /// the observed matrix `seen` so its share of the pre-rescale total matches
 /// the predicted per-server expert load. `predicted` is the Copilot load
-/// distribution over experts; experts map to destination servers via
-/// `rank_to_local_server` and `experts_per_rank`. Column c's sum becomes
+/// distribution over experts; expert e maps to destination server
+/// rank_to_local_server[expert_to_rank[e]]. Column c's sum becomes
 /// pred_col(c) * sum(seen); columns with zero observed or predicted load are
 /// left untouched. Each column is normalized against the total captured
 /// before any mutation, so the result is independent of column order.
 Matrix rescale_plan_columns(Matrix seen, const std::vector<double>& predicted,
                             const std::vector<int>& rank_to_local_server,
-                            int experts_per_rank);
+                            const std::vector<int>& expert_to_rank);
 
 class TrainingSimulator {
  public:

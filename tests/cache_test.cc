@@ -300,13 +300,13 @@ TEST(SweepEngine, WarmRunIsAllHitsAndBitIdentical) {
   ctx.cache = &cache;
   SweepStats cold_stats;
   ctx.stats = &cold_stats;
-  const auto cold = run_sweep(sweep, ctx);
+  const auto cold = run_sweep(sweep.points(), ctx);
   EXPECT_EQ(cold_stats.computed, sweep.size());
   EXPECT_EQ(cold_stats.hits, 0u);
 
   SweepStats warm_stats;
   ctx.stats = &warm_stats;
-  const auto warm = run_sweep(sweep, ctx);
+  const auto warm = run_sweep(sweep.points(), ctx);
   EXPECT_EQ(warm_stats.computed, 0u);
   EXPECT_EQ(warm_stats.hits, sweep.size());
   ASSERT_EQ(warm.size(), cold.size());
@@ -333,7 +333,7 @@ TEST(SweepEngine, UnwritableCacheWarnsOnceAndStillComputesEveryPoint) {
   for (int run = 0; run < 2; ++run) {
     SweepStats stats;
     ctx.stats = &stats;
-    const auto results = run_sweep(sweep, ctx);
+    const auto results = run_sweep(sweep.points(), ctx);
     EXPECT_EQ(stats.hits, 0u) << "run " << run;
     EXPECT_EQ(stats.computed, sweep.size()) << "run " << run;
     EXPECT_EQ(stats.failed, 0u) << "run " << run;
@@ -351,7 +351,7 @@ TEST(SweepEngine, UnwritableCacheWarnsOnceAndStillComputesEveryPoint) {
 
 TEST(SweepEngine, ShardedRunsMergeBitIdenticalToSerial) {
   const Sweep sweep = tiny_sweep();
-  const auto serial = run_sweep(sweep, /*jobs=*/1);
+  const auto serial = run_sweep(sweep.points(), /*jobs=*/1);
 
   for (const int n_shards : {2, 3, 8}) {
     TempCacheDir dir;
@@ -365,7 +365,7 @@ TEST(SweepEngine, ShardedRunsMergeBitIdenticalToSerial) {
       ctx.shard_count = n_shards;
       SweepStats stats;
       ctx.stats = &stats;
-      const auto part = run_sweep(sweep, ctx);
+      const auto part = run_sweep(sweep.points(), ctx);
       EXPECT_EQ(stats.failed, 0u) << "shard " << s << "/" << n_shards;
       // This shard executed exactly its residue class (minus earlier-shard
       // hits already in the shared dir).
@@ -386,7 +386,7 @@ TEST(SweepEngine, ShardedRunsMergeBitIdenticalToSerial) {
     ctx.cache = &cache;
     SweepStats stats;
     ctx.stats = &stats;
-    const auto merged = run_sweep(sweep, ctx);
+    const auto merged = run_sweep(sweep.points(), ctx);
     EXPECT_EQ(stats.computed, 0u) << n_shards << " shards left gaps";
     EXPECT_EQ(stats.hits, sweep.size());
     ASSERT_EQ(merged.size(), serial.size());
@@ -408,7 +408,7 @@ TEST(SweepEngine, ResumeAfterKillRecomputesOnlyUnfinishedPoints) {
     ctx.shard_count = 2;
     SweepStats stats;
     ctx.stats = &stats;
-    run_sweep(sweep, ctx);
+    run_sweep(sweep.points(), ctx);
     EXPECT_EQ(stats.computed, sweep.size() / 2);
   }
   // Resume as a plain (unsharded) run: only the missing half computes.
@@ -418,7 +418,7 @@ TEST(SweepEngine, ResumeAfterKillRecomputesOnlyUnfinishedPoints) {
   ctx.cache = &cache;
   SweepStats stats;
   ctx.stats = &stats;
-  const auto results = run_sweep(sweep, ctx);
+  const auto results = run_sweep(sweep.points(), ctx);
   EXPECT_EQ(stats.hits, sweep.size() / 2);
   EXPECT_EQ(stats.computed, sweep.size() - sweep.size() / 2);
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -440,7 +440,7 @@ TEST(SweepEngine, KeepGoingRecordsErrorsAndNeverCachesThem) {
   ctx.cache = &cache;
   SweepStats stats;
   ctx.stats = &stats;
-  const auto results = run_sweep(sweep, ctx);
+  const auto results = run_sweep(sweep.points(), ctx);
 
   ASSERT_EQ(results.size(), 3u);
   EXPECT_TRUE(results[0].ok());
@@ -459,7 +459,7 @@ TEST(SweepEngine, KeepGoingRecordsErrorsAndNeverCachesThem) {
   // Without ctx.stats the same sweep is fail-fast (legacy behavior).
   RunContext strict;
   strict.scenario = "figX";
-  EXPECT_THROW(run_sweep(sweep, strict), std::invalid_argument);
+  EXPECT_THROW(run_sweep(sweep.points(), strict), std::invalid_argument);
 }
 
 TEST(SweepEngine, ParallelStreamingMatchesSerialBitExactly) {
@@ -480,7 +480,7 @@ TEST(SweepEngine, ParallelStreamingMatchesSerialBitExactly) {
   serial_ctx.scenario = "figX";
   SweepStats serial_stats;
   serial_ctx.stats = &serial_stats;
-  const auto serial = run_sweep(sweep, serial_ctx);
+  const auto serial = run_sweep(sweep.points(), serial_ctx);
 
   TempCacheDir dir;
   ResultCache cache(dir.path);
@@ -490,7 +490,7 @@ TEST(SweepEngine, ParallelStreamingMatchesSerialBitExactly) {
   par_ctx.cache = &cache;
   SweepStats par_stats;
   par_ctx.stats = &par_stats;
-  const auto parallel = run_sweep(sweep, par_ctx);
+  const auto parallel = run_sweep(sweep.points(), par_ctx);
 
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < parallel.size(); ++i)
@@ -505,7 +505,7 @@ TEST(SweepEngine, ParallelStreamingMatchesSerialBitExactly) {
   // re-fails) only the failed ones, still bit-identical to serial.
   SweepStats warm_stats;
   par_ctx.stats = &warm_stats;
-  const auto warm = run_sweep(sweep, par_ctx);
+  const auto warm = run_sweep(sweep.points(), par_ctx);
   EXPECT_EQ(warm_stats.hits, sweep.size() - 2);
   EXPECT_EQ(warm_stats.computed, 2u);
   EXPECT_EQ(warm_stats.failed, 2u);

@@ -190,18 +190,6 @@ TEST(Rng, GammaRejectsShapesThatAreNotFiniteAndPositive) {
   }
 }
 
-TEST(Rng, VectorizedFillDirichletNormalized) {
-  Rng r(31);
-  std::vector<double> v(256);
-  r.fill_dirichlet(v.data(), v.size(), 0.08);
-  double s = 0.0;
-  for (double x : v) {
-    EXPECT_GE(x, 0.0);
-    s += x;
-  }
-  EXPECT_NEAR(s, 1.0, 1e-9);
-}
-
 TEST(Rng, DirichletSumsToOne) {
   Rng r(13);
   for (double alpha : {0.1, 0.5, 1.0, 5.0}) {

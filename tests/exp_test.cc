@@ -164,8 +164,8 @@ TEST(SweepRunner, SerialAndParallelRunsProduceIdenticalResults) {
                                     topo::FabricKind::kMixNet})
                           .bandwidths({100.0, 400.0})
                           .expand();
-  const auto serial = run_sweep(sweep, /*jobs=*/1);
-  const auto parallel = run_sweep(sweep, /*jobs=*/3);
+  const auto serial = run_sweep(sweep.points(), /*jobs=*/1);
+  const auto parallel = run_sweep(sweep.points(), /*jobs=*/3);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].index, i);
@@ -208,11 +208,11 @@ TEST(SweepRunner, ParallelSweepBuildsOneGateTracePerModel) {
 
   RunContext ctx;
   ctx.jobs = 4;
-  const auto parallel = run_sweep(sweep, ctx);
+  const auto parallel = run_sweep(sweep.points(), ctx);
   EXPECT_EQ(ctx.gate_traces->stats().built, 2u);
   EXPECT_EQ(ctx.gate_traces->stats().shared, 8u);
 
-  const auto serial = run_sweep(sweep, /*jobs=*/1);
+  const auto serial = run_sweep(sweep.points(), /*jobs=*/1);
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     const std::string record = point_record_json("", serial[i], {});

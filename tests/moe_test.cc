@@ -195,6 +195,35 @@ TEST(Gate, DispatchMatrixConservesBytes) {
   EXPECT_NEAR(t.sum(), 8 * 4096.0 * bps, 8 * 4096.0 * bps * 1e-6);
 }
 
+TEST(Gate, ContiguousOwnershipGivesRemainderToLastRank) {
+  // 10 experts on 4 ranks: two per rank, and rank 3 also owns 8 and 9.
+  EXPECT_EQ(contiguous_expert_ranks(10, 4),
+            (std::vector<int>{0, 0, 1, 1, 2, 2, 3, 3, 3, 3}));
+  // Fewer experts than ranks: one expert per rank, the rest own none.
+  EXPECT_EQ(contiguous_expert_ranks(3, 8), (std::vector<int>{0, 1, 2}));
+  EXPECT_THROW(contiguous_expert_ranks(8, 0), std::invalid_argument);
+}
+
+TEST(Gate, DispatchMatrixPutsRemainderExpertsOnLastRank) {
+  Matrix counts(4, 10, 0.0);
+  for (std::size_t h = 0; h < 4; ++h)
+    for (std::size_t e = 0; e < 10; ++e)
+      counts(h, e) = static_cast<double>(1 + h + 10 * e);
+  const double bps = 2.0;
+  const Matrix t = rank_dispatch_matrix(counts, contiguous_expert_ranks(10, 4), bps);
+  ASSERT_EQ(t.rows(), 4u);
+  ASSERT_EQ(t.cols(), 4u);
+  for (std::size_t h = 0; h < 4; ++h) {
+    double last = 0.0;
+    for (std::size_t e = 6; e < 10; ++e) last += counts(h, e) * bps;
+    EXPECT_DOUBLE_EQ(t(h, 3), last) << h;
+    EXPECT_DOUBLE_EQ(t(h, 0), (counts(h, 0) + counts(h, 1)) * bps) << h;
+  }
+  EXPECT_NEAR(t.sum(), counts.sum() * bps, 1e-9);
+  EXPECT_THROW(rank_dispatch_matrix(counts, contiguous_expert_ranks(8, 4), bps),
+               std::invalid_argument);
+}
+
 TEST(Gate, SpatialNonUniformity) {
   GateSimulator gs(small_gate());
   gs.step();
@@ -384,9 +413,12 @@ TEST(Gate, UnreadLayersAreReadableOnlyBeforeTheFirstAdvance) {
   }
 }
 
-// The snapshot holds exactly what the live gate returns for layers [0, layers).
-void expect_snapshot_is_live_state(const GateTrace& trace, const GateSnapshot& s,
+// The snapshot holds exactly what the live gate returns for layers [0, layers),
+// and its dispatch matrix under the one ownership rule is the live gate's.
+void expect_snapshot_is_live_state(const GateSnapshot& s,
                                    const GateSimulator& live, int layers) {
+  const std::vector<int> owners =
+      contiguous_expert_ranks(live.config().n_experts, live.config().ep_ranks);
   ASSERT_EQ(s.counts.size(), static_cast<std::size_t>(layers));
   ASSERT_EQ(s.loads.size(), static_cast<std::size_t>(layers));
   for (int l = 0; l < layers; ++l) {
@@ -394,7 +426,7 @@ void expect_snapshot_is_live_state(const GateTrace& trace, const GateSnapshot& s
     EXPECT_EQ(s.counts[lu].rows(), live.dispatch_counts(l).rows());
     EXPECT_TRUE(same_bits(s.counts[lu].data(), live.dispatch_counts(l).data())) << l;
     EXPECT_TRUE(same_bits(s.loads[lu], live.expert_load(l))) << l;
-    EXPECT_TRUE(same_bits(trace.rank_dispatch_matrix(s, l, 8192.0).data(),
+    EXPECT_TRUE(same_bits(rank_dispatch_matrix(s.counts[lu], owners, 8192.0).data(),
                           live.rank_dispatch_matrix(l, 8192.0).data()))
         << l;
   }
@@ -416,19 +448,19 @@ TEST(GateTrace, SnapshotsEqualLiveGateBitForBit) {
       SCOPED_TRACE("layers " + std::to_string(layers));
       const GateTrace trace(g, kWarmup, policy, layers, kHorizon);
       GateSimulator live(g);
-      expect_snapshot_is_live_state(trace, trace.initial(), live, g.n_layers);
+      expect_snapshot_is_live_state(trace.initial(), live, g.n_layers);
       if (policy == WarmupPolicy::kClosedForm)
         live.advance_steps(kWarmup);
       else
         live.skip(kWarmup);
       for (int i = 1; i <= kHorizon; ++i) {
         live.step();
-        expect_snapshot_is_live_state(trace, trace.iteration(i), live, layers);
+        expect_snapshot_is_live_state(trace.iteration(i), live, layers);
       }
       EXPECT_THROW(trace.iteration(kHorizon + 1), std::out_of_range);
       EXPECT_THROW(trace.iteration(0), std::out_of_range);
       // Recorded iterations stay readable after the producer is freed.
-      expect_snapshot_is_live_state(trace, trace.iteration(kHorizon), live, layers);
+      expect_snapshot_is_live_state(trace.iteration(kHorizon), live, layers);
     }
   }
 }
@@ -438,7 +470,7 @@ TEST(GateTrace, OpenEndedTraceExtendsOnDemand) {
   GateSimulator live(small_gate());
   live.advance_steps(5);
   for (int i = 0; i < 7; ++i) live.step();
-  expect_snapshot_is_live_state(trace, trace.iteration(7), live, 4);
+  expect_snapshot_is_live_state(trace.iteration(7), live, 4);
   EXPECT_EQ(trace.iteration(2).counts.size(), 4u);  // earlier ones kept
 }
 
@@ -710,6 +742,17 @@ TEST(Traffic, AggregateToServersPreservesSumAndDiagonal) {
   EXPECT_NEAR(s.sum(), rank.sum(), 1e-9);
   EXPECT_DOUBLE_EQ(s(0, 0), 4.0);  // intra-server traffic on the diagonal
   EXPECT_DOUBLE_EQ(s(0, 1), 4.0);
+}
+
+TEST(Traffic, AggregateToServersRejectsMisshapenInput) {
+  const Matrix rank(4, 4, 1.0);
+  // Non-square matrix, a map of the wrong length, and map entries outside
+  // the local servers (which used to write out of bounds).
+  EXPECT_THROW(aggregate_to_servers(Matrix(4, 3, 1.0), {0, 0, 1, 1}, 2),
+               std::invalid_argument);
+  EXPECT_THROW(aggregate_to_servers(rank, {0, 0, 1}, 2), std::invalid_argument);
+  EXPECT_THROW(aggregate_to_servers(rank, {0, 0, 1, 2}, 2), std::invalid_argument);
+  EXPECT_THROW(aggregate_to_servers(rank, {0, -1, 1, 1}, 2), std::invalid_argument);
 }
 
 TEST(Traffic, SparsityMetric) {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "cost/cost_model.h"
+#include "moe/gate.h"
 #include "moe/traffic.h"
 #include "sim/phase_runner.h"
 #include "sim/training_sim.h"
@@ -53,7 +54,8 @@ TEST(RescalePlanColumns, ColumnsScaledIndependently) {
   const std::vector<double> predicted = {0.30, 0.10, 0.05, 0.05,
                                          0.20, 0.10, 0.15, 0.05};
   const double total = seen.sum();
-  const Matrix out = rescale_plan_columns(seen, predicted, rank_to_server, 2);
+  const Matrix out = rescale_plan_columns(seen, predicted, rank_to_server,
+                                          moe::contiguous_expert_ranks(8, 4));
   // Column c's sum must equal pred_col(c) * pre-rescale total, exactly the
   // independent-column semantics (regression: the buggy version normalized
   // against a running sum, making later columns depend on earlier ones).
@@ -73,7 +75,8 @@ TEST(RescalePlanColumns, ColumnOrderInvariant) {
   seen(0, 2) = 4.0; seen(1, 2) = 2.0; seen(2, 2) = 7.0;
   const std::vector<double> predicted = {0.6, 0.3, 0.1};
   const std::vector<int> ident = {0, 1, 2};
-  const Matrix base = rescale_plan_columns(seen, predicted, ident, 1);
+  const std::vector<int> owners = moe::contiguous_expert_ranks(3, 3);
+  const Matrix base = rescale_plan_columns(seen, predicted, ident, owners);
 
   const std::vector<int> perm = {2, 0, 1};  // column c of `seen` -> perm[c]
   Matrix shuffled(3, 3, 0.0);
@@ -83,11 +86,27 @@ TEST(RescalePlanColumns, ColumnOrderInvariant) {
     for (std::size_t r = 0; r < 3; ++r) shuffled(r, pc) = seen(r, c);
     perm_map[c] = perm[c];  // rank c's server moved with its column
   }
-  const Matrix out = rescale_plan_columns(shuffled, predicted, perm_map, 1);
+  const Matrix out = rescale_plan_columns(shuffled, predicted, perm_map, owners);
   for (std::size_t c = 0; c < 3; ++c)
     for (std::size_t r = 0; r < 3; ++r)
       EXPECT_NEAR(out(r, static_cast<std::size_t>(perm[c])), base(r, c), 1e-12)
           << "r=" << r << " c=" << c;
+}
+
+TEST(RescalePlanColumns, RemainderExpertsCreditLastRankServer) {
+  // 10 experts on 4 ranks, one rank per server: rank 3 owns experts 6-9, so
+  // the load predicted for the remainder experts 8 and 9 lands on server 3.
+  const Matrix seen(4, 4, 1.0);
+  const std::vector<int> rank_to_server = {0, 1, 2, 3};
+  const std::vector<double> predicted = {0.05, 0.05, 0.05, 0.05, 0.05,
+                                         0.05, 0.05, 0.05, 0.30, 0.30};
+  const double total = seen.sum();
+  const Matrix out = rescale_plan_columns(seen, predicted, rank_to_server,
+                                          moe::contiguous_expert_ranks(10, 4));
+  EXPECT_NEAR(out.col_sum(3), 0.70 * total, 1e-9 * total);
+  for (std::size_t c = 0; c < 3; ++c)
+    EXPECT_NEAR(out.col_sum(c), 0.10 * total, 1e-9 * total) << "col " << c;
+  EXPECT_NEAR(out.sum(), total, 1e-9 * total);
 }
 
 // ---------------------------------------------------------- build_cluster ----
@@ -126,6 +145,8 @@ TEST(BuildCluster, RepresentativeGroupAndRegion) {
   EXPECT_TRUE(mix.mixnet);
   EXPECT_EQ(mix.group_servers, mix.placement->ep_group_servers(0, 0));
   EXPECT_EQ(mix.rank_to_local_server, mix.placement->ep_rank_to_local_server(0, 0));
+  EXPECT_EQ(mix.expert_to_rank,
+            moe::contiguous_expert_ranks(mix.gate.n_experts, mix.gate.ep_ranks));
   EXPECT_EQ(mix.region, mix.fabric->region_of(mix.group_servers.front()));
   // The NICs beyond the EPS pair go to the OCS, written back to the config.
   EXPECT_EQ(mix.cfg.optical_degree, mix.cfg.nics_per_server - mix.cfg.eps_nics);
