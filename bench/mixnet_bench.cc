@@ -69,7 +69,8 @@ int usage(const char* argv0, int code) {
       "                 (once all shards finish, a plain --run over the\n"
       "                 same cache renders the merged tables)\n"
       "  --stats FILE   write per-scenario cache hit/miss, gate-trace\n"
-      "                 build/share and Copilot solve counts as JSON\n"
+      "                 build/share, Copilot solve and packet-arrival\n"
+      "                 counts as JSON\n"
       "  --backend B    override the network fidelity ladder for every point\n"
       "                 (analytic, flow, packet; DESIGN.md §12). Scenarios\n"
       "                 that pin backends per point (e.g. fidelity-ladder)\n"
@@ -117,15 +118,15 @@ struct ScenarioStatsEntry {
 
 std::string stats_json_object(const ScenarioStatsEntry& e) {
   const SweepStats& s = e.stats;
-  char buf[352];
+  char buf[384];
   std::snprintf(buf, sizeof(buf),
                 "{\"name\":\"%s\",\"points\":%zu,\"hits\":%zu,"
                 "\"computed\":%zu,\"skipped\":%zu,\"failed\":%zu,"
-                "\"copilot_solves\":%zu,"
+                "\"copilot_solves\":%zu,\"pkt_arrivals\":%zu,"
                 "\"gate_traces\":{\"built\":%zu,\"shared\":%zu}}",
                 e.name.c_str(), s.points, s.hits, s.computed, s.skipped,
-                s.failed, s.copilot_solves, e.gate_traces.built,
-                e.gate_traces.shared);
+                s.failed, s.copilot_solves, s.pkt_arrivals,
+                e.gate_traces.built, e.gate_traces.shared);
   return buf;
 }
 
@@ -142,13 +143,15 @@ bool write_stats_file(const std::string& path,
     totals.skipped += entries[i].stats.skipped;
     totals.failed += entries[i].stats.failed;
     totals.copilot_solves += entries[i].stats.copilot_solves;
+    totals.pkt_arrivals += entries[i].stats.pkt_arrivals;
   }
-  char buf[224];
+  char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "],\"totals\":{\"points\":%zu,\"hits\":%zu,\"computed\":%zu,"
-                "\"skipped\":%zu,\"failed\":%zu,\"copilot_solves\":%zu}}\n",
+                "\"skipped\":%zu,\"failed\":%zu,\"copilot_solves\":%zu,"
+                "\"pkt_arrivals\":%zu}}\n",
                 totals.points, totals.hits, totals.computed, totals.skipped,
-                totals.failed, totals.copilot_solves);
+                totals.failed, totals.copilot_solves, totals.pkt_arrivals);
   out += buf;
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) return false;

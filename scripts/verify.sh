@@ -120,13 +120,17 @@ for b in $smoke_benches; do
   shared=$(grep -o '"shared":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
   # Copilot least-squares solves of the computed points (cache hits add 0).
   solves=$(grep -o '"copilot_solves":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
+  # Packet hop arrivals the packet engine processed one by one (cache hits
+  # and fast-forwarded periods add 0). Printed with %s: mawk's %d stops at
+  # 2^31 - 1.
+  arrivals=$(grep -o '"pkt_arrivals":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
   awk -v d="$dur" -v n="$b" -v h="${hits:-0}" -v c="${computed:-0}" \
-      -v t="${built:-0}" -v q="${solves:-0}" \
-    'BEGIN{printf "smoke %-28s %8.2f s  (cache: %d hits, %d computed; %d gate traces; %d copilot solves)\n", n, d/1e9, h, c, t, q}'
+      -v t="${built:-0}" -v q="${solves:-0}" -v a="${arrivals:-0}" \
+    'BEGIN{printf "smoke %-28s %8.2f s  (cache: %d hits, %d computed; %d gate traces; %d copilot solves; %s packet arrivals)\n", n, d/1e9, h, c, t, q, a}'
   entry=$(awk -v d="$dur" -v n="$b" -v h="${hits:-0}" -v c="${computed:-0}" \
       -v p="${points:-0}" -v t="${built:-0}" -v s="${shared:-0}" \
-      -v q="${solves:-0}" \
-    'BEGIN{printf "{\"name\":\"%s\",\"seconds\":%.3f,\"cache\":{\"points\":%d,\"hits\":%d,\"computed\":%d},\"gate_traces\":{\"built\":%d,\"shared\":%d},\"copilot_solves\":%d}", n, d/1e9, p, h, c, t, s, q}')
+      -v q="${solves:-0}" -v a="${arrivals:-0}" \
+    'BEGIN{printf "{\"name\":\"%s\",\"seconds\":%.3f,\"cache\":{\"points\":%d,\"hits\":%d,\"computed\":%d},\"gate_traces\":{\"built\":%d,\"shared\":%d},\"copilot_solves\":%d,\"pkt_arrivals\":%s}", n, d/1e9, p, h, c, t, s, q, a}')
   bench_json="${bench_json:+$bench_json,}$entry"
   # fig12 sweeps 4 models x 5 fabrics x 4 bandwidths under one shared seed
   # per model, so a cold run records exactly one gate trace per model. Any
@@ -142,6 +146,15 @@ for b in $smoke_benches; do
   # (520 steps: 4 x 8 more) would make it 56.
   if [ "$b" = serve-storm ] && [ "${hits:-0}" -eq 0 ] && [ "${solves:-0}" -ne 24 ]; then
     echo "verify.sh: serve-storm ran ${solves:-0} Copilot solves on a cold run (expected 24)" >&2
+    exit 1
+  fi
+  # fidelity-ladder's two packet points process exactly this many packet hop
+  # arrivals once the engine's periodic fast-forward skips the repeating
+  # stretches of its phases (28.0M when every instant was stepped). More
+  # means the fast-forward stopped engaging; fewer means it skips what it
+  # did not before, and the digest gate says whether that stayed exact.
+  if [ "$b" = fidelity-ladder ] && [ "${hits:-0}" -eq 0 ] && [ "${arrivals:-0}" -ne 23659264 ]; then
+    echo "verify.sh: fidelity-ladder processed ${arrivals:-0} packet arrivals on a cold run (expected 23659264)" >&2
     exit 1
   fi
 done

@@ -33,6 +33,9 @@ struct SweepStats {
   /// Serve Copilot solves the computed points ran (cache hits add 0): an
   /// exact work counter, independent of host speed.
   std::size_t copilot_solves = 0;
+  /// Packet hop arrivals the computed points' packet engines processed
+  /// (cache hits add 0): exact, like copilot_solves.
+  std::size_t pkt_arrivals = 0;
   /// One human-readable line per failed point ("point #i (labels): what()").
   std::vector<std::string> failures;
 };

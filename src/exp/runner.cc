@@ -31,6 +31,7 @@ PointResult run_serve_point(const SweepPoint& point) {
   res.extra = serve::slo_metrics(report, *point.serve);
   res.iter_sec = ns_to_sec(report.makespan);
   res.copilot_solves = report.copilot_solves;
+  res.pkt_arrivals = report.pkt_arrivals;
   return res;
 }
 
@@ -50,6 +51,7 @@ PointResult run_point(const SweepPoint& point, moe::GateTraceMemo* memo) {
   }
   res.iter_sec = total / point.iterations;
   res.timeline = simulator.layer_timeline();
+  res.pkt_arrivals = simulator.pkt_arrivals();
   return res;
 }
 
@@ -193,6 +195,7 @@ std::vector<PointResult> run_sweep(const std::vector<SweepPoint>& points,
     ctx.stats->computed += todo.size();
     for (const std::size_t i : todo) {
       ctx.stats->copilot_solves += results[i].copilot_solves;
+      ctx.stats->pkt_arrivals += results[i].pkt_arrivals;
       if (results[i].error.empty()) continue;
       ++ctx.stats->failed;
       std::string labels;

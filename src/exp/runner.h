@@ -46,6 +46,9 @@ struct PointResult {
   /// host work counter kept out of `extra`, so the result cache never stores
   /// it and a cache hit reports 0.
   std::size_t copilot_solves = 0;
+  /// Packet hop arrivals the packet engine processed for the point: a host
+  /// work counter kept out of the cache like copilot_solves.
+  std::size_t pkt_arrivals = 0;
 
   /// Non-empty when the point threw under a keep-going run (ctx.stats set):
   /// the what() text. Failed points carry zeroed measurements.

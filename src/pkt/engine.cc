@@ -1,6 +1,7 @@
 #include "pkt/engine.h"
 
-#include <cassert>
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -9,6 +10,11 @@ namespace mixnet::pkt {
 Engine::Engine(const net::Network& net, PacketConfig cfg)
     : net_(net), cfg_(cfg) {
   rebucket(kMinSpan);
+  std::int64_t k = 1;
+  const std::int64_t want =
+      16 * static_cast<std::int64_t>(std::max(cfg_.window_packets, 1));
+  while (k < want && k < (std::int64_t{1} << 30)) k <<= 1;
+  sample_mask_ = static_cast<std::int32_t>(k - 1);
 }
 
 PktFlowId Engine::add_flow(Bytes size, const std::vector<net::LinkId>& path,
@@ -39,6 +45,7 @@ PktFlowId Engine::add_flow(Bytes size, const std::vector<net::LinkId>& path,
   flows_.push_back(fs);
   path_pool_.insert(path_pool_.end(), path.begin(), path.end());
   for (const net::LinkId lid : path) ensure_link(lid);
+  have_saved_ = false;
   // An idle engine's scan cursor may be far behind `now`; catching it up
   // costs nothing (there is nothing to scan past) and keeps the new events
   // within one wheel span of the cursor.
@@ -92,17 +99,30 @@ const std::vector<Completion>& Engine::advance(TimeNs limit) {
       refill_.clear();
       process_arrival(chain, t);
       for (const PktFlowId f : refill_) inject(f, t);
-      continue;
+    } else {
+      keyed_.clear();
+      std::int32_t s = chain;
+      while (s >= 0) {
+        const std::int32_t nx = slab_[s].next;
+        gather_sorted(s);
+        s = nx;
+        --wheel_live_;
+      }
+      process_instant(t);
     }
-    keyed_.clear();
-    std::int32_t s = chain;
-    while (s >= 0) {
-      const std::int32_t nx = slab_[s].next;
-      gather_sorted(s);
-      s = nx;
-      --wheel_live_;
+    if (sample_due_) {
+      sample_due_ = false;
+      if (completions_.empty()) sample(t, rel_limit);
     }
-    process_instant(t);
+  }
+  if (!completions_.empty()) {
+    // A completion ends a period: the finished flow's share of the
+    // schedule cannot repeat.
+    have_saved_ = false;
+    while (static_cast<std::size_t>(ref_flow_) < flows_.size() &&
+           flows_[static_cast<std::size_t>(ref_flow_)].done) {
+      ++ref_flow_;
+    }
   }
   return completions_;
 }
@@ -146,6 +166,7 @@ void Engine::process_arrival(std::int32_t slot, TimeNs t) {
   const PktFlowId f = p.flow;
   FlowState& fs = flows_[static_cast<std::size_t>(f)];
   const std::int32_t hop = p.hop;
+  ++arrivals_;
   const std::int32_t base = fs.path_begin;
   if (hop + 1 < fs.path_len) {
     p.hop = static_cast<std::int16_t>(hop + 1);
@@ -154,10 +175,12 @@ void Engine::process_arrival(std::int32_t slot, TimeNs t) {
   }
   ++packets_delivered_;
   --fs.in_flight;
+  if (f == ref_flow_ && (p.seq & sample_mask_) == 0) sample_due_ = true;
   if (p.last && !fs.done) {
     fs.done = 1;
     completions_.push_back(Completion{f, base_ + t});
   }
+  p.live = 0;
   slab_.release(slot);
   refill_.push_back(f);
 }
@@ -170,7 +193,6 @@ void Engine::inject(PktFlowId f, TimeNs t) {
          fs.injected < fs.size) {
     const Bytes remaining = fs.size - fs.injected;
     const std::int32_t slot = slab_.alloc();
-    assert(slot < kMaxSlots);
     PacketSlot& p = slab_[slot];
     p.size = remaining < cfg_.mtu_bytes ? remaining : cfg_.mtu_bytes;
     p.flow = f;
@@ -179,6 +201,7 @@ void Engine::inject(PktFlowId f, TimeNs t) {
     p.next = -1;
     // Float-tolerant "last packet" test, same epsilon as net::PacketSim.
     p.last = (p.size >= remaining - 1e-9) ? 1 : 0;
+    p.live = 1;
     fs.injected += p.size;
     ++fs.in_flight;
     schedule(first, slot, t);
@@ -208,6 +231,7 @@ void Engine::schedule(net::LinkId lid, std::int32_t slot, TimeNs t) {
   // completion for down paths. No event is scheduled.
   if (at >= kMaxRel) {
     ls.clear = kTimeInf;
+    p.arrived = kMaxRel;
     return;
   }
   ls.clear = depart;
@@ -219,6 +243,8 @@ void Engine::ensure_link(net::LinkId lid) {
   const auto need = static_cast<std::size_t>(lid) + 1;
   if (links_.size() < need) links_.resize(need);
   LinkState& ls = links_[static_cast<std::size_t>(lid)];
+  if (ls.tx_mtu >= 0) return;  // read when a flow first crossed it
+  touched_links_.push_back(lid);
   const net::Link& link = net_.link(lid);
   ls.cap = link.capacity;
   ls.delay = link.delay;
@@ -237,6 +263,158 @@ void Engine::update_horizon(const LinkState& ls) {
   std::size_t span = bucket_.size();
   while (static_cast<TimeNs>(span) <= horizon_ && span < kMaxSpan) span <<= 1;
   if (span > bucket_.size()) rebucket(span);
+}
+
+// The engine after instant t, in a form that two instants a period apart
+// share exactly. Link clocks at or before t are equivalent to t (a packet
+// enqueued later starts at max(now, clear) = now), so they clamp to 0. A
+// flow is FIFO on one path, so its in-flight seqs are the contiguous range
+// [next_seq - in_flight, next_seq) and a counting sort over the slab puts
+// the packets in (flow, seq) order: O(flows + links + slots), no sort.
+void Engine::take_snapshot(TimeNs t, Snapshot& s) {
+  s.t = t;
+  s.max_offset = 0;
+  s.forwarded = packets_forwarded_;
+  s.delivered = packets_delivered_;
+  s.state.clear();
+  s.next_seq.clear();
+  s.injected.clear();
+  std::vector<std::size_t> first_pos;  // flow -> its oldest packet's place
+  std::size_t live = 0;
+  for (const FlowState& fs : flows_) {
+    s.state.push_back(std::int64_t{fs.in_flight} * 2 + fs.done);
+    s.next_seq.push_back(fs.next_seq);
+    s.injected.push_back(fs.injected);
+    first_pos.push_back(live);
+    live += static_cast<std::size_t>(fs.in_flight);
+  }
+  for (const net::LinkId lid : touched_links_) {
+    const TimeNs clear = links_[static_cast<std::size_t>(lid)].clear;
+    const TimeNs off = clear >= kTimeInf ? -1 : std::max<TimeNs>(clear - t, 0);
+    s.max_offset = std::max(s.max_offset, off);
+    s.state.push_back(off);
+  }
+  const std::size_t base = s.state.size();
+  s.state.resize(base + 2 * live);
+  const auto slots = static_cast<std::int32_t>(slab_.capacity());
+  for (std::int32_t slot = 0; slot < slots; ++slot) {
+    const PacketSlot& p = slab_[slot];
+    if (!p.live) continue;
+    const FlowState& fs = flows_[static_cast<std::size_t>(p.flow)];
+    const std::int32_t i = p.seq - (fs.next_seq - fs.in_flight);
+    if (i < 0 || i >= fs.in_flight) {
+      throw std::logic_error("pkt::Engine: packet " + std::to_string(p.seq) +
+                             " of flow " + std::to_string(p.flow) +
+                             " is outside its in-flight window");
+    }
+    const std::size_t at =
+        base + 2 * (first_pos[static_cast<std::size_t>(p.flow)] +
+                    static_cast<std::size_t>(i));
+    s.state[at] = std::int64_t{p.hop} |
+                  std::int64_t{p.size == cfg_.mtu_bytes} << 16 |
+                  std::int64_t{p.last} << 17;
+    const TimeNs off = p.arrived >= kMaxRel ? -1 : p.arrived - t;
+    s.max_offset = std::max(s.max_offset, off);
+    s.state[at + 1] = off;
+  }
+}
+
+// Brent's cycle detection over the sampled snapshots: saved_ is the
+// tortoise, replaced at power-of-two distances, and every new sample is
+// compared with it.
+void Engine::sample(TimeNs t, TimeNs rel_limit) {
+  if (!have_saved_) {
+    take_snapshot(t, saved_);
+    have_saved_ = true;
+    brent_power_ = 1;
+    brent_lam_ = 0;
+    return;
+  }
+  take_snapshot(t, current_);
+  ++brent_lam_;
+  if (current_.state == saved_.state && fast_forward(rel_limit)) {
+    have_saved_ = false;
+    return;
+  }
+  if (brent_lam_ == brent_power_) {
+    std::swap(saved_, current_);
+    brent_power_ *= 2;
+    brent_lam_ = 0;
+  }
+}
+
+// saved_ (instant t0) and current_ (instant t1) are equal snapshots, so the
+// engine will repeat the last period P = t1 - t0 for as long as nothing
+// outside the snapshot intervenes: a flow's last packets, the caller's
+// limit, the 41-bit time range. Jump k periods within those bounds; return
+// false (and change nothing) when no whole period fits.
+bool Engine::fast_forward(TimeNs rel_limit) {
+  const Bytes mtu = cfg_.mtu_bytes;
+  constexpr double kExact = 9007199254740992.0;  // 2^53
+  if (!(mtu > 0.0 && mtu < kExact && std::floor(mtu) == mtu)) return false;
+  const TimeNs t1 = current_.t;
+  // > 0: samples are distinct deliveries of one flow, which its last link
+  // serializes at least 1 ns apart.
+  const TimeNs period = t1 - saved_.t;
+  std::int64_t k = (kMaxRel - 1 - t1 - current_.max_offset) / period;
+  if (rel_limit < kTimeInf) k = std::min(k, (rel_limit - t1) / period);
+  std::vector<std::int64_t> seq_step(flows_.size());  // per-period seq delta
+  for (std::size_t f = 0; f < flows_.size(); ++f) {
+    const FlowState& fs = flows_[f];
+    const std::int64_t d = current_.next_seq[f] - saved_.next_seq[f];
+    seq_step[f] = d;
+    if (fs.done) continue;
+    // Only whole MTUs may have been injected in the period.
+    const Bytes step = static_cast<double>(d) * mtu;
+    if (current_.injected[f] - saved_.injected[f] != step) return false;
+    if (d == 0) continue;  // every packet stranded on a dead link
+    // Stay 2 periods + 1 MTU short of the last packet, keep `injected`
+    // exact and seqs in 31 bits. k < 2^41, so it is exact as a double.
+    const double room = fs.size - fs.injected - 2.0 * step - mtu;
+    const double k_max = std::min(std::floor(room / step),
+                                  std::floor((kExact - fs.injected) / step));
+    if (!(k_max >= 1.0)) return false;
+    if (k_max < static_cast<double>(k)) k = static_cast<std::int64_t>(k_max);
+    k = std::min(k, (std::int64_t{INT32_MAX} - fs.next_seq) / d);
+  }
+  if (k < 1) return false;
+
+  const TimeNs shift = k * period;
+  for (std::size_t f = 0; f < flows_.size(); ++f) {
+    flows_[f].next_seq += static_cast<std::int32_t>(k * seq_step[f]);
+    flows_[f].injected += static_cast<double>(k * seq_step[f]) * mtu;
+  }
+  for (const net::LinkId lid : touched_links_) {
+    LinkState& ls = links_[static_cast<std::size_t>(lid)];
+    if (ls.clear > t1 && ls.clear < kTimeInf) ls.clear += shift;
+  }
+  // Every pending packet is re-seated, so emptying the buckets that hold
+  // any of them empties the wheel.
+  std::vector<std::int32_t> pending;
+  const auto slots = static_cast<std::int32_t>(slab_.capacity());
+  for (std::int32_t slot = 0; slot < slots; ++slot) {
+    PacketSlot& p = slab_[slot];
+    if (!p.live) continue;
+    p.seq += static_cast<std::int32_t>(
+        k * seq_step[static_cast<std::size_t>(p.flow)]);
+    if (p.arrived >= kMaxRel) continue;
+    const std::size_t b = static_cast<std::size_t>(p.arrived) & mask_;
+    bucket_[b] = -1;
+    bitmap_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+    pending.push_back(slot);
+  }
+  heap_.clear();
+  wheel_live_ = 0;
+  wheel_pos_ = t1 + shift;
+  for (const std::int32_t slot : pending) {
+    wheel_insert(slab_[slot].arrived + shift, slot);
+  }
+  packets_forwarded_ += static_cast<std::uint64_t>(k) *
+                        (current_.forwarded - saved_.forwarded);
+  packets_delivered_ += static_cast<std::uint64_t>(k) *
+                        (current_.delivered - saved_.delivered);
+  ++fast_forwards_;
+  return true;
 }
 
 void Engine::wheel_insert(TimeNs at, std::int32_t slot) {

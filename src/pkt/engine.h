@@ -31,7 +31,24 @@
 //     by *content* keys (flow id, per-flow packet sequence), never by
 //     creation order or bucket/heap order;
 //   * completions reported per instant via advance(), not one callback per
-//     packet.
+//     packet;
+//   * exact periodic fast-forward: long flows settle into a schedule that
+//     repeats exactly, every period shifted in time by P. After a sampled
+//     instant the engine builds a time-shift-invariant picture of itself —
+//     per flow (done, in_flight), per touched link max(clear - t, 0), every
+//     in-flight packet in (flow, seq) order as (hop, arrived - t, full MTU?,
+//     last), dead links and stranded packets as sentinels — and runs
+//     Brent's cycle detection over those pictures. On an exact match
+//     between t0 and t1 = t0 + P, the next P ns are the last P ns shifted
+//     (the engine is deterministic and ties break by (flow, seq), which a
+//     uniform per-flow seq shift preserves), so it jumps k whole periods:
+//     arrival times and busy link clocks move by kP, seqs by k per-period
+//     deltas, counters by k per-period deltas. k keeps every flow 2
+//     periods + 1 MTU short of its last packet, t1 + kP within the
+//     advance() limit, and every time within 41 bits; the jump happens
+//     only for an integer mtu_bytes with byte counts below 2^53, so
+//     `injected` lands on exactly the value repeated additions give.
+//     Output is bit-identical to stepping every instant.
 //
 // An engine lives for one phase on a fixed topology: PhaseRunner builds a
 // transport per phase, and nothing in collective/pkt/net mutates the
@@ -88,9 +105,13 @@ class Engine {
   /// reference is valid until the next advance() or add_flow() call.
   const std::vector<Completion>& advance(TimeNs limit);
 
-  // Counters for benchmarks and tests.
+  // Counters for benchmarks and tests. Forwarded and delivered packets
+  // include the ones the periodic fast-forward skipped; arrivals() counts
+  // only the hop arrivals processed one by one.
   std::uint64_t packets_forwarded() const { return packets_forwarded_; }
   std::uint64_t packets_delivered() const { return packets_delivered_; }
+  std::uint64_t arrivals() const { return arrivals_; }
+  std::uint64_t fast_forwards() const { return fast_forwards_; }
   std::size_t slab_capacity() const { return slab_.capacity(); }
   std::size_t slab_live() const { return slab_.live(); }
 
@@ -124,12 +145,14 @@ class Engine {
   // rather than struct-of-arrays.
   struct PacketSlot {
     Bytes size = 0.0;
-    TimeNs arrived = 0;      // the pending arrival event's time
+    TimeNs arrived = 0;      // the pending arrival event's time; kMaxRel
+                             // for a packet stranded on a dead link
     PktFlowId flow = -1;
     std::int32_t seq = 0;    // per-flow injection sequence
     std::int32_t next = -1;  // intrusive wheel bucket chain
     std::int16_t hop = 0;    // index into the flow's path
     std::uint8_t last = 0;
+    std::uint8_t live = 0;   // 1 from injection until delivery
   };
   static_assert(sizeof(PacketSlot) == 32, "two descriptors per cache line");
 
@@ -152,7 +175,7 @@ class Engine {
   struct LinkState {
     TimeNs clear = 0;
     TimeNs delay = 0;
-    TimeNs tx_mtu = 0;
+    TimeNs tx_mtu = -1;  // -1 until a flow first crosses the link
     Bps cap = 0.0;
   };
   static_assert(sizeof(LinkState) == 32, "two links per cache line");
@@ -164,6 +187,22 @@ class Engine {
   void schedule(net::LinkId lid, std::int32_t slot, TimeNs t);
   void ensure_link(net::LinkId lid);
   void update_horizon(const LinkState& ls);
+
+  // Periodic fast-forward. A Snapshot is the engine after instant `t`:
+  // `state` is the canonical, time-shift-invariant form Brent's detector
+  // compares; the rest measures the per-period deltas a jump applies.
+  struct Snapshot {
+    TimeNs t = 0;
+    TimeNs max_offset = 0;  // latest pending arrival or link clear, minus t
+    std::vector<std::int64_t> state;
+    std::vector<std::int32_t> next_seq;  // per flow
+    std::vector<Bytes> injected;         // per flow
+    std::uint64_t forwarded = 0;
+    std::uint64_t delivered = 0;
+  };
+  void take_snapshot(TimeNs t, Snapshot& s);
+  void sample(TimeNs t, TimeNs rel_limit);
+  bool fast_forward(TimeNs rel_limit);  // saved_ -> current_ is a period
 
   void wheel_insert(TimeNs at, std::int32_t slot);
   void wheel_place(TimeNs at, std::int32_t slot);
@@ -180,7 +219,7 @@ class Engine {
   std::vector<net::LinkId> path_pool_;
   std::vector<LinkState> links_;  // indexed by LinkId; grown on demand
 
-  Slab<PacketSlot> slab_;
+  Slab<PacketSlot> slab_{kMaxSlots};  // throws past 2^23 live packets
 
   // Timing wheel. Invariants: every wheel event's time is in
   // [wheel_pos_, wheel_pos_ + span); wheel_pos_ never exceeds the last
@@ -206,6 +245,22 @@ class Engine {
 
   std::uint64_t packets_forwarded_ = 0;
   std::uint64_t packets_delivered_ = 0;
+  std::uint64_t arrivals_ = 0;
+  std::uint64_t fast_forwards_ = 0;
+
+  // Cycle detection. An instant is sampled when it delivers a packet of the
+  // lowest-id unfinished flow whose seq is a multiple of K (a power of two
+  // >= 16 windows, so sampling stays a small share of the work) and
+  // completes nothing. add_flow() and every completion restart detection.
+  std::vector<net::LinkId> touched_links_;  // in first-touch order
+  std::int32_t sample_mask_ = 0;            // K - 1
+  PktFlowId ref_flow_ = 0;                  // lowest-id unfinished flow
+  bool sample_due_ = false;
+  bool have_saved_ = false;
+  std::uint64_t brent_power_ = 1;
+  std::uint64_t brent_lam_ = 0;
+  Snapshot saved_;
+  Snapshot current_;
 };
 
 }  // namespace mixnet::pkt

@@ -6,8 +6,9 @@
 // property the packet engine's slab-reuse test asserts.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace mixnet::pkt {
@@ -15,18 +16,28 @@ namespace mixnet::pkt {
 template <typename T>
 class Slab {
  public:
+  /// At most `max_slots` slots are ever created: the owner packs indices
+  /// into a fixed number of bits.
+  explicit Slab(std::int32_t max_slots = INT32_MAX) : max_slots_(max_slots) {}
+
+  /// Throws std::length_error when every one of the max_slots slots is
+  /// handed out.
   std::int32_t alloc() {
     if (!free_.empty()) {
       const std::int32_t idx = free_.back();
       free_.pop_back();
       return idx;
     }
+    if (slots_.size() >= static_cast<std::size_t>(max_slots_)) full();
     slots_.emplace_back();
     return static_cast<std::int32_t>(slots_.size() - 1);
   }
 
+  /// Throws std::out_of_range for an index this slab never handed out.
   void release(std::int32_t idx) {
-    assert(idx >= 0 && static_cast<std::size_t>(idx) < slots_.size());
+    if (idx < 0 || static_cast<std::size_t>(idx) >= slots_.size()) {
+      foreign(idx);
+    }
     free_.push_back(idx);
   }
 
@@ -43,6 +54,20 @@ class Slab {
   std::size_t live() const { return slots_.size() - free_.size(); }
 
  private:
+  // The throws live out of line so that alloc() and release() stay small
+  // enough to inline into the engine's per-packet paths.
+  [[noreturn]] [[gnu::noinline]] [[gnu::cold]] void full() const {
+    throw std::length_error("pkt::Slab::alloc: all " +
+                            std::to_string(max_slots_) + " slots are in use");
+  }
+  [[noreturn]] [[gnu::noinline]] [[gnu::cold]] void foreign(
+      std::int32_t idx) const {
+    throw std::out_of_range("pkt::Slab::release: index " +
+                            std::to_string(idx) + " outside [0, " +
+                            std::to_string(slots_.size()) + ")");
+  }
+
+  std::int32_t max_slots_;
   std::vector<T> slots_;
   std::vector<std::int32_t> free_;
 };

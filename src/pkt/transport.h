@@ -31,6 +31,9 @@ class PacketTransport final : public net::Transport {
 
   net::FlowId start_flow(net::FlowSpec spec) override;
 
+  /// The engine's counters (arrivals, fast-forward jumps, packets).
+  const Engine& engine() const { return engine_; }
+
  private:
   struct FlowRec {
     net::FlowId id = net::kInvalidFlow;

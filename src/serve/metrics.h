@@ -49,6 +49,9 @@ struct ServeReport {
   /// Copilot least-squares solves: a host work counter, not a simulated
   /// outcome, so slo_metrics() leaves it out (0 when re-placement is off).
   std::size_t copilot_solves = 0;
+  /// Packet hop arrivals the packet engine processed: a host work counter
+  /// like copilot_solves (0 off the packet backend).
+  std::size_t pkt_arrivals = 0;
   // OCS control-plane telemetry.
   int reconfigurations = 0;
   TimeNs reconfig_blocked = 0;  ///< unhidden reconfiguration time

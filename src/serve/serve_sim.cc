@@ -275,6 +275,7 @@ ServeReport ServeSimulator::run() {
   report.makespan = now;
   for (const auto& copilot : copilots_)
     report.copilot_solves += copilot.solves();
+  report.pkt_arrivals = cluster_.runner->pkt_arrivals();
   return report;
 }
 

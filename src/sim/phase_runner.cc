@@ -50,6 +50,8 @@ TimeNs PhaseRunner::run_phase(const char* label, LaunchFn&& launch) {
   TimeNs done_at = -1;
   launch(engine, [&](TimeNs t) { done_at = t; });
   sim.run();
+  if (const auto* packets = dynamic_cast<const pkt::PacketTransport*>(flows.get()))
+    pkt_arrivals_ += packets->engine().arrivals();
   if (done_at < 0) {
     // A silent -1 would poison every downstream figure; fail loudly in every
     // build type, naming the phase.

@@ -72,6 +72,10 @@ class PhaseRunner {
   /// Always {0}; see PhaseCacheStats.
   PhaseCacheStats stats() const { return {}; }
 
+  /// Packet hop arrivals the packet engine processed over every phase this
+  /// runner ran: an exact work counter (0 off the packet backend).
+  std::uint64_t pkt_arrivals() const { return pkt_arrivals_; }
+
  private:
   template <typename LaunchFn>
   TimeNs run_phase(const char* label, LaunchFn&& launch);
@@ -82,6 +86,7 @@ class PhaseRunner {
   pkt::PacketConfig pkt_;
   net::EcmpRouter router_;
   std::vector<control::RelayRule> relays_;
+  std::uint64_t pkt_arrivals_ = 0;
 };
 
 }  // namespace mixnet::sim

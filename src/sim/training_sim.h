@@ -211,6 +211,8 @@ class TrainingSimulator {
   topo::Fabric& fabric() { return *cluster_.fabric; }
   const moe::Placement& placement() const { return *cluster_.placement; }
   const TrainingConfig& config() const { return cluster_.cfg; }
+  /// Packet hop arrivals the packet engine processed so far (PhaseRunner).
+  std::uint64_t pkt_arrivals() const { return cluster_.runner->pkt_arrivals(); }
   /// Smoothed demand that Copilot planning rescales; it records only on a
   /// MixNet fabric with use_copilot set, its one reader.
   const control::TrafficMonitor& monitor() const { return monitor_; }

@@ -316,6 +316,41 @@ TEST(SweepEngine, WarmRunIsAllHitsAndBitIdentical) {
   }
 }
 
+TEST(SweepEngine, PacketArrivalsCountOnlyComputedPacketPoints) {
+  // pkt_arrivals is a host work counter like copilot_solves: a computed
+  // packet-backend point reports its engines' arrivals, a flow-backend
+  // point none, and a cache hit none.
+  TempCacheDir dir;
+  ResultCache cache(dir.path);
+  std::vector<AxisValue> backends;
+  for (const net::NetBackend b :
+       {net::NetBackend::kFlow, net::NetBackend::kPacket}) {
+    backends.push_back(
+        {net::to_string(b), [b](ScenarioSpec& s) { s.backend(b); }});
+  }
+  const Sweep sweep = SweepSpec(tiny_spec().iterations(1))
+                          .axis("backend", std::move(backends))
+                          .expand();
+  ASSERT_EQ(sweep.size(), 2u);
+
+  RunContext ctx;
+  ctx.scenario = "figX";
+  ctx.cache = &cache;
+  SweepStats cold_stats;
+  ctx.stats = &cold_stats;
+  const auto cold = run_sweep(sweep.points(), ctx);
+  EXPECT_EQ(cold[0].pkt_arrivals, 0u);
+  EXPECT_GT(cold[1].pkt_arrivals, 0u);
+  EXPECT_EQ(cold_stats.pkt_arrivals, cold[1].pkt_arrivals);
+
+  SweepStats warm_stats;
+  ctx.stats = &warm_stats;
+  const auto warm = run_sweep(sweep.points(), ctx);
+  EXPECT_EQ(warm_stats.hits, 2u);
+  EXPECT_EQ(warm_stats.pkt_arrivals, 0u);
+  EXPECT_EQ(warm[1].pkt_arrivals, 0u);
+}
+
 TEST(SweepEngine, UnwritableCacheWarnsOnceAndStillComputesEveryPoint) {
   // The cache directory sits under a regular file, so mkdir fails (ENOTDIR).
   TempCacheDir dir;

@@ -300,8 +300,13 @@ TEST(ScenarioRegistry, EveryPaperFigureIsRegistered) {
 
 TEST(ScenarioRegistry, RejectsDuplicateNames) {
   ScenarioRegistry reg;
-  reg.add({"x", "X", "first", nullptr});
-  EXPECT_THROW(reg.add({"x", "X", "again", nullptr}), std::invalid_argument);
+  ScenarioInfo info;
+  info.name = "x";
+  info.figure = "X";
+  info.title = "first";
+  reg.add(info);
+  info.title = "again";
+  EXPECT_THROW(reg.add(info), std::invalid_argument);
 }
 
 // The analytic scenarios are cheap enough to run end-to-end here: the

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -44,6 +46,26 @@ TEST(Slab, ReusesReleasedSlotsWithoutGrowing) {
   EXPECT_EQ(s.capacity(), 3u);
 }
 
+TEST(Slab, AllocPastTheSlotLimitThrows) {
+  // The engine packs slot indices into 23 bits; the slab refuses to grow
+  // past its limit in every build type instead of handing out an index
+  // that would alias another event.
+  Slab<int> s(2);
+  const std::int32_t a = s.alloc();
+  s.alloc();
+  EXPECT_THROW(s.alloc(), std::length_error);
+  s.release(a);
+  EXPECT_EQ(s.alloc(), a);  // a freed slot is still reusable at the limit
+}
+
+TEST(Slab, ReleaseOfAForeignIndexThrows) {
+  Slab<int> s;
+  s.alloc();
+  EXPECT_THROW(s.release(1), std::out_of_range);
+  EXPECT_THROW(s.release(-1), std::out_of_range);
+  EXPECT_EQ(s.live(), 1u);
+}
+
 // ---------------------------------------------- engine vs PacketSim diff ----
 
 struct TestFlow {
@@ -51,22 +73,29 @@ struct TestFlow {
   std::vector<net::LinkId> path;
 };
 
-// Golden oracle: per-flow completion times from net::PacketSim.
+// Golden oracle: per-flow completion times from net::PacketSim (-1 for a
+// flow that never completes).
 std::vector<TimeNs> oracle_times(const net::Network& net,
-                                 const std::vector<TestFlow>& flows) {
+                                 const std::vector<TestFlow>& flows,
+                                 Bytes mtu = 4096.0) {
   eventsim::Simulator sim;
-  net::PacketSim ps(sim, net);
+  net::PacketSim ps(sim, net, mtu);
   std::vector<TimeNs> done(flows.size(), -1);
   for (std::size_t i = 0; i < flows.size(); ++i) {
     net::PacketFlowSpec s;
     s.src = net.link(flows[i].path.front()).src;
     s.dst = net.link(flows[i].path.back()).dst;
     s.size = flows[i].size;
-    s.path = flows[i].path;
+    // Move-assign a copy: GCC 12 at -O3 falsely fires -Wnonnull on
+    // copy-assigning into an empty vector.
+    s.path = std::vector<net::LinkId>(flows[i].path);
     s.on_complete = [&done, i](TimeNs t) { done[i] = t; };
     ps.start_flow(std::move(s));
   }
-  sim.run();
+  // A zero-capacity link serializes a packet for kTimeInf: stop before
+  // those events, whose clock arithmetic would overflow, so such a packet
+  // never arrives, as in the engine.
+  sim.run_until(kTimeInf - 1);
   return done;
 }
 
@@ -189,6 +218,157 @@ TEST(EngineVsPacketSim, ManyFlowIncastBoundedDivergence) {
   }
 }
 
+// ---------------------------------------------- periodic fast-forward ----
+
+struct EngineRun {
+  std::vector<TimeNs> done;  // per flow; -1 if it never completes
+  std::uint64_t forwarded = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t arrivals = 0;
+  std::uint64_t jumps = 0;
+};
+
+EngineRun run_engine(const net::Network& net, const std::vector<TestFlow>& flows,
+                     PacketConfig cfg = {}) {
+  Engine eng(net, cfg);
+  EngineRun r;
+  r.done.assign(flows.size(), -1);
+  for (const TestFlow& f : flows) eng.add_flow(f.size, f.path, 0);
+  for (;;) {
+    const std::vector<Completion>& comps = eng.advance(kTimeInf);
+    if (comps.empty()) break;
+    for (const Completion& c : comps)
+      r.done[static_cast<std::size_t>(c.flow)] = c.at;
+  }
+  r.forwarded = eng.packets_forwarded();
+  r.delivered = eng.packets_delivered();
+  r.arrivals = eng.arrivals();
+  r.jumps = eng.fast_forwards();
+  return r;
+}
+
+// The packet counts net::PacketSim moves: every packet of a flow crosses
+// every hop of its path, and a flow's last packet carries the remainder.
+std::pair<std::uint64_t, std::uint64_t> oracle_packets(
+    const std::vector<TestFlow>& flows, Bytes mtu = 4096.0) {
+  std::uint64_t forwarded = 0;
+  std::uint64_t delivered = 0;
+  for (const TestFlow& f : flows) {
+    const auto n = static_cast<std::uint64_t>(std::ceil(f.size / mtu));
+    delivered += n;
+    forwarded += n * f.path.size();
+  }
+  return {forwarded, delivered};
+}
+
+// Every case diffs the engine against the oracle exactly: completion times
+// and packet counts. The fast-forward must engage (jumps > 0, so far fewer
+// arrivals are processed than forwarded) and change nothing.
+void expect_fast_forward_exact(const net::Network& net,
+                               const std::vector<TestFlow>& flows) {
+  const EngineRun r = run_engine(net, flows);
+  EXPECT_EQ(r.done, oracle_times(net, flows));
+  const auto [forwarded, delivered] = oracle_packets(flows);
+  EXPECT_EQ(r.forwarded, forwarded);
+  EXPECT_EQ(r.delivered, delivered);
+  EXPECT_GT(r.jumps, 0u);
+  EXPECT_LT(r.arrivals, r.forwarded / 2);
+}
+
+TEST(FastForward, LongFlowsSharingABottleneckExactMatch) {
+  std::vector<TestFlow> flows;
+  const net::Network net = dumbbell_net(&flows);
+  flows[0].size = mib(48);
+  flows[1].size = mib(32);
+  expect_fast_forward_exact(net, flows);
+}
+
+TEST(FastForward, PartialLastPacketsExactMatch) {
+  std::vector<net::LinkId> path;
+  const net::Network net = line_net(&path);
+  expect_fast_forward_exact(
+      net, {{mib(24) + 100.0, path}, {mib(16) + 4095.0, path},
+            {mib(20) + 1.0, path}});
+}
+
+TEST(FastForward, WholeMtuFlowsEndExactly) {
+  // Sizes of a whole number of MTUs, one per residue of a 16-packet period:
+  // a jump must never swallow a flow's last packet.
+  std::vector<net::LinkId> path;
+  const net::Network net = line_net(&path);
+  for (int j = 0; j < 16; ++j) {
+    SCOPED_TRACE(j);
+    expect_fast_forward_exact(net, {{mib(12) + 4096.0 * j, path}});
+  }
+}
+
+TEST(FastForward, MixedLinkRatesExactMatch) {
+  // Three sources on 29, 71 and 113 Gbps access links share a 47 Gbps
+  // link and a 61 Gbps last hop: each flow crosses three different rates.
+  net::Network net;
+  const net::NodeId sw = net.add_node(net::NodeKind::kSwitch);
+  const net::NodeId sw2 = net.add_node(net::NodeKind::kSwitch);
+  const net::NodeId sink = net.add_node(net::NodeKind::kServer);
+  const net::LinkId shared = net.add_link(sw, sw2, gbps(47.0), us_to_ns(1.7));
+  const net::LinkId last = net.add_link(sw2, sink, gbps(61.0), us_to_ns(0.4));
+  std::vector<TestFlow> flows;
+  const double caps[3] = {29.0, 71.0, 113.0};
+  for (int i = 0; i < 3; ++i) {
+    const net::NodeId src = net.add_node(net::NodeKind::kServer);
+    const net::LinkId access =
+        net.add_link(src, sw, gbps(caps[i]), us_to_ns(0.3 + 0.37 * i));
+    flows.push_back({mib(16 + 8 * i), {access, shared, last}});
+  }
+  expect_fast_forward_exact(net, flows);
+}
+
+TEST(FastForward, DeadLinkStrandsOnlyItsFlow) {
+  // Flow 2 shares the 179 Gbps access link with flow 0, then dies on a
+  // zero-capacity link: its first window is stranded for ever, and the
+  // live flows' periodic schedule around it still fast-forwards.
+  std::vector<TestFlow> flows;
+  net::Network net = dumbbell_net(&flows);
+  flows[0].size = mib(48);
+  flows[1].size = mib(32);
+  const net::NodeId sink = net.add_node(net::NodeKind::kServer);
+  const net::LinkId dead =
+      net.add_link(net.link(flows[0].path[0]).dst, sink, 0.0, us_to_ns(1.0));
+  flows.push_back({mib(8), {flows[0].path[0], dead}});
+
+  const EngineRun r = run_engine(net, flows);
+  EXPECT_EQ(r.done, oracle_times(net, flows));
+  EXPECT_EQ(r.done[2], -1);  // never arrives
+  const PacketConfig cfg;
+  const auto [forwarded, delivered] =
+      oracle_packets({flows[0], flows[1]});
+  // The stranded window crossed the access link and went no further.
+  EXPECT_EQ(r.forwarded,
+            forwarded + static_cast<std::uint64_t>(cfg.window_packets));
+  EXPECT_EQ(r.delivered, delivered);
+  EXPECT_GT(r.jumps, 0u);
+}
+
+TEST(FastForward, NonIntegerMtuNeverJumps) {
+  // The flows of LongFlowsSharingABottleneckExactMatch, with an MTU that
+  // is not a whole number of bytes: a jump's `injected += k * d * mtu`
+  // could differ from repeated additions in the last bit, so the engine
+  // steps every instant. (4096.5 happens to add exactly; the rule does not
+  // try to tell such MTUs apart.)
+  std::vector<TestFlow> flows;
+  const net::Network net = dumbbell_net(&flows);
+  flows[0].size = mib(48);
+  flows[1].size = mib(32);
+  PacketConfig cfg;
+  cfg.mtu_bytes = 4096.5;
+  const EngineRun r = run_engine(net, flows, cfg);
+  EXPECT_EQ(r.done, oracle_times(net, flows, cfg.mtu_bytes));
+  const auto [forwarded, delivered] = oracle_packets(flows, cfg.mtu_bytes);
+  EXPECT_EQ(r.forwarded, forwarded);
+  EXPECT_EQ(r.delivered, delivered);
+  EXPECT_EQ(r.jumps, 0u);
+  EXPECT_EQ(r.arrivals, r.forwarded);
+}
+
 TEST(Engine, PacketAccountingAndMtuChopping) {
   // One flow of 3 full MTUs plus a 100-byte tail over 2 hops.
   net::Network net;
@@ -261,7 +441,7 @@ TEST(PacketTransport, MatchesStandaloneEngineExactly) {
     s.src = net.link(flows[i].path.front()).src;
     s.dst = net.link(flows[i].path.back()).dst;
     s.size = flows[i].size;
-    s.path = flows[i].path;
+    s.path = std::vector<net::LinkId>(flows[i].path);
     s.on_complete = [&done, i](net::FlowId, TimeNs t) { done[i] = t; };
     pt.start_flow(std::move(s));
   }
@@ -270,13 +450,14 @@ TEST(PacketTransport, MatchesStandaloneEngineExactly) {
   EXPECT_EQ(sim.now(), *std::max_element(direct.begin(), direct.end()));
 }
 
-// Flow 0 (2 MiB over `path0`) starts at 0 and flow 1 (1 MiB over `path1`)
-// at `late`. The late start is a foreign simulator event, so it exercises
-// the pump's horizon re-arming (foreign events bound the speculative
-// drain).
-void expect_staggered_starts_match_oracle(
+// Flow 0 (`size0` over `path0`) starts at 0 and flow 1 (`size1` over
+// `path1`) at `late`. The late start is a foreign simulator event, so it
+// exercises the pump's horizon re-arming (foreign events bound the
+// speculative drain). Returns the engine's fast-forward jumps.
+std::uint64_t expect_staggered_starts_match_oracle(
     const net::Network& net, const std::vector<net::LinkId>& path0,
-    const std::vector<net::LinkId>& path1, TimeNs late) {
+    const std::vector<net::LinkId>& path1, TimeNs late,
+    Bytes size0 = mib(2), Bytes size1 = mib(1)) {
   eventsim::Simulator sim_o;
   net::PacketSim ps(sim_o, net);
   std::vector<TimeNs> oracle(2, -1);
@@ -286,12 +467,12 @@ void expect_staggered_starts_match_oracle(
     s.src = net.link(path.front()).src;
     s.dst = net.link(path.back()).dst;
     s.size = size;
-    s.path = path;
+    s.path = std::vector<net::LinkId>(path);
     s.on_complete = [&oracle, i](TimeNs t) { oracle[i] = t; };
     ps.start_flow(std::move(s));
   };
-  start_oracle(path0, mib(2), 0);
-  sim_o.schedule_at(late, [&] { start_oracle(path1, mib(1), 1); });
+  start_oracle(path0, size0, 0);
+  sim_o.schedule_at(late, [&] { start_oracle(path1, size1, 1); });
   sim_o.run();
 
   eventsim::Simulator sim;
@@ -303,20 +484,32 @@ void expect_staggered_starts_match_oracle(
     s.src = net.link(path.front()).src;
     s.dst = net.link(path.back()).dst;
     s.size = size;
-    s.path = path;
+    s.path = std::vector<net::LinkId>(path);
     s.on_complete = [&done, i](net::FlowId, TimeNs t) { done[i] = t; };
     pt.start_flow(std::move(s));
   };
-  start(path0, mib(2), 0);
-  sim.schedule_at(late, [&] { start(path1, mib(1), 1); });
+  start(path0, size0, 0);
+  sim.schedule_at(late, [&] { start(path1, size1, 1); });
   sim.run();
   EXPECT_EQ(done, oracle);
+  return pt.engine().fast_forwards();
 }
 
 TEST(PacketTransport, StaggeredStartsMatchOracle) {
   std::vector<net::LinkId> path;
   const net::Network net = line_net(&path);
   expect_staggered_starts_match_oracle(net, path, path, 777'777);
+}
+
+TEST(PacketTransport, LateStartBoundsTheFastForward) {
+  // Flow 0 is deep in its periodic steady state when flow 1 starts: the
+  // pump's limit (the late start) bounds the jump, and the two-flow
+  // schedule after it fast-forwards again.
+  std::vector<net::LinkId> path;
+  const net::Network net = line_net(&path);
+  EXPECT_GT(expect_staggered_starts_match_oracle(net, path, path, 7'777'777,
+                                                 mib(32), mib(12)),
+            1u);
 }
 
 TEST(PacketTransport, SlowLinkStaggeredStartsMatchOracle) {
@@ -360,7 +553,7 @@ TEST(PacketTransport, ExtraDelayShiftsCompletion) {
     s.src = net.link(flows[i].path.front()).src;
     s.dst = net.link(flows[i].path.back()).dst;
     s.size = flows[i].size;
-    s.path = flows[i].path;
+    s.path = std::vector<net::LinkId>(flows[i].path);
     s.extra_delay = extra;
     s.on_complete = [&done, i](net::FlowId, TimeNs t) { done[i] = t; };
     pt.start_flow(std::move(s));
@@ -389,7 +582,7 @@ TEST(MakeTransport, LadderRungsAreOrdered) {
       s.src = net.link(f.path.front()).src;
       s.dst = net.link(f.path.back()).dst;
       s.size = f.size;
-      s.path = f.path;
+      s.path = std::vector<net::LinkId>(f.path);
       s.on_complete = [&last, b](net::FlowId, TimeNs at) {
         if (at > last[b]) last[b] = at;
       };
