@@ -19,9 +19,9 @@
 #include "moe/models.h"
 #include "moe/traffic.h"
 #include "net/flowsim.h"
-#include "net/packetsim.h"
 #include "net/routing.h"
 #include "ocs/algorithm.h"
+#include "oracle/packetsim.h"
 #include "pkt/engine.h"
 #include "predict/copilot.h"
 #include "topo/fabric.h"
@@ -60,15 +60,6 @@ void BM_Algorithm1WorkConserving(benchmark::State& state) {
 }
 BENCHMARK(BM_Algorithm1WorkConserving);
 
-void BM_NicMapping(benchmark::State& state) {
-  const auto topo = ocs::reconfigure_ocs(random_demand(32, 44), 6);
-  for (auto _ : state) {
-    auto nics = ocs::nic_mapping(topo.counts, 6);
-    benchmark::DoNotOptimize(nics.size());
-  }
-}
-BENCHMARK(BM_NicMapping);
-
 void BM_FlowSimAllToAll(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto fabric = topo::Fabric::build(topo::FabricConfig::fat_tree(n));
@@ -96,8 +87,9 @@ void BM_FlowSimAllToAll(benchmark::State& state) {
 BENCHMARK(BM_FlowSimAllToAll)->Arg(4)->Arg(8)->Arg(16);
 
 // ---------------------------------------------------------------------------
-// Packet-mode throughput: the reference store-and-forward PacketSim (one
-// std::function event per packet hop on the shared calendar) vs the packet
+// Packet-mode throughput: the reference store-and-forward PacketSim, the
+// test oracle in tests/oracle (one std::function event per packet hop on
+// the shared calendar) vs the packet
 // engine (timing wheel, flat tables, slab descriptors) on the same 64-flow
 // fat-tree workload. The engine's speedup is what makes packet-mode runs of
 // full training scenarios affordable (DESIGN.md §12).

@@ -85,14 +85,6 @@ class Matrix {
       for (std::size_t c = 0; c < cols_; ++c) y[r] += (*this)(r, c) * x[c];
   }
 
-  /// Transposed copy.
-  Matrix transposed() const {
-    Matrix t(cols_, rows_);
-    for (std::size_t r = 0; r < rows_; ++r)
-      for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-    return t;
-  }
-
   bool operator==(const Matrix& o) const {
     return rows_ == o.rows_ && cols_ == o.cols_ && data_ == o.data_;
   }

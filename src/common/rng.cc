@@ -202,8 +202,4 @@ std::vector<double> Rng::dirichlet(const std::vector<double>& alpha) {
   return out;
 }
 
-Rng Rng::fork() {
-  return Rng(next() ^ 0xD1B54A32D192ED03ULL);
-}
-
 }  // namespace mixnet

@@ -77,9 +77,6 @@ class Rng {
   /// Dirichlet with per-component concentrations.
   std::vector<double> dirichlet(const std::vector<double>& alpha);
 
-  /// Fork a statistically independent child stream (for per-component seeds).
-  Rng fork();
-
  private:
   result_type next();
 

@@ -50,15 +50,4 @@ double coeff_of_variation(const std::vector<double>& xs) {
   return stddev(xs) / m;
 }
 
-double jain_fairness(const std::vector<double>& xs) {
-  if (xs.empty()) return 1.0;
-  double s = 0.0, s2 = 0.0;
-  for (double x : xs) {
-    s += x;
-    s2 += x * x;
-  }
-  if (s2 == 0.0) return 1.0;
-  return s * s / (static_cast<double>(xs.size()) * s2);
-}
-
 }  // namespace mixnet

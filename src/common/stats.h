@@ -22,7 +22,4 @@ double percentile(std::vector<double> xs, double p);
 /// Coefficient of variation (stddev / mean); 0 for empty or zero-mean input.
 double coeff_of_variation(const std::vector<double>& xs);
 
-/// Jain's fairness index: (sum x)^2 / (n * sum x^2); 1.0 == perfectly uniform.
-double jain_fairness(const std::vector<double>& xs);
-
 }  // namespace mixnet

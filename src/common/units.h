@@ -41,9 +41,6 @@ constexpr double ns_to_sec(TimeNs t) { return static_cast<double>(t) / 1e9; }
 /// Link rates are quoted in Gbps throughout the paper; convert to bytes/sec.
 constexpr Bps gbps(double g) { return g * 1e9 / 8.0; }
 
-/// Inverse of gbps() for reporting.
-constexpr double to_gbps(Bps b) { return b * 8.0 / 1e9; }
-
 constexpr Bytes kib(double k) { return k * 1024.0; }
 constexpr Bytes mib(double m) { return m * 1024.0 * 1024.0; }
 constexpr Bytes gib(double g) { return g * 1024.0 * 1024.0 * 1024.0; }

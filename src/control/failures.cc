@@ -31,10 +31,8 @@ void FailureManager::fail_eps_nics(int server, int count) {
 }
 
 void FailureManager::apply(const FailureScenario& scenario) {
-  affected_server_ = scenario.server;
   switch (scenario.kind) {
     case FailureScenario::Kind::kNone:
-      affected_server_ = -1;
       return;
     case FailureScenario::Kind::kOneNic:
       fail_eps_nics(scenario.server, 1);

@@ -56,7 +56,6 @@ class FailureManager {
   /// True when a failed GPU forces one stage's TP all-reduce onto the
   /// scale-out fabric (extra per-layer cost charged by the training sim).
   bool tp_over_scale_out() const { return tp_over_scale_out_; }
-  int affected_server() const { return affected_server_; }
 
  private:
   void fail_eps_nics(int server, int count);
@@ -65,7 +64,6 @@ class FailureManager {
   std::vector<bool> excluded_;
   std::vector<RelayRule> relays_;
   bool tp_over_scale_out_ = false;
-  int affected_server_ = -1;
 };
 
 }  // namespace mixnet::control

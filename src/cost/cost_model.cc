@@ -131,18 +131,6 @@ double fabric_cost_musd(topo::FabricKind kind, int n_gpus, int gbps,
   return fabric_cost(kind, servers, 8, gbps, eps_link).total() / 1e6;
 }
 
-double eps_nic_cost(int gbps) {
-  const ComponentPrices p = prices_for(gbps);
-  // NIC + 5 switch ports (1:1 three-tier share) + 3 optical links' worth of
-  // transceivers and fibers (host-leaf, leaf-agg, agg-core).
-  return p.nic + 6.0 * p.transceiver + 5.0 * p.eps_port + 3.0 * p.fiber;
-}
-
-double ocs_nic_cost(int gbps) {
-  const ComponentPrices p = prices_for(gbps);
-  return p.nic + 2.0 * p.transceiver + p.ocs_port + p.fiber;
-}
-
 double cost_equivalent_eps_gbps(int alpha, int nics, int gbps_base) {
   const int eps_nics = nics - alpha;
   if (eps_nics <= 0) return 0.0;

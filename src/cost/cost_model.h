@@ -70,11 +70,6 @@ CostBreakdown fabric_cost(topo::FabricKind kind, int n_servers, int nics_per_ser
 double fabric_cost_musd(topo::FabricKind kind, int n_gpus, int gbps,
                         EpsLinkType eps_link = EpsLinkType::kTransceiverFiber);
 
-/// Per-server cost of one NIC attached to the EPS clos (NIC + transceivers +
-/// its share of switch ports) or to the OCS (NIC + transceivers + OCS port).
-double eps_nic_cost(int gbps);
-double ocs_nic_cost(int gbps);
-
 /// Fig. 27 methodology ("we reduce the bandwidth of each electronic port
 /// when increasing their number, to ensure a cost-equivalent comparison"):
 /// the electrical side's total cost -- and hence, to first order, its total

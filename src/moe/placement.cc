@@ -26,7 +26,16 @@ int Placement::total_servers() const {
 }
 
 int Placement::gpu_of(const GpuCoord& c) const {
-  assert(c.dp < par_.dp && c.pp < par_.pp && c.ep < par_.ep && c.tp < par_.tp);
+  const auto in = [](int x, int degree) { return x >= 0 && x < degree; };
+  if (!in(c.dp, par_.dp) || !in(c.pp, par_.pp) || !in(c.ep, par_.ep) ||
+      !in(c.tp, par_.tp))
+    throw std::out_of_range(
+        "Placement::gpu_of: coordinate (dp, pp, ep, tp) = (" +
+        std::to_string(c.dp) + ", " + std::to_string(c.pp) + ", " +
+        std::to_string(c.ep) + ", " + std::to_string(c.tp) +
+        ") is outside the degrees (" + std::to_string(par_.dp) + ", " +
+        std::to_string(par_.pp) + ", " + std::to_string(par_.ep) + ", " +
+        std::to_string(par_.tp) + ")");
   return ((c.dp * par_.pp + c.pp) * par_.ep + c.ep) * par_.tp + c.tp;
 }
 

@@ -33,6 +33,8 @@ class Placement {
   int total_gpus() const { return par_.total_gpus(); }
   int total_servers() const;
 
+  /// Throws std::out_of_range for a coordinate that is negative or at or
+  /// past its parallelism degree.
   int gpu_of(const GpuCoord& c) const;
   GpuCoord coord_of(int gpu) const;
   int server_of_gpu(int gpu) const { return gpu / gpus_per_server_; }

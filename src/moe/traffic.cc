@@ -1,7 +1,6 @@
 #include "moe/traffic.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -124,7 +123,9 @@ double matrix_sparsity(const Matrix& m, double threshold_frac) {
 }
 
 double block_locality(const Matrix& gpu_matrix, int block) {
-  assert(block > 0);
+  if (block <= 0)
+    throw std::invalid_argument("block_locality: block must be >= 1, got " +
+                                std::to_string(block));
   double total = 0.0, local = 0.0;
   for (std::size_t i = 0; i < gpu_matrix.rows(); ++i) {
     for (std::size_t j = 0; j < gpu_matrix.cols(); ++j) {

@@ -76,7 +76,8 @@ Matrix aggregate_to_servers(const Matrix& rank_matrix,
 double matrix_sparsity(const Matrix& m, double threshold_frac = 0.1);
 
 /// Locality score of a full GPU x GPU traffic matrix: fraction of volume
-/// that stays within blocks of `block` consecutive GPUs (Fig. 5).
+/// that stays within blocks of `block` consecutive GPUs (Fig. 5). Throws
+/// std::invalid_argument for `block` <= 0.
 double block_locality(const Matrix& gpu_matrix, int block);
 
 /// Build the cluster-wide GPU x GPU traffic matrix of one iteration from the

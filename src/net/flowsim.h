@@ -28,7 +28,7 @@
 // For the multi-megabyte transfers that dominate distributed training this
 // matches per-packet fair-queueing simulation closely; the PacketVsFluid
 // sweep in tests/net_test.cc cross-checks it against the store-and-forward
-// PacketSim.
+// net::PacketSim test oracle (tests/oracle/packetsim.h).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "ocs/algorithm.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -10,7 +9,10 @@
 namespace mixnet::ocs {
 
 Matrix symmetrize_demand(const Matrix& demand) {
-  assert(demand.rows() == demand.cols());
+  if (demand.rows() != demand.cols())
+    throw std::invalid_argument("symmetrize_demand: demand is " +
+                                std::to_string(demand.rows()) + "x" +
+                                std::to_string(demand.cols()) + ", not square");
   const std::size_t n = demand.rows();
   Matrix d(n, n, 0.0);
   for (std::size_t i = 0; i < n; ++i)
@@ -209,50 +211,6 @@ OcsTopology reconfigure_ocs(const Matrix& demand, int alpha,
   return topo;
 }
 
-std::vector<CircuitAssignment> nic_mapping(const Matrix& counts, int alpha) {
-  const std::size_t n = counts.rows();
-  std::vector<CircuitAssignment> out;
-  // Per-server free NIC pools split by NUMA node: [0, alpha/2) node 0,
-  // [alpha/2, alpha) node 1. For parallel circuits we alternate nodes.
-  std::vector<std::vector<int>> free_nics(n);
-  for (std::size_t s = 0; s < n; ++s)
-    for (int k = 0; k < alpha; ++k) free_nics[s].push_back(k);
-
-  auto take_from_numa = [&](std::size_t s, int numa) -> int {
-    const int half = std::max(alpha / 2, 1);
-    for (std::size_t idx = 0; idx < free_nics[s].size(); ++idx) {
-      const int nic = free_nics[s][idx];
-      const int node = nic < half ? 0 : 1;
-      if (node == numa || alpha < 2) {
-        free_nics[s].erase(free_nics[s].begin() + static_cast<long>(idx));
-        return nic;
-      }
-    }
-    // Preferred node exhausted: take any.
-    if (free_nics[s].empty()) return -1;
-    const int nic = free_nics[s].front();
-    free_nics[s].erase(free_nics[s].begin());
-    return nic;
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const int c = static_cast<int>(std::lround(counts(i, j)));
-      for (int k = 0; k < c; ++k) {
-        const int numa = k % 2;  // permuteLinks: alternate NUMA nodes
-        CircuitAssignment a;
-        a.server_a = static_cast<int>(i);
-        a.server_b = static_cast<int>(j);
-        a.nic_a = take_from_numa(i, numa);
-        a.nic_b = take_from_numa(j, numa);
-        assert(a.nic_a >= 0 && a.nic_b >= 0 && "counts exceeded optical degree");
-        out.push_back(a);
-      }
-    }
-  }
-  return out;
-}
-
 Matrix uniform_topology(std::size_t n, int alpha) {
   // Circulant multigraph: each offset ring contributes degree 2 to every
   // node, so alpha/2 rings give an exactly alpha-regular topology (plus a
@@ -281,24 +239,6 @@ Matrix uniform_topology(std::size_t n, int alpha) {
     for (std::size_t i = 0; i < n / 2; ++i) add(i, i + n / 2);
   }
   return counts;
-}
-
-bool numa_balanced(const std::vector<CircuitAssignment>& nics, int alpha) {
-  if (alpha < 2) return true;
-  const int half = alpha / 2;
-  // Group by (a, b) pair.
-  for (std::size_t i = 0; i < nics.size(); ++i) {
-    // Count circuits of this pair and NUMA nodes used on side a.
-    int pair_count = 0;
-    bool node0 = false, node1 = false;
-    for (const auto& c : nics) {
-      if (c.server_a != nics[i].server_a || c.server_b != nics[i].server_b) continue;
-      ++pair_count;
-      (c.nic_a < half ? node0 : node1) = true;
-    }
-    if (pair_count >= 2 && !(node0 && node1)) return false;
-  }
-  return true;
 }
 
 }  // namespace mixnet::ocs

@@ -49,15 +49,6 @@ struct ReconfigureOptions {
   std::vector<bool> excluded;
 };
 
-/// One physical circuit: region-local servers and the NIC index used on each
-/// side. NIC indices are OCS-side indices in [0, alpha).
-struct CircuitAssignment {
-  int server_a = 0;
-  int server_b = 0;
-  int nic_a = 0;
-  int nic_b = 0;
-};
-
 struct OcsTopology {
   /// Symmetric circuit-count matrix (N x N).
   Matrix counts;
@@ -68,29 +59,20 @@ struct OcsTopology {
 };
 
 /// Fold a (possibly asymmetric) demand matrix into symmetric TX+RX demand.
+/// Throws std::invalid_argument for a non-square `demand`.
 Matrix symmetrize_demand(const Matrix& demand);
 
 /// Algorithm 1. `demand` is N x N inter-server bytes; `alpha` the per-server
-/// optical degree. Returns the circuit allocation; the Step-4 NIC mapping is
-/// nic_mapping(result.counts, alpha), computed on demand. Throws
-/// std::invalid_argument for a non-square `demand` or an `opts.excluded` of
-/// the wrong size.
+/// optical degree. Returns the circuit allocation as per-pair counts; the
+/// fabric installs counts, so the Step-4 NIC mapping is not simulated.
+/// Throws std::invalid_argument for a non-square `demand` or an
+/// `opts.excluded` of the wrong size.
 OcsTopology reconfigure_ocs(const Matrix& demand, int alpha,
                             const ReconfigureOptions& opts = {});
-
-/// Step 4: assign NIC indices for a circuit-count matrix, permuting so
-/// parallel circuits between a server pair land on different NUMA nodes
-/// (NIC i belongs to NUMA node i >= alpha/2).
-std::vector<CircuitAssignment> nic_mapping(const Matrix& counts, int alpha);
 
 /// Demand-oblivious baseline for ablations: spread circuits uniformly
 /// round-robin across all pairs (what a static expander / rotor-style
 /// schedule would average to). Row sums never exceed alpha.
 Matrix uniform_topology(std::size_t n, int alpha);
-
-/// True if every server's circuits are NUMA-balanced where possible:
-/// any pair with >= 2 parallel circuits uses both NUMA nodes on both ends
-/// (when alpha >= 2).
-bool numa_balanced(const std::vector<CircuitAssignment>& nics, int alpha);
 
 }  // namespace mixnet::ocs

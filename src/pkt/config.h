@@ -7,8 +7,9 @@ namespace mixnet::pkt {
 
 struct PacketConfig {
   /// Flows are chopped into MTU-sized packets; the final packet carries the
-  /// remainder. Matches net::PacketSim's default so differential tests
-  /// compare like with like.
+  /// remainder. Matches the default of the net::PacketSim test oracle
+  /// (tests/oracle/packetsim.h) so differential tests compare like with
+  /// like.
   Bytes mtu_bytes = 4096.0;
 
   /// Per-flow window: at most this many packets of a flow are in flight

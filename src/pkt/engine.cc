@@ -199,7 +199,8 @@ void Engine::inject(PktFlowId f, TimeNs t) {
     p.seq = fs.next_seq++;
     p.hop = 0;
     p.next = -1;
-    // Float-tolerant "last packet" test, same epsilon as net::PacketSim.
+    // Float-tolerant "last packet" test, same epsilon as the net::PacketSim
+    // test oracle.
     p.last = (p.size >= remaining - 1e-9) ? 1 : 0;
     p.live = 1;
     fs.injected += p.size;

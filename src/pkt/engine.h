@@ -1,7 +1,7 @@
 // Packet engine (DESIGN.md §12).
 //
-// A store-and-forward packet simulator with the same semantics as
-// net::PacketSim — flows chopped into MTU packets, per-flow windowed
+// A store-and-forward packet simulator with the same semantics as the
+// net::PacketSim test oracle (tests/oracle/packetsim.h) — flows chopped into MTU packets, per-flow windowed
 // injection, FIFO links — rebuilt around flat tables so packet-mode runs of
 // full training scenarios are affordable:
 //
@@ -58,8 +58,8 @@
 // phases are milliseconds).
 //
 // The engine owns no clock: the PacketTransport adapter drains it against
-// the eventsim::Simulator horizon (see pkt/transport.h). net::PacketSim
-// stays as the golden oracle; tests/pkt_test.cc diffs the two.
+// the eventsim::Simulator horizon (see pkt/transport.h). The golden oracle,
+// net::PacketSim, lives in tests/oracle/; tests/pkt_test.cc diffs the two.
 #pragma once
 
 #include <cstdint>

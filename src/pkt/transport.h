@@ -9,8 +9,9 @@
 // one per packet hop. The pump stops at any instant that completes flows and
 // delivers the whole batch at its true timestamp (inline when it equals
 // now(), else via one scheduled event), so completion callbacks observe
-// exactly the same sim_.now() they would under net::PacketSim — the
-// collective engine's barriers depend on that.
+// exactly the same sim_.now() they would under the net::PacketSim test
+// oracle (tests/oracle/packetsim.h) — the collective engine's barriers
+// depend on that.
 #pragma once
 
 #include <cstdint>

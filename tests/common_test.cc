@@ -17,9 +17,8 @@ namespace {
 // ---------------------------------------------------------------- units ----
 
 TEST(Units, GbpsConversionRoundTrips) {
-  EXPECT_DOUBLE_EQ(to_gbps(gbps(100.0)), 100.0);
-  EXPECT_DOUBLE_EQ(to_gbps(gbps(400.0)), 400.0);
   EXPECT_DOUBLE_EQ(gbps(8.0), 1e9);  // 8 Gbps == 1 GB/s
+  EXPECT_DOUBLE_EQ(gbps(400.0), 50e9);
 }
 
 TEST(Units, TimeConversions) {
@@ -232,18 +231,6 @@ TEST(Rng, GammaMeanMatchesShape) {
   }
 }
 
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng a(31);
-  Rng child = a.fork();
-  // The child must not replay the parent's sequence.
-  Rng b(31);
-  (void)b.fork();
-  int same = 0;
-  for (int i = 0; i < 64; ++i)
-    if (child() == b()) ++same;
-  EXPECT_LT(same, 2);
-}
-
 // --------------------------------------------------------------- matrix ----
 
 TEST(Matrix, BasicAccessAndSum) {
@@ -261,14 +248,6 @@ TEST(Matrix, IdentityMul) {
   EXPECT_EQ(id.mul(x), x);
 }
 
-TEST(Matrix, TransposeInvolution) {
-  Matrix m(3, 2);
-  m(0, 1) = 5.0;
-  m(2, 0) = -1.0;
-  EXPECT_TRUE(m.transposed().transposed() == m);
-  EXPECT_DOUBLE_EQ(m.transposed()(1, 0), 5.0);
-}
-
 // ---------------------------------------------------------------- stats ----
 
 TEST(Stats, MeanVariance) {
@@ -283,11 +262,6 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(percentile(xs, 1.0), 50);
   EXPECT_DOUBLE_EQ(percentile(xs, 0.5), 30);
   EXPECT_DOUBLE_EQ(percentile(xs, 0.25), 20);
-}
-
-TEST(Stats, JainFairness) {
-  EXPECT_DOUBLE_EQ(jain_fairness({1, 1, 1, 1}), 1.0);
-  EXPECT_NEAR(jain_fairness({1, 0, 0, 0}), 0.25, 1e-12);
 }
 
 TEST(Stats, CoeffOfVariationZeroForConstant) {

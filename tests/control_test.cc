@@ -140,7 +140,6 @@ TEST(Failures, GpuFailureFlagsTpPenalty) {
   FailureManager fm(fabric);
   fm.apply({FailureScenario::Kind::kOneGpu, 3});
   EXPECT_TRUE(fm.tp_over_scale_out());
-  EXPECT_EQ(fm.affected_server(), 3);
 }
 
 TEST(Failures, ServerDownExcluded) {
@@ -157,7 +156,6 @@ TEST(Failures, NoneIsNoOp) {
   FailureManager fm(fabric);
   fm.apply({FailureScenario::Kind::kNone, 0});
   EXPECT_EQ(fabric.network().version(), version);
-  EXPECT_EQ(fm.affected_server(), -1);
 }
 
 }  // namespace

@@ -129,14 +129,6 @@ TEST(Cost, CostEquivalentEpsBandwidth) {
   EXPECT_DOUBLE_EQ(cost_equivalent_eps_gbps(8, 8, 100), 0.0);
 }
 
-TEST(Cost, NicCostsOrdered) {
-  // An EPS-attached NIC carries clos infrastructure; an OCS port does not.
-  for (int gbps : {100, 400}) {
-    EXPECT_GT(eps_nic_cost(gbps), ocs_nic_cost(gbps));
-  }
-  EXPECT_GT(eps_nic_cost(400), eps_nic_cost(100));
-}
-
 TEST(Cost, ScaleUpFabricsNotCosted) {
   EXPECT_THROW(fabric_cost(FabricKind::kNvl72, 32, 8, 400), std::invalid_argument);
 }

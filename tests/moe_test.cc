@@ -71,6 +71,23 @@ TEST(Placement, RoundTripCoordinates) {
   }
 }
 
+TEST(Placement, GpuOfRejectsCoordinatesOutsideTheDegrees) {
+  ParallelismSpec p;
+  p.dp = 2;
+  p.pp = 4;
+  p.ep = 8;
+  p.tp = 4;
+  Placement pl(p, 8);
+  EXPECT_EQ(pl.gpu_of({1, 3, 7, 3}), pl.total_gpus() - 1);
+  // Each would alias another GPU's index, or one past the cluster.
+  EXPECT_THROW(pl.gpu_of({2, 0, 0, 0}), std::out_of_range);
+  EXPECT_THROW(pl.gpu_of({0, 4, 0, 0}), std::out_of_range);
+  EXPECT_THROW(pl.gpu_of({0, 0, 8, 0}), std::out_of_range);
+  EXPECT_THROW(pl.gpu_of({0, 0, 0, 4}), std::out_of_range);
+  EXPECT_THROW(pl.gpu_of({0, 1, -1, 0}), std::out_of_range);
+  EXPECT_THROW(pl.gpu_of({-1, 0, 0, 0}), std::out_of_range);
+}
+
 TEST(Placement, TpInnermostSharesServer) {
   ParallelismSpec p;
   p.ep = 8;
@@ -770,6 +787,12 @@ TEST(Traffic, BlockLocalityMetric) {
   EXPECT_DOUBLE_EQ(block_locality(m, 2), 1.0);
   m(0, 3) = 20.0;
   EXPECT_DOUBLE_EQ(block_locality(m, 2), 0.5);
+}
+
+TEST(Traffic, BlockLocalityRejectsNonPositiveBlock) {
+  const Matrix m(4, 4, 1.0);
+  EXPECT_THROW(block_locality(m, 0), std::invalid_argument);
+  EXPECT_THROW(block_locality(m, -2), std::invalid_argument);
 }
 
 TEST(Traffic, GpuMatrixShowsEpLocality) {

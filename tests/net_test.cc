@@ -8,8 +8,8 @@
 #include "eventsim/simulator.h"
 #include "net/flowsim.h"
 #include "net/network.h"
-#include "net/packetsim.h"
 #include "net/routing.h"
+#include "oracle/packetsim.h"
 
 namespace mixnet::net {
 namespace {

@@ -1,4 +1,4 @@
-#include "net/packetsim.h"
+#include "oracle/packetsim.h"
 
 #include <algorithm>
 #include <cassert>
@@ -49,6 +49,7 @@ void PacketSim::serve(LinkId lid) {
   Packet p = ls.queue.front();
   ls.queue.pop_front();
   const TimeNs tx = transmission_time(p.size, l.capacity);
+  if (tx >= kTimeInf) return;  // stranded: the link stays busy for ever
   const TimeNs done = sim_.now() + tx;
   // Serialization finishes at `done`; the packet lands after propagation.
   sim_.schedule_at(done, [this, lid, p, done] {

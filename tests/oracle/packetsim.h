@@ -1,11 +1,19 @@
-// Store-and-forward packet-level simulator (validation mode).
+// Store-and-forward packet-level simulator: the golden test oracle.
 //
-// A deliberately simple reference model used to validate the fluid FlowSim:
-// flows are chopped into MTU-sized packets, each link serves packets FIFO at
+// A deliberately simple reference model that the tests diff pkt::Engine
+// against exactly (tests/pkt_test.cc) and use to validate the fluid FlowSim
+// (tests/net_test.cc); bench_micro times it as BM_PacketSimReference. No
+// binary that produces figures links it (library mixnet_test_oracle).
+//
+// Flows are chopped into MTU-sized packets, each link serves packets FIFO at
 // its capacity, and queues are unbounded (lossless fabric, as in RoCE/IB with
 // PFC). Sources are window-paced (packets admitted per-flow round-robin) so
 // that long-lived flows sharing a bottleneck converge to fair shares, which
 // is what the fluid model assumes.
+//
+// A packet that starts serializing on a zero-capacity link (transmission
+// time kTimeInf) is stranded: the link stays busy and nothing is scheduled,
+// so it and everything queued behind it never arrive, as in pkt::Engine.
 //
 // Complexity is O(packets x hops) -- only suitable for small scenarios, which
 // is all the cross-validation tests need.

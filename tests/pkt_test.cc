@@ -14,8 +14,8 @@
 
 #include "eventsim/simulator.h"
 #include "net/network.h"
-#include "net/packetsim.h"
 #include "net/transport.h"
+#include "oracle/packetsim.h"
 #include "pkt/engine.h"
 #include "pkt/slab.h"
 #include "pkt/transport.h"
@@ -74,7 +74,8 @@ struct TestFlow {
 };
 
 // Golden oracle: per-flow completion times from net::PacketSim (-1 for a
-// flow that never completes).
+// flow that never completes). The run drains: a packet on a zero-capacity
+// link is stranded and schedules nothing.
 std::vector<TimeNs> oracle_times(const net::Network& net,
                                  const std::vector<TestFlow>& flows,
                                  Bytes mtu = 4096.0) {
@@ -92,10 +93,7 @@ std::vector<TimeNs> oracle_times(const net::Network& net,
     s.on_complete = [&done, i](TimeNs t) { done[i] = t; };
     ps.start_flow(std::move(s));
   }
-  // A zero-capacity link serializes a packet for kTimeInf: stop before
-  // those events, whose clock arithmetic would overflow, so such a packet
-  // never arrives, as in the engine.
-  sim.run_until(kTimeInf - 1);
+  sim.run();
   return done;
 }
 
@@ -346,6 +344,26 @@ TEST(FastForward, DeadLinkStrandsOnlyItsFlow) {
             forwarded + static_cast<std::uint64_t>(cfg.window_packets));
   EXPECT_EQ(r.delivered, delivered);
   EXPECT_GT(r.jumps, 0u);
+}
+
+TEST(PacketSimOracle, DeadHopsStrandTheirFlowsAndTheRunDrains) {
+  // Flow 2 crosses the shared 179 Gbps access link and then a
+  // zero-capacity link; flow 3 starts on one, so a whole window queues on
+  // it at once. Both are stranded: sim.run() returns, neither completes,
+  // and the live flows finish at the times the engine gives them.
+  std::vector<TestFlow> flows;
+  net::Network net = dumbbell_net(&flows);
+  const net::NodeId sw = net.link(flows[0].path[0]).dst;
+  const net::NodeId sink = net.add_node(net::NodeKind::kServer);
+  const net::LinkId dead = net.add_link(sw, sink, 0.0, us_to_ns(1.0));
+  const net::NodeId src = net.add_node(net::NodeKind::kServer);
+  const net::LinkId dead_access = net.add_link(src, sw, 0.0, us_to_ns(0.5));
+  flows.push_back({mib(1), {flows[0].path[0], dead}});
+  flows.push_back({mib(1), {dead_access, flows[0].path[1]}});
+
+  const std::vector<TimeNs> done = oracle_times(net, flows);
+  EXPECT_EQ(done, (std::vector<TimeNs>{635015, 363095, -1, -1}));
+  EXPECT_EQ(done, engine_times(net, flows));
 }
 
 TEST(FastForward, NonIntegerMtuNeverJumps) {
