@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd_math.h"
 #include "eventsim/simulator.h"
 #include "moe/gate.h"
 #include "moe/gate_trace.h"
@@ -287,6 +288,25 @@ void BM_GateTraceDeepSeekR1(benchmark::State& state) {
 }
 BENCHMARK(BM_GateTraceDeepSeekR1)->Unit(benchmark::kMillisecond);
 
+/// One layer's Markov propagation: the layer's E x E transition times every
+/// EP rank's expert distribution, as refresh_distributions runs it per read
+/// layer (and per layer of all of them in the constructor). (64, 16) is the
+/// serve gate, (256, 64) DeepSeek-R1 and (256, 128) DeepSeek-V3 in fig16.
+void BM_GatePropagate(benchmark::State& state) {
+  const auto E = static_cast<std::size_t>(state.range(0));
+  const auto R = static_cast<std::size_t>(state.range(1));
+  Rng rng(7);
+  std::vector<double> m(E * E), x(R * E), y(R * E);
+  for (double& v : m) v = rng.uniform();
+  for (double& v : x) v = rng.uniform();
+  for (auto _ : state) {
+    vecmath::matvec_batch(m.data(), x.data(), y.data(), E, E, R);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetLabel("experts=" + std::to_string(E) + " ranks=" + std::to_string(R));
+}
+BENCHMARK(BM_GatePropagate)->Args({64, 16})->Args({256, 64})->Args({256, 128});
+
 /// Bulk standard-normal draws (the block Box-Muller primitive under the gate
 /// OU walks and count realization).
 void BM_RngFillNormal(benchmark::State& state) {
@@ -316,6 +336,17 @@ void BM_RngFillGamma(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_RngFillGamma)->Arg(4096);
+
+/// The same draws as BM_RngFillGamma, consumed without computing them (the
+/// transition drift of a layer nobody reads).
+void BM_RngSkipGamma(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(7);
+  for (auto _ : state) rng.skip_gamma(n, 0.08);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_RngSkipGamma)->Arg(4096);
 
 void BM_CopilotSolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

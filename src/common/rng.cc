@@ -1,6 +1,6 @@
 #include "common/rng.h"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -61,18 +61,6 @@ double Rng::uniform() {
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
-std::uint64_t Rng::uniform_int(std::uint64_t n) {
-  assert(n > 0);
-  // Lemire's nearly-divisionless bounded sampling would be overkill here;
-  // rejection keeps exact uniformity.
-  const std::uint64_t limit = UINT64_MAX - UINT64_MAX % n;
-  std::uint64_t x;
-  do {
-    x = next();
-  } while (x >= limit);
-  return x % n;
-}
-
 double Rng::normal() {
   if (has_cached_normal_) {
     has_cached_normal_ = false;
@@ -90,38 +78,59 @@ double Rng::normal() {
   return r * std::cos(theta);
 }
 
-void Rng::fill_normal(double* out, std::size_t n) {
+void Rng::fill_normal(double* out, std::size_t n) { normal_draws(out, n, n); }
+
+void Rng::fill_normal_head(double* out, std::size_t head, std::size_t n) {
+  if (head > n)
+    throw std::invalid_argument("Rng::fill_normal_head: head " +
+                                std::to_string(head) + " exceeds the " +
+                                std::to_string(n) + " draws");
+  normal_draws(out, head, n);
+}
+
+void Rng::normal_draws(double* out, std::size_t head, std::size_t n) {
   std::size_t i = 0;
   if (i < n && has_cached_normal_) {
     has_cached_normal_ = false;
-    out[i++] = cached_normal_;
+    if (head > 0) out[0] = cached_normal_;
+    i = 1;
   }
   // Block Box-Muller: draw all uniforms for a block first (the xoshiro state
   // update is inherently serial but cheap), then run the transcendental pass
   // as one vectorizable kernel. u1 gets its low mantissa bit forced so
   // log(u1) never sees zero without a per-element retry branch; the
   // resulting 2^-54 bias is far below the generator's own 53-bit
-  // resolution.
+  // resolution. A block past `head` with no odd tail only advances the
+  // stream: its pairs are never computed.
   static thread_local double u1[kBlock], u2[kBlock], bm_cos[kBlock],
       bm_sin[kBlock];
   while (i < n) {
     const std::size_t pairs = std::min((n - i + 1) / 2, kBlock);
+    const std::size_t end = std::min(n, i + 2 * pairs);
+    const bool odd_tail = end - i < 2 * pairs;
+    if (i >= head && !odd_tail) {
+      for (std::size_t k = 0; k < 2 * pairs; ++k) next();
+      i = end;
+      continue;
+    }
     for (std::size_t k = 0; k < pairs; ++k) {
       u1[k] = static_cast<double>(next() >> 11 | 1) * 0x1.0p-53;
       u2[k] = static_cast<double>(next() >> 11) * 0x1.0p-53;
     }
     vecmath::box_muller_block(u1, u2, bm_cos, bm_sin, pairs);
-    const std::size_t whole = std::min(n - i, 2 * pairs) / 2;
-    for (std::size_t k = 0; k < whole; ++k) {
-      out[i++] = bm_cos[k];
-      out[i++] = bm_sin[k];
+    // Emit cos/sin per pair up to `head`; an odd tail emits the cos half
+    // and caches the sin half like normal() does.
+    const std::size_t keep = std::min(end, std::max(head, i)) - i;
+    for (std::size_t k = 0; k < keep / 2; ++k) {
+      out[i + 2 * k] = bm_cos[k];
+      out[i + 2 * k + 1] = bm_sin[k];
     }
-    if (whole < pairs && i < n) {
-      // Odd tail: emit the cos half, cache the sin half like normal() does.
-      out[i++] = bm_cos[whole];
-      cached_normal_ = bm_sin[whole];
+    if (keep % 2 == 1) out[i + keep - 1] = bm_cos[keep / 2];
+    if (odd_tail) {
+      cached_normal_ = bm_sin[pairs - 1];
       has_cached_normal_ = true;
     }
+    i = end;
   }
 }
 
@@ -159,9 +168,23 @@ double Rng::gamma(double shape) {
 
 void Rng::fill_gamma(double* out, std::size_t n, double shape) {
   check_gamma_shape(shape);
+  gamma_draws(out, n, shape);
+}
+
+void Rng::skip_gamma(std::size_t n, double shape) {
+  check_gamma_shape(shape);
+  gamma_draws(nullptr, n, shape);
+}
+
+void Rng::gamma_draws(double* out, std::size_t n, double shape) {
   if (shape < 1.0) {
     // Marsaglia-Tsang shape boost, batched: gamma(a) = gamma(a+1) * U^(1/a).
-    fill_gamma(out, n, shape + 1.0);
+    // A skip takes the boost uniforms without the powers.
+    gamma_draws(out, n, shape + 1.0);
+    if (out == nullptr) {
+      for (std::size_t i = 0; i < n; ++i) next();
+      return;
+    }
     static thread_local double u[kBlock], p[kBlock];
     const double inv_shape = 1.0 / shape;
     for (std::size_t i = 0; i < n; i += kBlock) {
@@ -181,13 +204,18 @@ void Rng::fill_gamma(double* out, std::size_t n, double shape) {
   while (filled < n) {
     // Candidate batch sized to the remaining demand; the acceptance rate of
     // Marsaglia-Tsang is >95% for shape >= 1, so refill rounds are rare.
+    // A batch never accepts more than the m still missing.
     const std::size_t m = std::min(n - filled, kBlock);
     fill_normal(xs, m);
     for (std::size_t k = 0; k < m; ++k)
       us[k] = static_cast<double>(next() >> 11 | 1) * 0x1.0p-53;
     vecmath::gamma_candidate_block(xs, us, d, c, vals, accept, m);
-    for (std::size_t k = 0; k < m && filled < n; ++k)
-      if (accept[k]) out[filled++] = vals[k];
+    if (out == nullptr) {
+      for (std::size_t k = 0; k < m; ++k) filled += accept[k];
+    } else {
+      for (std::size_t k = 0; k < m; ++k)
+        if (accept[k]) out[filled++] = vals[k];
+    }
   }
 }
 

@@ -39,9 +39,6 @@ class Rng {
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
 
-  /// Uniform integer in [0, n) for n > 0.
-  std::uint64_t uniform_int(std::uint64_t n);
-
   /// Standard normal via Box-Muller (cached second deviate).
   double normal();
 
@@ -52,11 +49,28 @@ class Rng {
   /// like normal().
   void fill_normal(double* out, std::size_t n);
 
+  /// Take the draws of fill_normal(·, n) but compute and write only the
+  /// first `head` (<= n) of them into `out[0..head)`: those values, the
+  /// generator state and the cached deviate end exactly as after
+  /// fill_normal(out, n), and blocks past `head` only advance the uniform
+  /// stream (head 0 skips n draws; an odd tail still computes its last
+  /// block, for the cached deviate). A fill of `head` followed by a skip of
+  /// the rest would leave the same state but not always the same values:
+  /// the block kernel computes a block's last lanes on a narrower (different
+  /// libm) path, so where a block ends moves bits. Throws
+  /// std::invalid_argument if head > n.
+  void fill_normal_head(double* out, std::size_t head, std::size_t n);
+
   /// Fill `out[0..n)` with gamma(shape, 1) variates: batched Marsaglia-Tsang
   /// candidate generation (normals + uniforms drawn in blocks, acceptance
   /// evaluated branch-free, rejects re-drawn). Throws std::invalid_argument
   /// unless shape is finite and positive (as gamma() does).
   void fill_gamma(double* out, std::size_t n, double shape);
+
+  /// Leave the generator exactly where fill_gamma(out, n, shape) would: the
+  /// same uniforms, candidate rounds and acceptance tests, without the
+  /// shape-boost powers or any output. Throws like fill_gamma.
+  void skip_gamma(std::size_t n, double shape);
 
   /// Normal with mean/stddev.
   double normal(double mean, double stddev);
@@ -79,6 +93,11 @@ class Rng {
 
  private:
   result_type next();
+  /// The one draw loop behind fill_normal and fill_normal_head.
+  void normal_draws(double* out, std::size_t head, std::size_t n);
+  /// The one round loop behind fill_gamma and skip_gamma (out == nullptr
+  /// skips: rounds are drawn and tested, nothing is computed or written).
+  void gamma_draws(double* out, std::size_t n, double shape);
 
   std::array<std::uint64_t, 4> state_{};
   bool has_cached_normal_ = false;

@@ -56,14 +56,42 @@ void pow_block(const double* u, double inv_shape, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = std::exp(std::log(u[i]) * inv_shape);
 }
 
-void matvec_block(const double* m, const double* x, double* y,
-                  std::size_t rows, std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
+void matvec_batch(const double* m, const double* x, double* y,
+                  std::size_t rows, std::size_t cols, std::size_t batch) {
+  // Four rows at a time: their four independent accumulator chains share
+  // one pass over x[v], and the rows stay in L1 across every vector.
+  std::size_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    const double* m0 = m + r * cols;
+    const double* m1 = m0 + cols;
+    const double* m2 = m1 + cols;
+    const double* m3 = m2 + cols;
+    for (std::size_t v = 0; v < batch; ++v) {
+      const double* xv = x + v * cols;
+      double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+#pragma omp simd reduction(+ : a0, a1, a2, a3)
+      for (std::size_t c = 0; c < cols; ++c) {
+        a0 += m0[c] * xv[c];
+        a1 += m1[c] * xv[c];
+        a2 += m2[c] * xv[c];
+        a3 += m3[c] * xv[c];
+      }
+      double* yv = y + v * rows + r;
+      yv[0] = a0;
+      yv[1] = a1;
+      yv[2] = a2;
+      yv[3] = a3;
+    }
+  }
+  for (; r < rows; ++r) {
     const double* row = m + r * cols;
-    double acc = 0.0;
+    for (std::size_t v = 0; v < batch; ++v) {
+      const double* xv = x + v * cols;
+      double acc = 0.0;
 #pragma omp simd reduction(+ : acc)
-    for (std::size_t c = 0; c < cols; ++c) acc += row[c] * x[c];
-    y[r] = acc;
+      for (std::size_t c = 0; c < cols; ++c) acc += row[c] * xv[c];
+      y[v * rows + r] = acc;
+    }
   }
 }
 

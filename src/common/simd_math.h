@@ -13,6 +13,12 @@
 // Every kernel is plain C++ and remains correct if the compiler declines to
 // vectorize (e.g. non-x86 targets or clang without a vector libm); the fast
 // path then degrades to a tight scalar loop, never to wrong results.
+//
+// An element's bits can depend on where it sits in the call: the vector
+// body calls one libmvec variant and the loop tail a narrower one or scalar
+// libm, and these differ in the last ulp. A caller that must reproduce a
+// sequence keeps the call boundaries (Rng::fill_normal_head computes the
+// head of a draw inside the draw's own blocks for this reason).
 #pragma once
 
 #include <cstddef>
@@ -40,11 +46,16 @@ void gamma_candidate_block(const double* x, const double* u, double d, double c,
 /// whole block at once.
 void pow_block(const double* u, double inv_shape, double* out, std::size_t n);
 
-/// Dense row-major matrix-vector product y = M x (rows x cols). Fast-math
-/// reassociates the dot-product reductions, so the result can differ from a
-/// strict left-to-right accumulation in the last ulps (Matrix::mul_into is
-/// the strict one). `y` must not alias `m` or `x`.
-void matvec_block(const double* m, const double* x, double* y,
-                  std::size_t rows, std::size_t cols);
+/// Dense row-major matrix times `batch` vectors: y[v*rows + r] =
+/// sum_c m[r*cols + c] * x[v*cols + c], i.e. Y = X M^T with X and Y
+/// batch-major. Four rows of `m` are kept hot in L1 across every vector, so
+/// a matrix that does not fit in L1 streams from L2 once per call instead of
+/// once per vector. Each (row, vector) dot product is one vectorized
+/// reduction over the columns in column order: fast-math reassociates it
+/// (the result can differ from a strict left-to-right sum in the last ulps;
+/// Matrix::mul_into is the strict one), but identically for every vector,
+/// so the result does not depend on `batch`. `y` must not alias `m` or `x`.
+void matvec_batch(const double* m, const double* x, double* y,
+                  std::size_t rows, std::size_t cols, std::size_t batch);
 
 }  // namespace mixnet::vecmath

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace mixnet::eventsim {
@@ -49,7 +51,11 @@ void Simulator::retire(std::uint32_t slot) {
 }
 
 EventId Simulator::schedule_at(TimeNs t, std::function<void()> fn) {
-  assert(t >= now_);
+  // An event in the past would fire after later ones and move the clock
+  // backwards: reject it in every build.
+  if (t < now_)
+    throw std::logic_error("Simulator::schedule_at: time " + std::to_string(t) +
+                           " is before now() = " + std::to_string(now_));
   std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();

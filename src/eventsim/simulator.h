@@ -38,7 +38,8 @@ class Simulator {
   /// Current virtual time.
   TimeNs now() const { return now_; }
 
-  /// Schedule `fn` at absolute time `t` (must be >= now()).
+  /// Schedule `fn` at absolute time `t`. Throws std::logic_error, naming
+  /// both times, if t < now().
   EventId schedule_at(TimeNs t, std::function<void()> fn);
 
   /// Schedule `fn` after a relative delay.

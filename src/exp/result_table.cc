@@ -80,10 +80,12 @@ void ResultTable::add_footer(std::string line) {
 std::string ResultTable::to_text() const {
   std::string out = "\n==== " + id_ + ": " + title_ + " ====\n";
   auto emit_row = [&](const std::vector<std::string>& cells) {
+    // Pad each cell to the column width, and always leave at least one
+    // space so an over-wide cell cannot run into the next one.
+    const auto pad = static_cast<std::size_t>(width_);
     for (const auto& c : cells) {
       out += c;
-      const auto pad = static_cast<std::size_t>(width_);
-      if (c.size() < pad) out.append(pad - c.size(), ' ');
+      out.append(c.size() < pad ? pad - c.size() : 1, ' ');
     }
     out += '\n';
   };

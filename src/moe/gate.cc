@@ -19,6 +19,21 @@ constexpr double kPopularityRetention = 0.985;
 
 void normalize(std::vector<double>& v) { normalize_span(v.data(), v.size()); }
 
+/// dst[d*n + s] = src[s*n + d] for an n x n block, in square tiles so both
+/// sides stay in cache (a column-strided scatter misses on every write once
+/// a row is larger than a few cache lines).
+void transpose_into(const double* src, double* dst, std::size_t n) {
+  constexpr std::size_t kTile = 32;
+  for (std::size_t d0 = 0; d0 < n; d0 += kTile) {
+    const std::size_t d1 = std::min(d0 + kTile, n);
+    for (std::size_t s0 = 0; s0 < n; s0 += kTile) {
+      const std::size_t s1 = std::min(s0 + kTile, n);
+      for (std::size_t d = d0; d < d1; ++d)
+        for (std::size_t s = s0; s < s1; ++s) dst[d * n + s] = src[s * n + d];
+    }
+  }
+}
+
 }  // namespace
 
 GateSimulator::GateSimulator(const GateConfig& cfg, int read_layers)
@@ -66,21 +81,18 @@ GateSimulator::GateSimulator(const GateConfig& cfg, int read_layers)
   // Column-stochastic transition matrices, one per layer boundary. One bulk
   // gamma fill per layer; each E-sized chunk normalizes into one source
   // column's Dirichlet sample (per-column rng_.dirichlet calls were the
-  // constructor's dominant cost for the 256-expert models).
+  // constructor's dominant cost for the 256-expert models), and the chunks
+  // are transposed into the row-major matrix in tiles.
   const auto E0 = static_cast<std::size_t>(cfg_.n_experts);
   transitions_.reserve(static_cast<std::size_t>(cfg_.n_layers));
   transitions_.emplace_back();  // layer 0 has no predecessor
+  gamma_scratch_.resize(E0 * E0);
   for (int l = 1; l < cfg_.n_layers; ++l) {
     Matrix m(E0, E0);
-    gamma_scratch_.resize(E0 * E0);
     rng_.fill_gamma(gamma_scratch_.data(), E0 * E0, cfg_.transition_alpha);
-    for (int src = 0; src < cfg_.n_experts; ++src) {
-      double* col = gamma_scratch_.data() + static_cast<std::size_t>(src) * E0;
-      normalize_span(col, E0);
-      for (int dst = 0; dst < cfg_.n_experts; ++dst)
-        m(static_cast<std::size_t>(dst), static_cast<std::size_t>(src)) =
-            col[static_cast<std::size_t>(dst)];
-    }
+    for (std::size_t src = 0; src < E0; ++src)
+      normalize_span(gamma_scratch_.data() + src * E0, E0);
+    transpose_into(gamma_scratch_.data(), m.data().data(), E0);
     transitions_.push_back(std::move(m));
   }
 
@@ -103,9 +115,8 @@ GateSimulator::GateSimulator(const GateConfig& cfg, int read_layers)
   }
 
   q_.assign(static_cast<std::size_t>(cfg_.n_layers),
-            std::vector<std::vector<double>>(
-                static_cast<std::size_t>(cfg_.ep_ranks),
-                std::vector<double>(static_cast<std::size_t>(cfg_.n_experts))));
+            Matrix(static_cast<std::size_t>(cfg_.ep_ranks),
+                   static_cast<std::size_t>(cfg_.n_experts)));
   load_.assign(static_cast<std::size_t>(cfg_.n_layers),
                std::vector<double>(static_cast<std::size_t>(cfg_.n_experts)));
   counts_.assign(static_cast<std::size_t>(cfg_.n_layers),
@@ -140,16 +151,18 @@ void GateSimulator::apply_ou_update(double pop_a, double pop_sd, double pref_a,
   // preference vector -- come from ONE bulk fill_normal, and the OU update
   // is a single fused pass over the scratch. Preference walks are stored
   // layer-major, so the held layers' walks are the first
-  // live_layers_ * ep_ranks; the rest are drawn but not updated.
+  // live_layers_ * ep_ranks; the rest are consumed from the stream but
+  // neither computed nor updated.
   const std::size_t E = logits_.size();
-  normal_scratch_.resize(E + pref_logits_.size() * E);
-  rng_.fill_normal(normal_scratch_.data(), normal_scratch_.size());
+  const std::size_t live_walks = static_cast<std::size_t>(live_layers_) *
+                                 static_cast<std::size_t>(cfg_.ep_ranks);
+  normal_scratch_.resize(E + live_walks * E);
+  rng_.fill_normal_head(normal_scratch_.data(), normal_scratch_.size(),
+                        E + pref_logits_.size() * E);
   const double* eps = normal_scratch_.data();
   for (std::size_t e = 0; e < E; ++e)
     logits_[e] = pop_a * logits_[e] + pop_sd * eps[e];
   eps += E;
-  const std::size_t live_walks = static_cast<std::size_t>(live_layers_) *
-                                 static_cast<std::size_t>(cfg_.ep_ranks);
   for (std::size_t k = 0; k < live_walks; ++k, eps += E) {
     auto& z = pref_logits_[k];
     for (std::size_t e = 0; e < E; ++e) z[e] = pref_a * z[e] + pref_sd * eps[e];
@@ -176,12 +189,15 @@ void GateSimulator::transition_drift() {
   const auto E = static_cast<std::size_t>(cfg_.n_experts);
   gamma_scratch_.resize(E * E);
   for (int l = 1; l < cfg_.n_layers; ++l) {
-    Matrix& m = transitions_[static_cast<std::size_t>(l)];
     // One bulk gamma fill per layer; each E-sized chunk normalizes into the
-    // Dirichlet noise for one source column. An unread layer still draws,
-    // so the stream stays the same, but mixes nothing in.
+    // Dirichlet noise for one source column. An unread layer consumes the
+    // same draws, so the stream stays the same, but computes no variate.
+    if (l >= live_layers_) {
+      rng_.skip_gamma(E * E, cfg_.transition_alpha);
+      continue;
+    }
+    Matrix& m = transitions_[static_cast<std::size_t>(l)];
     rng_.fill_gamma(gamma_scratch_.data(), E * E, cfg_.transition_alpha);
-    if (l >= live_layers_) continue;
     for (int src = 0; src < cfg_.n_experts; ++src) {
       double* noise = gamma_scratch_.data() + static_cast<std::size_t>(src) * E;
       normalize_span(noise, E);
@@ -230,6 +246,7 @@ void GateSimulator::advance_steps(int n) {
 
 void GateSimulator::refresh_distributions() {
   const auto E = static_cast<std::size_t>(cfg_.n_experts);
+  const auto R = static_cast<std::size_t>(cfg_.ep_ranks);
   const double mix = lb_mix();
   const double uniform = 1.0 / static_cast<double>(E);
 
@@ -240,6 +257,9 @@ void GateSimulator::refresh_distributions() {
   double* factor = pi0 + E;
   double* pref_pow_buf = factor + E;
   double* marginal = pref_pow_buf + E;
+  const auto rank_row = [E](Matrix& q, std::size_t h) {
+    return q.data().data() + h * E;
+  };
 
   // Layer-0 popularity from logits (softmax); the load-balancing loss acts
   // below via marginal flattening, not here.
@@ -255,16 +275,19 @@ void GateSimulator::refresh_distributions() {
   // computed once per layer and applied to every rank (identical values to
   // the historical per-rank pow calls, at 1/ep_ranks the cost).
   auto balance_layer = [&](int l) {
-    auto& layer_q = q_[static_cast<std::size_t>(l)];
+    Matrix& layer_q = q_[static_cast<std::size_t>(l)];
     std::fill(marginal, marginal + E, 0.0);
-    for (const auto& q : layer_q)
+    for (std::size_t h = 0; h < R; ++h) {
+      const double* q = rank_row(layer_q, h);
       for (std::size_t e = 0; e < E; ++e) marginal[e] += q[e];
+    }
     normalize_span(marginal, E);
     for (std::size_t e = 0; e < E; ++e)
       factor[e] = std::pow(uniform / std::max(marginal[e], 1e-9), mix);
-    for (auto& q : layer_q) {
+    for (std::size_t h = 0; h < R; ++h) {
+      double* q = rank_row(layer_q, h);
       for (std::size_t e = 0; e < E; ++e) q[e] *= factor[e];
-      normalize(q);
+      normalize_span(q, E);
     }
   };
 
@@ -272,10 +295,8 @@ void GateSimulator::refresh_distributions() {
   // preference softmax (exp of the logits, normalized) clamped, then one
   // block exp(gamma * log(pref)) pass.
   const double gamma = cfg_.personalization;
-  auto pref_pow_of = [&](int h, int l) -> const double* {
-    const std::size_t k = static_cast<std::size_t>(l) *
-                              static_cast<std::size_t>(cfg_.ep_ranks) +
-                          static_cast<std::size_t>(h);
+  auto pref_pow_of = [&](std::size_t h, int l) -> const double* {
+    const std::size_t k = static_cast<std::size_t>(l) * R + h;
     double* out = pref_pow_buf;
     vecmath::exp_block(pref_logits_[k].data(), out, E);
     normalize_span(out, E);
@@ -283,64 +304,68 @@ void GateSimulator::refresh_distributions() {
     vecmath::pow_block(out, gamma, out, E);
     return out;
   };
-  for (int h = 0; h < cfg_.ep_ranks; ++h) {
-    auto& q0 = q_[0][static_cast<std::size_t>(h)];
+  for (std::size_t h = 0; h < R; ++h) {
+    double* q0 = rank_row(q_[0], h);
     const double* pref_pow = pref_pow_of(h, 0);
     for (std::size_t e = 0; e < E; ++e) q0[e] = pi0[e] * pref_pow[e];
-    normalize(q0);
+    normalize_span(q0, E);
   }
   balance_layer(0);
-  // Propagate through the Markov chain, re-personalizing and re-balancing at
-  // every layer the state holds.
+  // Propagate through the Markov chain -- one blocked product of the layer's
+  // transition with every rank's distribution -- re-personalizing and
+  // re-balancing at every layer the state holds.
   for (int l = 1; l < live_layers_; ++l) {
-    const Matrix& m = transitions_[static_cast<std::size_t>(l)];
-    for (int h = 0; h < cfg_.ep_ranks; ++h) {
-      auto& q = q_[static_cast<std::size_t>(l)][static_cast<std::size_t>(h)];
-      const auto& prev =
-          q_[static_cast<std::size_t>(l - 1)][static_cast<std::size_t>(h)];
-      vecmath::matvec_block(m.data().data(), prev.data(), q.data(), E, E);
+    Matrix& layer_q = q_[static_cast<std::size_t>(l)];
+    vecmath::matvec_batch(transitions_[static_cast<std::size_t>(l)].data().data(),
+                          q_[static_cast<std::size_t>(l - 1)].data().data(),
+                          layer_q.data().data(), E, E, R);
+    for (std::size_t h = 0; h < R; ++h) {
+      double* q = rank_row(layer_q, h);
       const double* pref_pow = pref_pow_of(h, l);
       for (std::size_t e = 0; e < E; ++e) q[e] *= pref_pow[e];
-      normalize(q);
+      normalize_span(q, E);
     }
     balance_layer(l);
   }
   for (int l = 0; l < live_layers_; ++l) {
     auto& load = load_[static_cast<std::size_t>(l)];
+    Matrix& layer_q = q_[static_cast<std::size_t>(l)];
     std::fill(load.begin(), load.end(), 0.0);
-    for (int h = 0; h < cfg_.ep_ranks; ++h)
-      for (std::size_t e = 0; e < E; ++e)
-        load[e] += q_[static_cast<std::size_t>(l)][static_cast<std::size_t>(h)][e];
+    for (std::size_t h = 0; h < R; ++h) {
+      const double* q = rank_row(layer_q, h);
+      for (std::size_t e = 0; e < E; ++e) load[e] += q[e];
+    }
     normalize(load);
   }
 }
 
 void GateSimulator::realize_counts() {
   const auto E = static_cast<std::size_t>(cfg_.n_experts);
+  const auto R = static_cast<std::size_t>(cfg_.ep_ranks);
   const double n = cfg_.tokens_per_rank;
-  // One bulk fill for every (layer, rank, expert) Gaussian count draw of the
-  // iteration, then a fused realize + clamp + renormalize pass over the
-  // layers the state holds (the draws are layer-major).
-  normal_scratch_.resize(static_cast<std::size_t>(cfg_.n_layers) *
-                         static_cast<std::size_t>(cfg_.ep_ranks) * E);
-  rng_.fill_normal(normal_scratch_.data(), normal_scratch_.size());
+  // One bulk draw for every (layer, rank, expert) Gaussian count of the
+  // iteration, computed only for the layers the state holds (the draws are
+  // layer-major, so those are the head), then a realize + clamp pass and a
+  // strict in-order total per row for the renormalization.
+  const std::size_t live = static_cast<std::size_t>(live_layers_) * R * E;
+  normal_scratch_.resize(live);
+  rng_.fill_normal_head(normal_scratch_.data(), live,
+                        static_cast<std::size_t>(cfg_.n_layers) * R * E);
   const double* eps = normal_scratch_.data();
   for (int l = 0; l < live_layers_; ++l) {
-    Matrix& c = counts_[static_cast<std::size_t>(l)];
-    for (int h = 0; h < cfg_.ep_ranks; ++h, eps += E) {
-      const auto& q = q_[static_cast<std::size_t>(l)][static_cast<std::size_t>(h)];
-      double total = 0.0;
+    const double* q = q_[static_cast<std::size_t>(l)].data().data();
+    double* c = counts_[static_cast<std::size_t>(l)].data().data();
+    for (std::size_t h = 0; h < R; ++h, q += E, c += E, eps += E) {
       for (std::size_t e = 0; e < E; ++e) {
         const double meanv = n * q[e];
         const double var = n * q[e] * (1.0 - q[e]);
-        double v = meanv + std::sqrt(std::max(var, 0.0)) * eps[e];
-        v = std::max(v, 0.0);
-        c(static_cast<std::size_t>(h), e) = v;
-        total += v;
+        c[e] = std::max(meanv + std::sqrt(std::max(var, 0.0)) * eps[e], 0.0);
       }
+      double total = 0.0;
+      for (std::size_t e = 0; e < E; ++e) total += c[e];
       if (total > 0.0) {
         const double scale = n / total;
-        for (std::size_t e = 0; e < E; ++e) c(static_cast<std::size_t>(h), e) *= scale;
+        for (std::size_t e = 0; e < E; ++e) c[e] *= scale;
       }
     }
   }

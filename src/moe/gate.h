@@ -20,9 +20,10 @@
 // A reader that consumes only layers [0, read_layers) (one pipeline stage)
 // says so at construction: the constructor still computes every layer, but
 // each later advance updates, propagates and realizes only the read layers.
-// Every random draw is still taken for every layer, in the same order, so
-// the RNG stream -- and every read layer -- is bit-identical to a simulator
-// that computes them all.
+// The random draws of unread layers are consumed, not computed
+// (Rng::skip_gamma, Rng::fill_normal_head): the stream advances through
+// them in the same order, so it -- and every read layer -- is bit-identical
+// to a simulator that computes them all.
 #pragma once
 
 #include <cstdint>
@@ -172,9 +173,9 @@ class GateSimulator {
   // preference weights are recomputed from them in refresh_distributions.
   std::vector<std::vector<double>> pref_logits_;
   // Per layer: per home rank expert distribution, loads, realized counts.
-  std::vector<std::vector<std::vector<double>>> q_;  // [layer][rank][expert]
-  std::vector<std::vector<double>> load_;            // [layer][expert]
-  std::vector<Matrix> counts_;                       // [layer] (rank x expert)
+  std::vector<Matrix> q_;                  // [layer] (rank x expert)
+  std::vector<std::vector<double>> load_;  // [layer][expert]
+  std::vector<Matrix> counts_;             // [layer] (rank x expert)
   std::vector<double> normal_scratch_;               // bulk fill_normal buffer
   std::vector<double> gamma_scratch_;                // bulk fill_gamma buffer
   std::vector<double> dist_scratch_;  // refresh_distributions work buffers

@@ -5,9 +5,12 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/matrix.h"
 #include "common/rng.h"
+#include "common/simd_math.h"
 #include "common/stats.h"
 #include "common/units.h"
 
@@ -67,13 +70,6 @@ TEST(Rng, UniformInUnitInterval) {
     EXPECT_GE(u, 0.0);
     EXPECT_LT(u, 1.0);
   }
-}
-
-TEST(Rng, UniformIntBounded) {
-  Rng r(9);
-  std::vector<int> counts(10, 0);
-  for (int i = 0; i < 20000; ++i) ++counts[r.uniform_int(10)];
-  for (int c : counts) EXPECT_NEAR(c, 2000, 300);
 }
 
 TEST(Rng, NormalMoments) {
@@ -162,6 +158,61 @@ TEST(Rng, VectorizedFillNormalHandlesOddSizesAndCache) {
   EXPECT_EQ(a.uniform(), b.uniform());
 }
 
+// Two generators at the same state: `pending` leaves a cached second
+// deviate in both (an odd number of per-call normals), so the fill and the
+// skip under test must consume it alike.
+std::pair<Rng, Rng> twin_generators(bool pending) {
+  Rng a(17);
+  a.normal();
+  if (!pending) a.normal();
+  return {a, a};
+}
+
+// After a fill and its skip, the two generators are bit-for-bit at the same
+// place: the next 64 raw draws agree, and so does the next normal() (the
+// cached deviate, when the fill left one).
+void expect_same_stream(Rng& a, Rng& b) {
+  for (int k = 0; k < 64; ++k) ASSERT_EQ(a(), b()) << "raw draw " << k;
+  const double na = a.normal(), nb = b.normal();
+  EXPECT_EQ(std::memcmp(&na, &nb, sizeof na), 0);
+}
+
+const std::size_t kSkipSizes[] = {1, 2, 7, 511, 512, 513, 4096, 65536};
+
+TEST(Rng, FillNormalHeadLeavesTheStreamWhereFillNormalDoes) {
+  // Head 0 is a pure skip; every head writes the full fill's first values.
+  std::vector<double> full(65536), head(65536);
+  for (bool pending : {false, true})
+    for (std::size_t n : kSkipSizes)
+      for (std::size_t h : {std::size_t{0}, std::size_t{1}, n / 2, n - 1, n}) {
+        SCOPED_TRACE("n " + std::to_string(n) + ", head " + std::to_string(h) +
+                     (pending ? ", cached" : ""));
+        auto [a, b] = twin_generators(pending);
+        a.fill_normal(full.data(), n);
+        b.fill_normal_head(head.data(), h, n);
+        EXPECT_EQ(std::memcmp(full.data(), head.data(), h * sizeof(double)), 0);
+        expect_same_stream(a, b);
+      }
+  Rng r(1);
+  EXPECT_THROW(r.fill_normal_head(full.data(), 3, 2), std::invalid_argument);
+}
+
+TEST(Rng, SkipGammaLeavesTheStreamWhereFillGammaDoes) {
+  std::vector<double> buf(65536);
+  for (double shape : {0.08, 0.5, 1.0, 1.08, 3.0})
+    for (bool pending : {false, true})
+      for (std::size_t n : kSkipSizes) {
+        SCOPED_TRACE("shape " + std::to_string(shape) + ", n " + std::to_string(n) +
+                     (pending ? ", cached" : ""));
+        auto [fill, skip] = twin_generators(pending);
+        fill.fill_gamma(buf.data(), n, shape);
+        skip.skip_gamma(n, shape);
+        expect_same_stream(fill, skip);
+      }
+  Rng r(1);
+  EXPECT_THROW(r.skip_gamma(4, 0.0), std::invalid_argument);
+}
+
 TEST(Rng, VectorizedFillGammaMoments) {
   // Gamma(k, 1) has mean k and variance k. Cover the shape-boost branch
   // (k < 1, the transition-drift concentration 0.08) and the direct branch.
@@ -246,6 +297,46 @@ TEST(Matrix, IdentityMul) {
   Matrix id = Matrix::identity(4);
   std::vector<double> x = {1, 2, 3, 4};
   EXPECT_EQ(id.mul(x), x);
+}
+
+// --------------------------------------------------------------- vecmath ----
+
+TEST(VecMath, MatvecBatchDoesNotDependOnTheBatch) {
+  // Every (row, vector) product is the same reduction whether the kernel
+  // sees all vectors at once or one at a time -- including the row tail
+  // (rows not a multiple of the 4-row tile) and columns the vector width
+  // does not divide.
+  Rng rng(3);
+  for (std::size_t E : {7, 8, 13, 64, 256})
+    for (std::size_t R : {1, 3, 16}) {
+      std::vector<double> m(E * E), x(R * E), all(R * E), one(R * E);
+      for (double& v : m) v = rng.uniform();
+      for (double& v : x) v = rng.uniform();
+      vecmath::matvec_batch(m.data(), x.data(), all.data(), E, E, R);
+      for (std::size_t v = 0; v < R; ++v)
+        vecmath::matvec_batch(m.data(), x.data() + v * E, one.data() + v * E, E,
+                              E, 1);
+      EXPECT_EQ(std::memcmp(all.data(), one.data(), all.size() * sizeof(double)),
+                0)
+          << "E=" << E << " R=" << R;
+      // A one-row call runs the single-accumulator tail loop, the reduction
+      // of the one-row-at-a-time kernel matvec_batch replaced, so this pins
+      // the 4-row body against it.
+      for (std::size_t v = 0; v < R; ++v)
+        for (std::size_t r = 0; r < E; ++r) {
+          double y1 = 0.0;
+          vecmath::matvec_batch(m.data() + r * E, x.data() + v * E, &y1, 1, E, 1);
+          EXPECT_EQ(std::memcmp(&y1, &all[v * E + r], sizeof(double)), 0)
+              << "E=" << E << " R=" << R << " row " << r << " vector " << v;
+        }
+      // And it is a matrix product, up to reassociation.
+      for (std::size_t v = 0; v < R; ++v)
+        for (std::size_t r = 0; r < E; ++r) {
+          double want = 0.0;
+          for (std::size_t c = 0; c < E; ++c) want += m[r * E + c] * x[v * E + c];
+          EXPECT_NEAR(all[v * E + r], want, 1e-12 * static_cast<double>(E));
+        }
+    }
 }
 
 // ---------------------------------------------------------------- stats ----

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "eventsim/simulator.h"
@@ -110,6 +112,26 @@ TEST(Simulator, StepProcessesExactlyOne) {
   EXPECT_EQ(n, 1);
   EXPECT_TRUE(sim.step());
   EXPECT_FALSE(sim.step());
+}
+
+TEST(Simulator, ScheduleAtRejectsATimeBeforeNow) {
+  // Checked in every build, Release included: a past event would fire out
+  // of order and move the clock backwards.
+  Simulator sim;
+  sim.schedule_at(100, [] {});
+  sim.run();
+  ASSERT_EQ(sim.now(), 100);
+  try {
+    sim.schedule_at(99, [] {});
+    FAIL() << "no throw";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("99"), std::string::npos) << what;
+    EXPECT_NE(what.find("100"), std::string::npos) << what;
+  }
+  EXPECT_TRUE(sim.empty());
+  EXPECT_NO_THROW(sim.schedule_at(100, [] {}));  // now() itself is fine
+  EXPECT_EQ(sim.run(), 1u);
 }
 
 // --- Arena/free-list pool regressions (DESIGN.md §13). -----------------------

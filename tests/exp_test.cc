@@ -245,6 +245,19 @@ TEST(ResultTable, TextRendersLegacyFixedWidthFormat) {
             "ratio: 2x\n");
 }
 
+TEST(ResultTable, TextKeepsASpaceAfterAnOverWideCell) {
+  // A cell as wide as the column or wider is still followed by one space,
+  // so it cannot run into the next cell.
+  ResultTable t("T", "wide", {"arm", "p99"}, 8);
+  t.add_row({"re-placement off", Cell::num(840.7, 1)});
+  t.add_row({"12345678", Cell::num(1.0, 1)});
+  EXPECT_EQ(t.to_text(),
+            "\n==== T: wide ====\n"
+            "arm     p99     \n"
+            "re-placement off 840.7   \n"
+            "12345678 1.0     \n");
+}
+
 TEST(ResultTable, CsvEmitsRawValuesAndQuotesText) {
   EXPECT_EQ(sample_table().to_csv(),
             "name,value\n"

@@ -404,6 +404,31 @@ TEST(Gate, ReadLayersAreBitEqualToTheFullSimulator) {
   }
 }
 
+TEST(Gate, ReadLayersAreBitEqualAtDeepSeekScale) {
+  // 256 experts over 64 EP ranks with 3 of 8 layers read: the unread
+  // layers' gammas and normals are skipped in whole blocks, the blocked
+  // propagation covers a transition larger than L1, and the read layers
+  // still hold the full simulator's bits across both drifts of a
+  // 100-iteration closed-form warmup, a step and a skip.
+  GateConfig g;
+  g.n_experts = 256;
+  g.n_layers = 8;
+  g.ep_ranks = 64;
+  g.tokens_per_rank = 16384;
+  g.seed = 7;
+  GateSimulator full(g), part(g, 3);
+  expect_read_layers_equal(full, part, g.n_layers);
+  for (const auto& move : std::vector<std::function<void(GateSimulator&)>>{
+           [](GateSimulator& s) { s.advance_steps(100); },
+           [](GateSimulator& s) { s.step(); },
+           [](GateSimulator& s) { s.skip(3); }}) {
+    move(full);
+    move(part);
+    ASSERT_EQ(part.iteration(), full.iteration());
+    expect_read_layers_equal(full, part, 3);
+  }
+}
+
 TEST(Gate, UnreadLayersAreReadableOnlyBeforeTheFirstAdvance) {
   // The constructor computes every layer (GateTrace::initial() and TopoOpt
   // read them all); after the first advance only [0, read_layers) is held.

@@ -11,6 +11,7 @@
 
 #include "common/hash.h"
 #include "common/rng.h"
+#include "rng_util.h"
 #include "control/failures.h"
 #include "eventsim/simulator.h"
 #include "net/flowsim.h"
@@ -184,7 +185,9 @@ TEST(FlowSimEquivalence, IncrementalMatchesReferenceUnderChurn) {
                                                   fabric.server_node(dst),
                                                   h * 2654435761u));
   for (int k = 0; k < 4; ++k)
-    net.set_up(static_cast<net::LinkId>(rng.uniform_int(net.link_count())), false);
+    net.set_up(static_cast<net::LinkId>(
+                   testing_util::uniform_below(rng, net.link_count())),
+               false);
 
   eventsim::Simulator sim;
   net::FlowSim fs(sim, net);
@@ -203,20 +206,21 @@ TEST(FlowSimEquivalence, IncrementalMatchesReferenceUnderChurn) {
 
   for (int step = 0; step < 400; ++step) {
     if (rng.uniform() < 0.7) {
-      const int src = static_cast<int>(rng.uniform_int(8));
-      int dst = static_cast<int>(rng.uniform_int(8));
+      const int src = static_cast<int>(testing_util::uniform_below(rng, 8));
+      int dst = static_cast<int>(testing_util::uniform_below(rng, 8));
       if (dst == src) dst = (dst + 1) % 8;
       net::FlowSpec spec;
       spec.src = fabric.server_node(src);
       spec.dst = fabric.server_node(dst);
       spec.size = mib(1) * (1.0 + 63.0 * rng.uniform());
       spec.path = paths[static_cast<std::size_t>((src * 8 + dst) * 4) +
-                        rng.uniform_int(4)];
+                        testing_util::uniform_below(rng, 4)];
       fs.start_flow(std::move(spec));
     } else {
       // Let simulated time advance so completions interleave with starts.
       sim.run_until(sim.now() +
-                    us_to_ns(50.0 * static_cast<double>(1 + rng.uniform_int(20))));
+                    us_to_ns(50.0 * static_cast<double>(
+                                        1 + testing_util::uniform_below(rng, 20))));
     }
     check();
   }
@@ -282,12 +286,12 @@ TEST(AnalyticCoreEquivalence, MixNetEpsMatchesExplicitUnderCircuitChurn) {
     // Install identical random circuits on both fabrics: route choice
     // (circuit-first, then EPS ECMP) must agree between core models.
     Matrix counts(8, 8, 0.0);
-    const int pairs = 1 + static_cast<int>(rng.uniform_int(3));
+    const int pairs = 1 + static_cast<int>(testing_util::uniform_below(rng, 3));
     for (int p = 0; p < pairs; ++p) {
-      const auto a = rng.uniform_int(8);
-      auto b = rng.uniform_int(8);
+      const auto a = testing_util::uniform_below(rng, 8);
+      auto b = testing_util::uniform_below(rng, 8);
       if (b == a) b = (b + 1) % 8;
-      const double k = 1.0 + static_cast<double>(rng.uniform_int(3));
+      const double k = 1.0 + static_cast<double>(testing_util::uniform_below(rng, 3));
       counts(a, b) = counts(b, a) = k;
     }
     fe.apply_circuits(0, counts);

@@ -16,6 +16,7 @@
 
 #include "collective/engine.h"
 #include "common/rng.h"
+#include "rng_util.h"
 #include "eventsim/simulator.h"
 #include "net/flowsim.h"
 #include "net/routing.h"
@@ -69,8 +70,8 @@ TEST_P(FlowSimFairness, MatchesReferenceWaterFilling) {
   // Random star-ish network: S sources, one switch layer, D sinks.
   net::Network net;
   eventsim::Simulator sim;
-  const int n_src = 3 + static_cast<int>(rng.uniform_int(4));
-  const int n_dst = 2 + static_cast<int>(rng.uniform_int(3));
+  const int n_src = 3 + static_cast<int>(testing_util::uniform_below(rng, 4));
+  const int n_dst = 2 + static_cast<int>(testing_util::uniform_below(rng, 3));
   net::NodeId sw = net.add_node(net::NodeKind::kSwitch);
   std::vector<net::NodeId> srcs, dsts;
   std::vector<net::LinkId> up, down;
@@ -86,10 +87,12 @@ TEST_P(FlowSimFairness, MatchesReferenceWaterFilling) {
   net::FlowSim fs(sim, net);
   std::vector<std::vector<int>> flow_links;
   std::vector<net::FlowId> ids;
-  const int n_flows = 4 + static_cast<int>(rng.uniform_int(8));
+  const int n_flows = 4 + static_cast<int>(testing_util::uniform_below(rng, 8));
   for (int f = 0; f < n_flows; ++f) {
-    const auto s = rng.uniform_int(static_cast<std::uint64_t>(n_src));
-    const auto d = rng.uniform_int(static_cast<std::uint64_t>(n_dst));
+    const auto s =
+        testing_util::uniform_below(rng, static_cast<std::uint64_t>(n_src));
+    const auto d =
+        testing_util::uniform_below(rng, static_cast<std::uint64_t>(n_dst));
     net::FlowSpec spec;
     spec.src = srcs[s];
     spec.dst = dsts[d];
