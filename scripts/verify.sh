@@ -170,7 +170,7 @@ awk -v benches="$bench_json" -v total="$total_ns" -v jobs="$smoke_jobs" 'BEGIN{
 }' > BENCH_verify.json
 echo "wrote BENCH_verify.json"
 
-# Scenario fingerprint gate (ROADMAP item 3(a)): every registered scenario's
+# Scenario fingerprint gate: every registered scenario's
 # cold `--no-cache --format json` output must match its sha256 in
 # bench/scenario_digests.json; a mismatch names the scenario and says
 # whether kCacheSchemaVersion moved. The digests are recorded with GCC

@@ -86,7 +86,7 @@ inline std::uint64_t hash64_bytes(const void* data, std::size_t n,
 
 /// Cheap 64-bit demand-matrix hash: dimensions plus every entry's bit
 /// pattern. Only perfbench's traced replay uses it, to key its first-visit
-/// routing (ROADMAP item 4).
+/// routing (until the benchmark change that retires perfbench/harness).
 inline std::uint64_t matrix_hash(const Matrix& m, std::uint64_t seed = kHash64Seed) {
   std::uint64_t h = hash64_mix(seed, m.rows());
   h = hash64_mix(h, m.cols());

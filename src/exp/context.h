@@ -71,7 +71,7 @@ struct RunContext {
   std::optional<net::NetBackend> backend_override;
 
   /// Compute-once gate trajectories (DESIGN.md §9): every training point of
-  /// this context whose derived gate config, warmup and horizon match reads
+  /// this context whose derived gate config, warmup and layers match reads
   /// one shared moe::GateTrace. Copies of a context share the memo, so it
   /// lives as long as the run that created the context (one mixnet-bench
   /// invocation) and no longer; nullptr gives every point a private trace.

@@ -42,7 +42,7 @@ PointResult run_point(const SweepPoint& point, moe::GateTraceMemo* memo) {
   PointResult res;
   res.index = point.index;
   res.iterations = point.iterations;
-  sim::TrainingSimulator simulator(point.cfg, memo, point.iterations);
+  sim::TrainingSimulator simulator(point.cfg, memo);
   double total = 0.0;
   res.iters.reserve(static_cast<std::size_t>(point.iterations));
   for (int i = 0; i < point.iterations; ++i) {

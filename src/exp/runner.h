@@ -66,8 +66,8 @@ struct PointResult {
 };
 
 /// Execute one point: build the simulator and run the measured iterations.
-/// With a memo a training point reads the memo's gate trace over exactly its
-/// measured iterations; without one it records a private trace.
+/// With a memo a training point reads the memo's shared gate trace; without
+/// one it records a private trace.
 PointResult run_point(const SweepPoint& point,
                       moe::GateTraceMemo* memo = nullptr);
 

@@ -39,8 +39,7 @@ void transpose_into(const double* src, double* dst, std::size_t n) {
 GateSimulator::GateSimulator(const GateConfig& cfg, int read_layers)
     : cfg_(cfg),
       rng_(cfg.seed),
-      read_layers_(read_layers == 0 ? cfg.n_layers : read_layers),
-      live_layers_(cfg.n_layers) {
+      read_layers_(read_layers) {
   if (cfg_.n_experts <= 0 || cfg_.n_layers <= 0 || cfg_.ep_ranks <= 0)
     throw std::invalid_argument(
         "GateConfig: n_experts, n_layers and ep_ranks must be positive (got " +
@@ -70,9 +69,9 @@ GateSimulator::GateSimulator(const GateConfig& cfg, int read_layers)
     reject("transition_alpha", "positive", cfg_.transition_alpha);
   if (cfg_.lb_timescale <= 0.0)
     reject("lb_timescale", "positive", cfg_.lb_timescale);
-  if (read_layers < 0 || read_layers > cfg_.n_layers)
+  if (read_layers < 1 || read_layers > cfg_.n_layers)
     throw std::invalid_argument("GateSimulator: read_layers " +
-                                std::to_string(read_layers) + " outside [0, " +
+                                std::to_string(read_layers) + " outside [1, " +
                                 std::to_string(cfg_.n_layers) + "]");
 
   logits_.resize(static_cast<std::size_t>(cfg_.n_experts));
@@ -145,32 +144,41 @@ void GateSimulator::step() {
   realize_counts();
 }
 
+void GateSimulator::drop_unread_layers() {
+  const auto L = static_cast<std::size_t>(read_layers_);
+  if (q_.size() == L) return;
+  transitions_.resize(L);
+  pref_logits_.resize(L * static_cast<std::size_t>(cfg_.ep_ranks));
+  q_.resize(L);
+  load_.resize(L);
+  counts_.resize(L);
+  std::vector<double>().swap(normal_scratch_);  // sized for every layer
+}
+
 void GateSimulator::apply_ou_update(double pop_a, double pop_sd, double pref_a,
                                     double pref_sd) {
   // All of one update's walk draws -- popularity plus every (rank, layer)
   // preference vector -- come from ONE bulk fill_normal, and the OU update
   // is a single fused pass over the scratch. Preference walks are stored
-  // layer-major, so the held layers' walks are the first
-  // live_layers_ * ep_ranks; the rest are consumed from the stream but
-  // neither computed nor updated.
+  // layer-major, so the held layers' walks are the head; the unread
+  // layers' walks are consumed from the stream but neither computed nor
+  // held.
   const std::size_t E = logits_.size();
-  const std::size_t live_walks = static_cast<std::size_t>(live_layers_) *
-                                 static_cast<std::size_t>(cfg_.ep_ranks);
-  normal_scratch_.resize(E + live_walks * E);
+  normal_scratch_.resize(E + pref_logits_.size() * E);
   rng_.fill_normal_head(normal_scratch_.data(), normal_scratch_.size(),
-                        E + pref_logits_.size() * E);
+                        E + static_cast<std::size_t>(cfg_.n_layers * cfg_.ep_ranks) * E);
   const double* eps = normal_scratch_.data();
   for (std::size_t e = 0; e < E; ++e)
     logits_[e] = pop_a * logits_[e] + pop_sd * eps[e];
   eps += E;
-  for (std::size_t k = 0; k < live_walks; ++k, eps += E) {
-    auto& z = pref_logits_[k];
+  for (auto& z : pref_logits_) {
     for (std::size_t e = 0; e < E; ++e) z[e] = pref_a * z[e] + pref_sd * eps[e];
+    eps += E;
   }
 }
 
 void GateSimulator::advance_state() {
-  live_layers_ = read_layers_;
+  drop_unread_layers();
   // Popularity random walk with mean reversion (Ornstein-Uhlenbeck): the
   // walk keeps expert popularity moving between iterations (Fig. 4a) while
   // the pull toward 0 keeps its stationary spread bounded, so the
@@ -192,7 +200,7 @@ void GateSimulator::transition_drift() {
     // One bulk gamma fill per layer; each E-sized chunk normalizes into the
     // Dirichlet noise for one source column. An unread layer consumes the
     // same draws, so the stream stays the same, but computes no variate.
-    if (l >= live_layers_) {
+    if (l >= read_layers_) {
       rng_.skip_gamma(E * E, cfg_.transition_alpha);
       continue;
     }
@@ -215,7 +223,7 @@ void GateSimulator::transition_drift() {
 
 void GateSimulator::advance_steps(int n) {
   if (n <= 0) return;
-  live_layers_ = read_layers_;
+  drop_unread_layers();
   // Exact discrete-time OU transition: for z' = a z + sigma eps iterated n
   // times, z_n | z_0 ~ N(a^n z_0, sigma^2 (1 - a^{2n}) / (1 - a^2)). One
   // draw per dimension replaces n per-iteration draws; the warmup
@@ -247,6 +255,7 @@ void GateSimulator::advance_steps(int n) {
 void GateSimulator::refresh_distributions() {
   const auto E = static_cast<std::size_t>(cfg_.n_experts);
   const auto R = static_cast<std::size_t>(cfg_.ep_ranks);
+  const auto held = static_cast<int>(q_.size());
   const double mix = lb_mix();
   const double uniform = 1.0 / static_cast<double>(E);
 
@@ -314,7 +323,7 @@ void GateSimulator::refresh_distributions() {
   // Propagate through the Markov chain -- one blocked product of the layer's
   // transition with every rank's distribution -- re-personalizing and
   // re-balancing at every layer the state holds.
-  for (int l = 1; l < live_layers_; ++l) {
+  for (int l = 1; l < held; ++l) {
     Matrix& layer_q = q_[static_cast<std::size_t>(l)];
     vecmath::matvec_batch(transitions_[static_cast<std::size_t>(l)].data().data(),
                           q_[static_cast<std::size_t>(l - 1)].data().data(),
@@ -327,7 +336,7 @@ void GateSimulator::refresh_distributions() {
     }
     balance_layer(l);
   }
-  for (int l = 0; l < live_layers_; ++l) {
+  for (int l = 0; l < held; ++l) {
     auto& load = load_[static_cast<std::size_t>(l)];
     Matrix& layer_q = q_[static_cast<std::size_t>(l)];
     std::fill(load.begin(), load.end(), 0.0);
@@ -347,14 +356,13 @@ void GateSimulator::realize_counts() {
   // iteration, computed only for the layers the state holds (the draws are
   // layer-major, so those are the head), then a realize + clamp pass and a
   // strict in-order total per row for the renormalization.
-  const std::size_t live = static_cast<std::size_t>(live_layers_) * R * E;
-  normal_scratch_.resize(live);
-  rng_.fill_normal_head(normal_scratch_.data(), live,
+  normal_scratch_.resize(counts_.size() * R * E);
+  rng_.fill_normal_head(normal_scratch_.data(), normal_scratch_.size(),
                         static_cast<std::size_t>(cfg_.n_layers) * R * E);
   const double* eps = normal_scratch_.data();
-  for (int l = 0; l < live_layers_; ++l) {
-    const double* q = q_[static_cast<std::size_t>(l)].data().data();
-    double* c = counts_[static_cast<std::size_t>(l)].data().data();
+  for (std::size_t l = 0; l < counts_.size(); ++l) {
+    const double* q = q_[l].data().data();
+    double* c = counts_[l].data().data();
     for (std::size_t h = 0; h < R; ++h, q += E, c += E, eps += E) {
       for (std::size_t e = 0; e < E; ++e) {
         const double meanv = n * q[e];
@@ -371,22 +379,22 @@ void GateSimulator::realize_counts() {
   }
 }
 
-void GateSimulator::check_live(int layer, int first, const char* what) const {
-  if (layer < first || layer >= live_layers_)
+void GateSimulator::check_held(int layer, int first, const char* what) const {
+  if (layer < first || static_cast<std::size_t>(layer) >= load_.size())
     throw std::out_of_range(std::string("GateSimulator::") + what + ": layer " +
                             std::to_string(layer) + " outside [" +
                             std::to_string(first) + ", " +
-                            std::to_string(live_layers_) +
+                            std::to_string(load_.size()) +
                             ") the current state holds");
 }
 
 const std::vector<double>& GateSimulator::expert_load(int layer) const {
-  check_live(layer, 0, "expert_load");
+  check_held(layer, 0, "expert_load");
   return load_[static_cast<std::size_t>(layer)];
 }
 
 const Matrix& GateSimulator::dispatch_counts(int layer) const {
-  check_live(layer, 0, "dispatch_counts");
+  check_held(layer, 0, "dispatch_counts");
   return counts_[static_cast<std::size_t>(layer)];
 }
 
@@ -426,7 +434,7 @@ Matrix GateSimulator::rank_dispatch_matrix(int layer, double bytes_per_slot) con
 const Matrix& GateSimulator::transition(int layer) const {
   // Layer 0 has no predecessor: its slot is an empty matrix, and reading
   // it as a transition would index out of bounds.
-  check_live(layer, 1, "transition");
+  check_held(layer, 1, "transition");
   return transitions_[static_cast<std::size_t>(layer)];
 }
 

@@ -18,8 +18,8 @@
 // renormalized so per-rank totals are preserved.
 //
 // A reader that consumes only layers [0, read_layers) (one pipeline stage)
-// says so at construction: the constructor still computes every layer, but
-// each later advance updates, propagates and realizes only the read layers.
+// says so at construction: the constructor still computes every layer; the
+// first advance frees the rest, and each advance computes only the read ones.
 // The random draws of unread layers are consumed, not computed
 // (Rng::skip_gamma, Rng::fill_normal_head): the stream advances through
 // them in the same order, so it -- and every read layer -- is bit-identical
@@ -82,11 +82,12 @@ Matrix rank_dispatch_matrix(const Matrix& counts,
 class GateSimulator {
  public:
   /// `read_layers` is how many layers [0, read_layers) the caller reads
-  /// after the first advance (0: all of them). Throws std::invalid_argument,
-  /// naming the field, unless n_experts, n_layers and ep_ranks are positive,
-  /// every real knob is finite, transition_alpha and lb_timescale are
-  /// positive, and 0 <= read_layers <= n_layers.
-  explicit GateSimulator(const GateConfig& cfg, int read_layers = 0);
+  /// after the first advance (all of them without it). Throws
+  /// std::invalid_argument, naming the field, unless n_experts, n_layers and
+  /// ep_ranks are positive, every real knob is finite, transition_alpha and
+  /// lb_timescale are positive, and 1 <= read_layers <= n_layers.
+  GateSimulator(const GateConfig& cfg, int read_layers);
+  explicit GateSimulator(const GateConfig& cfg) : GateSimulator(cfg, cfg.n_layers) {}
 
   /// Advance one training iteration (re-samples routing).
   void step();
@@ -107,6 +108,11 @@ class GateSimulator {
   /// different sample path; distributions and counts are materialized once
   /// at the end. This is the WarmupPolicy::kClosedForm warmup fast path.
   void advance_steps(int n);
+
+  /// Warmup: advance_steps(n) under kClosedForm, skip(n) under kExactSteps.
+  void warm_up(int n, WarmupPolicy policy) {
+    policy == WarmupPolicy::kClosedForm ? advance_steps(n) : skip(n);
+  }
 
   int iteration() const { return iter_; }
   const GateConfig& config() const { return cfg_; }
@@ -142,15 +148,17 @@ class GateSimulator {
   /// Preference logits of one (rank, layer) OU walk (test accessor; throws
   /// std::out_of_range for a layer the state does not hold).
   const std::vector<double>& preference_logits(int rank, int layer) const {
-    check_live(layer, 0, "preference_logits");
+    check_held(layer, 0, "preference_logits");
     return pref_logits_[static_cast<std::size_t>(layer) *
                             static_cast<std::size_t>(cfg_.ep_ranks) +
                         static_cast<std::size_t>(rank)];
   }
 
  private:
-  /// Throws std::out_of_range unless first <= layer < live_layers_.
-  void check_live(int layer, int first, const char* what) const;
+  /// Throws std::out_of_range unless first <= layer < the layers held.
+  void check_held(int layer, int first, const char* what) const;
+  /// Frees every unread layer's state (at the first advance).
+  void drop_unread_layers();
   void advance_state();
   /// Shared OU-walk update of popularity + every preference vector: one bulk
   /// fill_normal over all dimensions, then z = a z + sd eps per walk. Called
@@ -165,8 +173,8 @@ class GateSimulator {
   GateConfig cfg_;
   Rng rng_;
   int iter_ = 0;
-  int read_layers_;  // layers computed by every advance
-  int live_layers_;  // layers the state holds: n_layers until the first advance
+  int read_layers_;  // the per-layer state below holds every layer, then
+                     // only these from the first advance on
   std::vector<double> logits_;                 // layer-0 popularity logits
   std::vector<Matrix> transitions_;            // per layer >= 1
   // Per (layer, rank) preference logits (OU process); the normalized

@@ -1,8 +1,7 @@
 #include "moe/gate_trace.h"
 
-#include <algorithm>
+#include <exception>
 #include <stdexcept>
-#include <utility>
 
 #include "common/canonical.h"
 
@@ -24,39 +23,26 @@ GateSnapshot snapshot(const GateSimulator& gate, int layers) {
 }  // namespace
 
 GateTrace::GateTrace(const GateConfig& cfg, int warmup_iterations,
-                     WarmupPolicy policy, int layers, int horizon)
-    : cfg_(cfg),
-      layers_(layers),
-      horizon_(std::max(horizon, 0)) {
-  if (layers < 1 || layers > cfg_.n_layers)
-    throw std::invalid_argument("GateTrace: layers read " + std::to_string(layers) +
-                                " outside [1, " + std::to_string(cfg_.n_layers) +
-                                "]");
-  // The producer computes only the recorded layers after initial().
-  producer_ = std::make_unique<GateSimulator>(cfg_, layers_);
-  initial_ = snapshot(*producer_, cfg_.n_layers);
-  if (policy == WarmupPolicy::kClosedForm)
-    producer_->advance_steps(warmup_iterations);
-  else
-    producer_->skip(warmup_iterations);
+                     WarmupPolicy policy, int layers)
+    : layers_(layers), producer_(cfg, layers) {
+  initial_ = snapshot(producer_, cfg.n_layers);  // before warmup frees layers
+  producer_.warm_up(warmup_iterations, policy);
 }
 
 const GateSnapshot& GateTrace::iteration(int i) const {
-  if (i < 1 || (horizon_ > 0 && i > horizon_))
+  if (i < 1)
     throw std::out_of_range("GateTrace: iteration " + std::to_string(i) +
-                            " outside the recorded horizon [1, " +
-                            (horizon_ > 0 ? std::to_string(horizon_) : "inf") + "]");
+                            " is before the first (1)");
   const std::lock_guard<std::mutex> lock(mu_);
   while (iterations_.size() < static_cast<std::size_t>(i)) {
-    producer_->step();
-    iterations_.push_back(snapshot(*producer_, layers_));
-    if (static_cast<int>(iterations_.size()) == horizon_) producer_.reset();
+    producer_.step();
+    iterations_.push_back(snapshot(producer_, layers_));
   }
   return iterations_[static_cast<std::size_t>(i - 1)];
 }
 
 std::string gate_trace_key(const GateConfig& gc, int warmup_iterations,
-                           WarmupPolicy policy, int layers, int horizon) {
+                           WarmupPolicy policy, int layers) {
   // Every GateConfig field is key material (tools/lint/gate_trace_key.json
   // enforces it), so two different trajectories never share a trace.
   CanonicalWriter w;
@@ -75,16 +61,14 @@ std::string gate_trace_key(const GateConfig& gc, int warmup_iterations,
   w.field("warmup_iterations", warmup_iterations);
   w.field("warmup_policy", static_cast<int>(policy));
   w.field("layers", layers);
-  w.field("horizon", std::max(horizon, 0));
   return w.digest_hex();
 }
 
 std::shared_ptr<const GateTrace> GateTraceMemo::get(const GateConfig& cfg,
                                                     int warmup_iterations,
                                                     WarmupPolicy policy,
-                                                    int layers, int horizon) {
-  const std::string key =
-      gate_trace_key(cfg, warmup_iterations, policy, layers, horizon);
+                                                    int layers) {
+  const std::string key = gate_trace_key(cfg, warmup_iterations, policy, layers);
   std::promise<TracePtr> promise;
   std::shared_future<TracePtr> trace;
   bool produce = false;
@@ -104,8 +88,8 @@ std::shared_ptr<const GateTrace> GateTraceMemo::get(const GateConfig& cfg,
   }
   // Produce outside the map lock so distinct keys build in parallel.
   try {
-    TracePtr t = std::make_shared<const GateTrace>(cfg, warmup_iterations,
-                                                   policy, layers, horizon);
+    TracePtr t =
+        std::make_shared<const GateTrace>(cfg, warmup_iterations, policy, layers);
     promise.set_value(t);
     ++built_;
     return t;

@@ -34,39 +34,35 @@ struct GateSnapshot {
 
 class GateTrace {
  public:
-  /// Construct the producer from `cfg` (throws std::invalid_argument on a
-  /// config GateSimulator rejects), snapshot every layer as initial(), then
-  /// advance `warmup_iterations` under `policy`. iteration(i) snapshots
-  /// layers [0, layers), the only layers the producer computes after
-  /// construction. With horizon > 0 exactly `horizon` iterations are
-  /// recorded and the producer is freed after the last; horizon <= 0 keeps
-  /// the producer and extends on demand.
+  /// Construct the producer as GateSimulator(cfg, layers) (which throws
+  /// std::invalid_argument on a config or layer count it rejects),
+  /// snapshot every layer as initial(), then advance `warmup_iterations`
+  /// under `policy`. iteration(i) snapshots layers [0, layers), the only
+  /// layers the producer holds after warmup; the trace is open-ended and
+  /// extends on demand.
   GateTrace(const GateConfig& cfg, int warmup_iterations, WarmupPolicy policy,
-            int layers, int horizon = 0);
+            int layers);
 
   /// Every layer's state right after construction, before warmup.
   const GateSnapshot& initial() const { return initial_; }
 
   /// Layers [0, layers()) after warmup and `i` step() calls, i >= 1.
   /// Produced on first request (thread-safe; the reference stays valid for
-  /// the trace's lifetime). Throws std::out_of_range for i < 1 or i past a
-  /// finite horizon.
+  /// the trace's lifetime). Throws std::out_of_range for i < 1.
   const GateSnapshot& iteration(int i) const;
 
  private:
-  GateConfig cfg_;
   int layers_;
-  int horizon_;
+  mutable GateSimulator producer_;
   GateSnapshot initial_;
   mutable std::mutex mu_;
-  mutable std::unique_ptr<GateSimulator> producer_;  // null once exhausted
-  mutable std::deque<GateSnapshot> iterations_;      // stable references
+  mutable std::deque<GateSnapshot> iterations_;  // stable references
 };
 
 /// Content key of a trace: a CanonicalWriter digest of every GateConfig
-/// field plus the warmup, the layers read and the horizon.
+/// field plus the warmup and the layers read.
 std::string gate_trace_key(const GateConfig& gc, int warmup_iterations,
-                           WarmupPolicy policy, int layers, int horizon);
+                           WarmupPolicy policy, int layers);
 
 /// Compute-once map from gate_trace_key to a shared trace. A key is produced
 /// once; concurrent requesters of it wait, distinct keys produce in
@@ -81,8 +77,7 @@ class GateTraceMemo {
 
   std::shared_ptr<const GateTrace> get(const GateConfig& cfg,
                                        int warmup_iterations,
-                                       WarmupPolicy policy, int layers,
-                                       int horizon);
+                                       WarmupPolicy policy, int layers);
   Stats stats() const { return {built_.load(), shared_.load()}; }
 
  private:

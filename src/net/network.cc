@@ -1,6 +1,6 @@
 #include "net/network.h"
 
-#include <cassert>
+#include <stdexcept>
 #include <utility>
 
 namespace mixnet::net {
@@ -20,9 +20,12 @@ NodeId Network::add_node(NodeKind kind, std::string label) {
 }
 
 LinkId Network::add_link(NodeId src, NodeId dst, Bps capacity, TimeNs delay) {
-  assert(src >= 0 && static_cast<std::size_t>(src) < nodes_.size());
-  assert(dst >= 0 && static_cast<std::size_t>(dst) < nodes_.size());
-  assert(src != dst);
+  const auto n = static_cast<NodeId>(nodes_.size());
+  if (src < 0 || src >= n || dst < 0 || dst >= n || src == dst)
+    throw std::invalid_argument(
+        "Network::add_link: link " + std::to_string(src) + " -> " + std::to_string(dst) +
+        (src == dst ? " is a self-loop"
+                    : " names a node outside [0, " + std::to_string(n) + ")"));
   Link l;
   l.src = src;
   l.dst = dst;

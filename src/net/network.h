@@ -53,7 +53,9 @@ class Network {
 
   NodeId add_node(NodeKind kind, std::string label = {});
 
-  /// Add a single directed link; returns its id.
+  /// Add a single directed link; returns its id. Throws
+  /// std::invalid_argument, naming both ids, for a node id outside the
+  /// graph or a self-loop.
   LinkId add_link(NodeId src, NodeId dst, Bps capacity, TimeNs delay);
 
   /// Add a pair of directed links (a->b and b->a); returns {ab, ba}.

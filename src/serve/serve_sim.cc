@@ -37,10 +37,7 @@ ServeSimulator::ServeSimulator(const sim::TrainingConfig& cluster,
     copilots_.assign(static_cast<std::size_t>(lps), predict::Copilot(cc));
   }
 
-  if (cfg.warmup_policy == moe::WarmupPolicy::kClosedForm)
-    gate_.advance_steps(cfg.warmup_iterations);
-  else
-    gate_.skip(cfg.warmup_iterations);
+  gate_.warm_up(cfg.warmup_iterations, cfg.warmup_policy);
 
   // Offline circuit setup from the warmed-up gate state: serving starts on
   // circuits matched to the initial demand, fully hidden (no request is in

@@ -29,8 +29,8 @@
 namespace mixnet::sim {
 
 /// Leftover of the deleted phase-result cache: stats() always reports 0
-/// hits. Kept only because perfbench/harness/replay.cc reads it, and that
-/// harness changes only in a benchmark change (ROADMAP item 4).
+/// hits. Kept only because perfbench/harness/replay.cc reads it, until the
+/// benchmark change that retires that harness (ROADMAP).
 struct PhaseCacheStats {
   std::uint64_t hits = 0;
 };
@@ -40,9 +40,9 @@ class PhaseRunner {
   /// `backend` selects the fidelity-ladder rung each phase is simulated on
   /// (DESIGN.md §12); `pkt` tunes the packet engine when backend == kPacket.
   /// The unnamed third parameter is ignored: it is the deleted phase cache's
-  /// capacity, still passed by perfbench/harness/replay.cc (ROADMAP item 4).
-  /// Throws std::invalid_argument for an analytic-core fabric on the packet
-  /// backend.
+  /// capacity, still passed by perfbench/harness/replay.cc until the
+  /// benchmark change that retires that harness. Throws
+  /// std::invalid_argument for an analytic-core fabric on the packet backend.
   explicit PhaseRunner(topo::Fabric& fabric, collective::EngineConfig ecfg = {},
                        std::size_t = 0,
                        net::NetBackend backend = net::NetBackend::kFlow,

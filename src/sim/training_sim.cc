@@ -96,7 +96,7 @@ control::ControllerConfig Cluster::controller_config() const {
 }
 
 TrainingSimulator::TrainingSimulator(TrainingConfig config,
-                                     moe::GateTraceMemo* memo, int horizon)
+                                     moe::GateTraceMemo* memo)
     : cluster_(build_cluster(std::move(config))) {
   const TrainingConfig& cfg = cluster_.cfg;
   topo::Fabric& fabric = *cluster_.fabric;
@@ -105,8 +105,7 @@ TrainingSimulator::TrainingSimulator(TrainingConfig config,
   // only the representative stage's layers.
   const int lps = cluster_.layers_per_stage;
   trace_ = memo != nullptr
-               ? memo->get(cluster_.gate, cfg.warmup_iterations, cfg.warmup_policy,
-                           lps, horizon)
+               ? memo->get(cluster_.gate, cfg.warmup_iterations, cfg.warmup_policy, lps)
                : std::make_shared<const moe::GateTrace>(
                      cluster_.gate, cfg.warmup_iterations, cfg.warmup_policy, lps);
 

@@ -8,8 +8,8 @@
 //   1. The gate trace supplies this iteration's per-layer routing: the
 //      recorded dispatch counts and expert loads of one GateSimulator
 //      trajectory (moe/gate_trace.h). Through a GateTraceMemo every point
-//      that derives the same gate config, warmup and horizon reads one
-//      shared trace; without one the simulator records a private trace.
+//      that derives the same gate config and warmup reads one shared
+//      trace; without one the simulator records a private trace.
 //   2. For each MoE block of the representative pipeline stage, the regional
 //      topology controller reconfigures the OCS (Algorithm 1, with the
 //      Fig. 20 hide-window accounting) and the phase runner measures the
@@ -189,15 +189,12 @@ Matrix rescale_plan_columns(Matrix seen, const std::vector<double>& predicted,
 
 class TrainingSimulator {
  public:
-  /// Without a memo the simulator records a private, open-ended gate trace
-  /// (the same construction and warmup work as a live gate). With one it
-  /// reads the memo's trace for its derived gate config, warmup, layers
-  /// and `horizon`: horizon > 0 records exactly that many iterations, and
-  /// run_iteration() past it throws std::out_of_range; horizon <= 0 shares
-  /// an open-ended trace.
+  /// Without a memo the simulator records a private gate trace (the same
+  /// construction and warmup work as a live gate). With one it reads the
+  /// memo's trace for its derived gate config, warmup and layers, shared
+  /// by every point of that trajectory whatever its iteration count.
   explicit TrainingSimulator(TrainingConfig cfg,
-                             moe::GateTraceMemo* memo = nullptr,
-                             int horizon = 0);
+                             moe::GateTraceMemo* memo = nullptr);
 
   /// Read the next gate iteration and simulate one training iteration.
   IterationResult run_iteration();

@@ -180,8 +180,8 @@ class Fabric {
   /// and any link/node addition or capacity/up-down change applied directly
   /// to the underlying Network (it delegates to Network::version(), so
   /// mutations that bypass Fabric's own mutators are observed too). Only
-  /// perfbench's traced replay reads it, to key its first-visit routing
-  /// (ROADMAP item 4).
+  /// perfbench's traced replay reads it, to key its first-visit routing,
+  /// until the benchmark change that retires perfbench/harness (ROADMAP).
   std::uint64_t epoch() const { return net_.version(); }
 
   net::NodeId server_node(int server_idx) const {

@@ -220,6 +220,30 @@ TEST(SweepRunner, ParallelSweepBuildsOneGateTracePerModel) {
     // A private trace (no memo) measures the same point bit for bit.
     EXPECT_EQ(point_record_json("", run_point(sweep.points()[i]), {}), record) << i;
   }
+
+  // The perfbench sweep mode runs one run_sweep call per point through one
+  // context: the memo outlives each call, so it still builds two traces.
+  RunContext per_point;
+  for (const SweepPoint& p : sweep.points()) {
+    const auto one = run_sweep(std::vector<SweepPoint>{p}, per_point);
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(point_record_json("", one[0], {}),
+              point_record_json("", serial[p.index], {}))
+        << p.index;
+  }
+  EXPECT_EQ(per_point.gate_traces->stats().built, 2u);
+  EXPECT_EQ(per_point.gate_traces->stats().shared, 8u);
+
+  // A point with another iteration count reads the same open-ended trace
+  // and measures what it measures with a private trace.
+  SweepPoint longer = sweep.points()[0];
+  longer.iterations = 5;
+  const PointResult shared = run_point(longer, per_point.gate_traces.get());
+  EXPECT_EQ(per_point.gate_traces->stats().built, 2u);
+  EXPECT_EQ(per_point.gate_traces->stats().shared, 9u);
+  ASSERT_EQ(shared.iters.size(), 5u);
+  EXPECT_EQ(point_record_json("", shared, {}),
+            point_record_json("", run_point(longer), {}));
 }
 
 TEST(SweepRunner, EmptyPointListIsFine) {

@@ -6,8 +6,8 @@ Three kinds of coverage:
   * the real tree passes all three analyzers (the gate CI runs is green);
   * fixture trees under tests/lint/fixtures/ each contain one known
     violation class (illegal DAG edge + CMake drift, dropped cache-key
-    field, banned nondeterminism call, unordered container in an emit
-    path) and must fail with the precise diagnostic;
+    field, banned nondeterminism call, Release-silent assert, unordered
+    container in an emit path) and must fail with the precise diagnostic;
   * the acceptance loop: deleting ANY single field-serialization line from
     the real src/exp/cache_key.cc, or from the gate-trace key in
     src/moe/gate_trace.cc, must turn the cache-key analyzer red.
@@ -15,6 +15,7 @@ Three kinds of coverage:
 Run directly (`python3 tests/lint_test.py`) or via CTest (`lint_test`).
 """
 
+import json
 import re
 import subprocess
 import sys
@@ -229,6 +230,42 @@ class DeterminismFixture(unittest.TestCase):
         self.assertIn("stale allowlist entry", out)
         # seed.cc's random_device is no longer excused either.
         self.assertIn("src/sim/seed.cc:4", out)
+
+
+class ReleaseAssertFixture(unittest.TestCase):
+    """The real config's assert() rule: a new assert( in src/ fails the
+    lint (Release builds compile it out), static_assert and allowlisted
+    files do not."""
+    FIX = FIXTURES / "release_assert"
+
+    def run_fixture(self, allow):
+        real = mixnet_lint.load_json(ROOT / "tools" / "lint" / "determinism.json")
+        rule = [b for b in real["banned"] if b["name"] == "assert()"]
+        self.assertEqual(len(rule), 1, "determinism.json bans assert() once")
+        cfg = {"paths": ["src"], "banned": rule, "canonical_paths": [],
+               "canonical_banned": [], "allow": allow}
+        with tempfile.NamedTemporaryFile("w", suffix=".json") as f:
+            json.dump(cfg, f)
+            f.flush()
+            return run_lint("determinism", "--root", str(self.FIX),
+                            "--determinism-config", f.name)
+
+    def test_new_assert_fails_and_allowlisted_file_does_not(self):
+        code, out, _ = self.run_fixture([
+            {"file": "src/common/hot.h", "name": "assert()",
+             "reason": "fixture: a hot accessor"}])
+        self.assertEqual(code, 1)
+        self.assertIn("src/net/graph.cc:6: [determinism] banned "
+                      "call/construct 'assert()'", out)
+        # Not the static_assert on line 3, the comment on line 4, the
+        # string on line 7 or the allowlisted hot.h.
+        diags = [l for l in out.splitlines() if ": [determinism]" in l]
+        self.assertEqual(len(diags), 1, out)
+
+    def test_without_its_allow_entry_the_hot_accessor_fails_too(self):
+        code, out, _ = self.run_fixture([])
+        self.assertEqual(code, 1)
+        self.assertIn("src/common/hot.h:5: [determinism]", out)
 
 
 class UnorderedEmitFixture(unittest.TestCase):

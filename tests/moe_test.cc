@@ -334,7 +334,7 @@ TEST(Gate, RejectsNonPositiveLbTimescale) {
 }
 
 TEST(Gate, RejectsReadLayersOutsideTheModel) {
-  for (int bad : {-1, small_gate().n_layers + 1})
+  for (int bad : {-1, 0, small_gate().n_layers + 1})
     EXPECT_THROW(GateSimulator(small_gate(), bad), std::invalid_argument) << bad;
   EXPECT_NO_THROW(GateSimulator(small_gate(), small_gate().n_layers));
 }
@@ -455,6 +455,21 @@ TEST(Gate, UnreadLayersAreReadableOnlyBeforeTheFirstAdvance) {
   }
 }
 
+TEST(Gate, WarmUpDispatchesOnThePolicy) {
+  // 60 iterations cross the iteration-50 transition drift either way.
+  for (const WarmupPolicy policy :
+       {WarmupPolicy::kClosedForm, WarmupPolicy::kExactSteps}) {
+    GateSimulator warmed(small_gate(), 2), direct(small_gate(), 2);
+    warmed.warm_up(60, policy);
+    if (policy == WarmupPolicy::kClosedForm)
+      direct.advance_steps(60);
+    else
+      direct.skip(60);
+    EXPECT_EQ(warmed.iteration(), 60);
+    expect_read_layers_equal(direct, warmed, 2);
+  }
+}
+
 // The snapshot holds exactly what the live gate returns for layers [0, layers),
 // and its dispatch matrix under the one ownership rule is the live gate's.
 void expect_snapshot_is_live_state(const GateSnapshot& s,
@@ -478,31 +493,30 @@ TEST(GateTrace, SnapshotsEqualLiveGateBitForBit) {
   // 3 ranks over 8 experts: the last rank owns the remainder, so the
   // dispatch-matrix ownership rule is exercised too. Warmup 48 makes the
   // recorded steps cross the iteration-50 transition drift. The producer
-  // computes only the recorded layers (1 or 3 of 4) after initial(); the
-  // live gate computes all of them.
+  // holds only the recorded layers (1 or 3 of 4) after warmup; the live
+  // gate computes all of them.
   GateConfig g = small_gate();
   g.ep_ranks = 3;
-  constexpr int kWarmup = 48, kHorizon = 3;
+  constexpr int kWarmup = 48, kSteps = 3;
   for (const int layers : {1, 3}) {
     for (const WarmupPolicy policy :
          {WarmupPolicy::kClosedForm, WarmupPolicy::kExactSteps}) {
       SCOPED_TRACE(policy == WarmupPolicy::kClosedForm ? "closed-form" : "exact");
       SCOPED_TRACE("layers " + std::to_string(layers));
-      const GateTrace trace(g, kWarmup, policy, layers, kHorizon);
+      const GateTrace trace(g, kWarmup, policy, layers);
       GateSimulator live(g);
       expect_snapshot_is_live_state(trace.initial(), live, g.n_layers);
       if (policy == WarmupPolicy::kClosedForm)
         live.advance_steps(kWarmup);
       else
         live.skip(kWarmup);
-      for (int i = 1; i <= kHorizon; ++i) {
+      for (int i = 1; i <= kSteps; ++i) {
         live.step();
         expect_snapshot_is_live_state(trace.iteration(i), live, layers);
       }
-      EXPECT_THROW(trace.iteration(kHorizon + 1), std::out_of_range);
       EXPECT_THROW(trace.iteration(0), std::out_of_range);
-      // Recorded iterations stay readable after the producer is freed.
-      expect_snapshot_is_live_state(trace.iteration(kHorizon), live, layers);
+      // Recorded iterations stay readable after later ones are produced.
+      expect_snapshot_is_live_state(trace.iteration(kSteps), live, layers);
     }
   }
 }
@@ -526,14 +540,14 @@ TEST(GateTrace, RejectsLayerCountsOutsideTheModel) {
 TEST(GateTraceMemo, OnePointerPerKeyAndADistinctTracePerField) {
   const GateConfig g = small_gate();
   GateTraceMemo memo;
-  const auto a = memo.get(g, 10, WarmupPolicy::kClosedForm, 2, 1);
-  const auto b = memo.get(g, 10, WarmupPolicy::kClosedForm, 2, 1);
+  const auto a = memo.get(g, 10, WarmupPolicy::kClosedForm, 2);
+  const auto b = memo.get(g, 10, WarmupPolicy::kClosedForm, 2);
   EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(memo.stats().built, 1u);
   EXPECT_EQ(memo.stats().shared, 1u);
 
-  // Every GateConfig field, the warmup, the policy, the layers read and the
-  // horizon are key material: changing any one yields a new trace.
+  // Every GateConfig field, the warmup, the policy and the layers read are
+  // key material: changing any one yields a new trace.
   const std::vector<std::function<void(GateConfig&)>> edits = {
       [](GateConfig& c) { c.n_experts = 16; },
       [](GateConfig& c) { c.n_layers = 5; },
@@ -551,14 +565,13 @@ TEST(GateTraceMemo, OnePointerPerKeyAndADistinctTracePerField) {
   for (std::size_t k = 0; k < edits.size(); ++k) {
     GateConfig changed = g;
     edits[k](changed);
-    EXPECT_NE(memo.get(changed, 10, WarmupPolicy::kClosedForm, 2, 1).get(), a.get())
+    EXPECT_NE(memo.get(changed, 10, WarmupPolicy::kClosedForm, 2).get(), a.get())
         << "GateConfig edit #" << k;
   }
-  EXPECT_NE(memo.get(g, 11, WarmupPolicy::kClosedForm, 2, 1).get(), a.get());
-  EXPECT_NE(memo.get(g, 10, WarmupPolicy::kExactSteps, 2, 1).get(), a.get());
-  EXPECT_NE(memo.get(g, 10, WarmupPolicy::kClosedForm, 3, 1).get(), a.get());
-  EXPECT_NE(memo.get(g, 10, WarmupPolicy::kClosedForm, 2, 2).get(), a.get());
-  EXPECT_EQ(memo.stats().built, 1u + edits.size() + 4u);
+  EXPECT_NE(memo.get(g, 11, WarmupPolicy::kClosedForm, 2).get(), a.get());
+  EXPECT_NE(memo.get(g, 10, WarmupPolicy::kExactSteps, 2).get(), a.get());
+  EXPECT_NE(memo.get(g, 10, WarmupPolicy::kClosedForm, 3).get(), a.get());
+  EXPECT_EQ(memo.stats().built, 1u + edits.size() + 3u);
   EXPECT_EQ(memo.stats().shared, 1u);
 }
 
@@ -571,7 +584,7 @@ TEST(GateTraceMemo, ConcurrentRequestersShareOneProduction) {
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&, t] {
       got[static_cast<std::size_t>(t)] =
-          memo.get(small_gate(), 20, WarmupPolicy::kClosedForm, 4, 2);
+          memo.get(small_gate(), 20, WarmupPolicy::kClosedForm, 4);
       first[static_cast<std::size_t>(t)] =
           &got[static_cast<std::size_t>(t)]->iteration(1);
     });
@@ -594,7 +607,7 @@ TEST(GateTraceMemo, ThrowingProducerReachesEveryRequesterAndIsNotCached) {
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&, t] {
       try {
-        memo.get(bad, 0, WarmupPolicy::kClosedForm, 1, 1);
+        memo.get(bad, 0, WarmupPolicy::kClosedForm, 1);
       } catch (const std::invalid_argument&) {
         threw[static_cast<std::size_t>(t)] = 1;
       }
@@ -602,12 +615,12 @@ TEST(GateTraceMemo, ThrowingProducerReachesEveryRequesterAndIsNotCached) {
   for (auto& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(threw[static_cast<std::size_t>(t)], 1) << t;
   // Nothing was cached: a later request produces (and fails) again.
-  EXPECT_THROW(memo.get(bad, 0, WarmupPolicy::kClosedForm, 1, 1),
+  EXPECT_THROW(memo.get(bad, 0, WarmupPolicy::kClosedForm, 1),
                std::invalid_argument);
   EXPECT_EQ(memo.stats().built, 0u);
   EXPECT_EQ(memo.stats().shared, 0u);
   // The memo still serves good keys afterwards.
-  EXPECT_NE(memo.get(small_gate(), 0, WarmupPolicy::kClosedForm, 1, 1), nullptr);
+  EXPECT_NE(memo.get(small_gate(), 0, WarmupPolicy::kClosedForm, 1), nullptr);
   EXPECT_EQ(memo.stats().built, 1u);
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "eventsim/simulator.h"
 #include "net/flowsim.h"
@@ -27,6 +28,39 @@ TEST(Network, AddNodesAndLinks) {
   EXPECT_EQ(net.link(l).dst, b);
   EXPECT_EQ(net.node(a).out_links.size(), 1u);
   EXPECT_EQ(net.node(b).in_links.size(), 1u);
+}
+
+// The error names both ids, and the graph is left unchanged.
+void expect_add_link_rejected(Network& net, NodeId src, NodeId dst) {
+  try {
+    net.add_link(src, dst, gbps(100), 0);
+    ADD_FAILURE() << src << " -> " << dst << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::to_string(src) + " -> " + std::to_string(dst)),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(net.link_count(), 0u);
+}
+
+TEST(Network, AddLinkRejectsANodeOutsideTheGraph) {
+  Network net;
+  const NodeId a = net.add_node(NodeKind::kServer);
+  const NodeId b = net.add_node(NodeKind::kServer);
+  expect_add_link_rejected(net, a, 2);
+  expect_add_link_rejected(net, 7, b);
+  expect_add_link_rejected(net, -1, b);
+  expect_add_link_rejected(net, a, -3);
+  EXPECT_TRUE(net.node(a).out_links.empty());
+  EXPECT_TRUE(net.node(b).in_links.empty());
+}
+
+TEST(Network, AddLinkRejectsASelfLoop) {
+  Network net;
+  const NodeId a = net.add_node(NodeKind::kServer);
+  expect_add_link_rejected(net, a, a);
+  EXPECT_TRUE(net.node(a).out_links.empty());
 }
 
 TEST(Network, DuplexCreatesBothDirections) {

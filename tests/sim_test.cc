@@ -360,12 +360,14 @@ TEST(TrainingSim, SharedGateTraceMatchesPrivateTraceFieldForField) {
   const std::vector<TrainingConfig> points = {
       base(topo::FabricKind::kFatTree), copilot,
       base(topo::FabricKind::kTopoOpt), one_nic};
-  constexpr int kIterations = 3;
+  // Point p runs 2 + p iterations: the shared trace is open-ended, so
+  // points with different iteration counts still read one trace.
   moe::GateTraceMemo memo;
   for (std::size_t p = 0; p < points.size(); ++p) {
-    TrainingSimulator shared(points[p], &memo, kIterations);
+    const int iterations = 2 + static_cast<int>(p);
+    TrainingSimulator shared(points[p], &memo);
     TrainingSimulator own(points[p]);
-    for (int i = 0; i < kIterations; ++i) {
+    for (int i = 0; i < iterations; ++i) {
       const IterationResult a = shared.run_iteration();
       const IterationResult b = own.run_iteration();
       EXPECT_EQ(a.total, b.total) << p << "/" << i;
@@ -378,8 +380,6 @@ TEST(TrainingSim, SharedGateTraceMatchesPrivateTraceFieldForField) {
       EXPECT_EQ(a.tokens, b.tokens) << p << "/" << i;
     }
     EXPECT_EQ(shared.layer_timeline().total(), own.layer_timeline().total()) << p;
-    // The shared trace recorded exactly the requested horizon.
-    EXPECT_THROW(shared.run_iteration(), std::out_of_range) << p;
   }
   EXPECT_EQ(memo.stats().built, 1u);
   EXPECT_EQ(memo.stats().shared, points.size() - 1);
