@@ -10,6 +10,10 @@ namespace mixnet::collective {
 using net::FlowSpec;
 
 namespace {
+
+/// Fixed software launch overhead added to every collective.
+constexpr TimeNs kLaunchOverhead = us_to_ns(20.0);
+
 // A demand matrix indexes group members; any other shape would read out of
 // bounds, so it is rejected in every build type.
 void check_demand_shape(const char* op, const Matrix& bytes, std::size_t n) {
@@ -186,7 +190,7 @@ void Engine::send(int src_server, int dst_server, Bytes bytes, Callback done) {
   barrier->sim = &sim_;
   barrier->done = std::move(done);
   const Bytes wire = bytes / cfg_.ring_efficiency;
-  sim_.schedule_after(cfg_.launch_overhead, [this, src_server, dst_server, wire,
+  sim_.schedule_after(kLaunchOverhead, [this, src_server, dst_server, wire,
                                              barrier] {
     start_pair_flows(src_server, dst_server, wire, cfg_.eps_stripes, barrier);
     barrier->seal();
@@ -200,7 +204,7 @@ void Engine::all_reduce_ring(const std::vector<int>& servers, Bytes bytes,
   barrier->sim = &sim_;
   barrier->done = std::move(done);
   if (n <= 1) {
-    sim_.schedule_after(cfg_.launch_overhead,
+    sim_.schedule_after(kLaunchOverhead,
                         [barrier] { barrier->seal(); });
     return;
   }
@@ -208,7 +212,7 @@ void Engine::all_reduce_ring(const std::vector<int>& servers, Bytes bytes,
   // over the lifetime of the all-reduce.
   const Bytes edge_bytes = 2.0 * static_cast<double>(n - 1) / static_cast<double>(n) *
                            bytes / cfg_.ring_efficiency;
-  sim_.schedule_after(cfg_.launch_overhead, [this, servers, edge_bytes, barrier] {
+  sim_.schedule_after(kLaunchOverhead, [this, servers, edge_bytes, barrier] {
     for (std::size_t k = 0; k < servers.size(); ++k) {
       const int src = servers[k];
       const int dst = servers[(k + 1) % servers.size()];
@@ -224,7 +228,7 @@ void Engine::hierarchical_all_reduce(const std::vector<int>& servers,
   const TimeNs reduce_t = nvswitch_time(bytes_per_gpu / cfg_.ring_efficiency);
   auto self = this;
   auto cb = std::move(done);
-  sim_.schedule_after(cfg_.launch_overhead + reduce_t, [self, servers, bytes_per_gpu,
+  sim_.schedule_after(kLaunchOverhead + reduce_t, [self, servers, bytes_per_gpu,
                                                         cb] {
     // Stage 2: inter-host ring among gateways.
     self->all_reduce_ring(servers, bytes_per_gpu, [self, bytes_per_gpu, cb](TimeNs) {
@@ -244,7 +248,7 @@ void Engine::all_to_all_direct(const std::vector<int>& servers, const Matrix& ra
   auto barrier = std::make_shared<Barrier>();
   barrier->sim = &sim_;
   barrier->done = std::move(done);
-  sim_.schedule_after(cfg_.launch_overhead, [this, servers, bytes, barrier] {
+  sim_.schedule_after(kLaunchOverhead, [this, servers, bytes, barrier] {
     for (std::size_t i = 0; i < servers.size(); ++i) {
       for (std::size_t j = 0; j < servers.size(); ++j) {
         if (bytes(i, j) <= 0.0) continue;
@@ -304,7 +308,7 @@ void Engine::all_to_all_mixnet(int region, const Matrix& raw, Callback done) {
   // NVSwitch gather/scatter with the wire transfer), so the op completes at
   // the *max* of the stage durations plus a one-chunk ramp, not their sum.
   const TimeNs ramp = std::max<TimeNs>((gather_t + scatter_t) / 8, 0);
-  const TimeNs floor_t = cfg_.launch_overhead +
+  const TimeNs floor_t = kLaunchOverhead +
                          std::max({gather_t, local_t, scatter_t}) + ramp;
   auto barrier = std::make_shared<Barrier>();  // joins step 3 and step 4
   barrier->sim = &sim_;
@@ -317,7 +321,7 @@ void Engine::all_to_all_mixnet(int region, const Matrix& raw, Callback done) {
   };
 
   sim_.schedule_after(
-      cfg_.launch_overhead,
+      kLaunchOverhead,
       [this, region, members, bytes, local_t, barrier, n] {
         // Step 3: inter-host transfer, OCS circuits preferred, EPS fallback.
         for (std::size_t i = 0; i < n; ++i) {

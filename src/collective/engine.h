@@ -38,9 +38,9 @@
 
 namespace mixnet::collective {
 
+/// Every collective also pays a fixed 20 us software launch overhead
+/// (kLaunchOverhead in engine.cc).
 struct EngineConfig {
-  /// Fixed software launch overhead added to every collective.
-  TimeNs launch_overhead = us_to_ns(20.0);
   /// Number of parallel flows (rings / NIC stripes) per server pair on EPS.
   int eps_stripes = 4;
   /// Number of rings for multi-ring all-reduce.

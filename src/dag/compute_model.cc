@@ -5,6 +5,14 @@
 namespace mixnet::dag {
 
 namespace {
+
+// Effective throughputs in TFLOP/s, calibrated to Fig. 3 (file header of
+// compute_model.h).
+constexpr double kAttentionTflops = 6.0;
+constexpr double kExpertTflops = 6.0;
+constexpr double kGateTflops = 2.0;
+constexpr double kElementwiseTflops = 0.5;  ///< bandwidth-bound add+norm
+
 TimeNs flops_to_time(double flops, double tflops) {
   if (flops <= 0.0) return 0;
   return std::max<TimeNs>(sec_to_ns(flops / (tflops * 1e12)), 1000);
@@ -36,14 +44,14 @@ double gate_flops_per_gpu(const moe::MoeModelConfig& m, const moe::ParallelismSp
 
 LayerTimes forward_layer_times(const moe::MoeModelConfig& model,
                                const moe::ParallelismSpec& par,
-                               const ComputeModelConfig& cfg) {
+                               const ComputeModelConfig&) {
   LayerTimes t;
-  t.attention = flops_to_time(attention_flops_per_gpu(model, par), cfg.attention_tflops);
-  t.gate = flops_to_time(gate_flops_per_gpu(model, par), cfg.gate_tflops);
-  t.expert = flops_to_time(expert_flops_per_gpu(model, par), cfg.expert_tflops);
+  t.attention = flops_to_time(attention_flops_per_gpu(model, par), kAttentionTflops);
+  t.gate = flops_to_time(gate_flops_per_gpu(model, par), kGateTflops);
+  t.expert = flops_to_time(expert_flops_per_gpu(model, par), kExpertTflops);
   const double tokens = par.tokens_per_microbatch() / par.ep;
   const double elem = tokens * 12.0 * model.hidden_dim / par.tp;
-  t.add_norm = flops_to_time(elem, cfg.elementwise_tflops);  // bandwidth-bound
+  t.add_norm = flops_to_time(elem, kElementwiseTflops);
   return t;
 }
 

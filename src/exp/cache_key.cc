@@ -37,10 +37,6 @@ void canonicalize_config(const sim::TrainingConfig& cfg, CanonicalWriter& w) {
   w.field("ocs_nic_gbps", cfg.ocs_nic_gbps);
 
   // Compute and goodput calibration.
-  w.field("compute.attention_tflops", cfg.compute.attention_tflops);
-  w.field("compute.expert_tflops", cfg.compute.expert_tflops);
-  w.field("compute.gate_tflops", cfg.compute.gate_tflops);
-  w.field("compute.elementwise_tflops", cfg.compute.elementwise_tflops);
   w.field("compute.backward_factor", cfg.compute.backward_factor);
   w.field("a2a_efficiency", cfg.a2a_efficiency);
   w.field("ring_efficiency", cfg.ring_efficiency);
@@ -62,13 +58,9 @@ void canonicalize_config(const sim::TrainingConfig& cfg, CanonicalWriter& w) {
   w.field("gate.n_layers", cfg.gate.n_layers);
   w.field("gate.ep_ranks", cfg.gate.ep_ranks);
   w.field("gate.tokens_per_rank", cfg.gate.tokens_per_rank);
-  w.field("gate.transition_alpha", cfg.gate.transition_alpha);
   w.field("gate.personalization", cfg.gate.personalization);
-  w.field("gate.drift_sigma", cfg.gate.drift_sigma);
   w.field("gate.pref_drift_sigma", cfg.gate.pref_drift_sigma);
   w.field("gate.pref_retention", cfg.gate.pref_retention);
-  w.field("gate.lb_final", cfg.gate.lb_final);
-  w.field("gate.lb_timescale", cfg.gate.lb_timescale);
   w.field("gate.seed", cfg.gate.seed);
 
   w.field("warmup_iterations", cfg.warmup_iterations);

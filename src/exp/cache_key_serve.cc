@@ -15,9 +15,6 @@ void canonicalize_serve_config(const serve::ServeConfig& scfg,
   w.field("serve.arrival_rate_hz", scfg.arrival_rate_hz);
   w.field("serve.shape", static_cast<int>(scfg.shape));
   w.field("serve.burst_factor", scfg.burst_factor);
-  w.field("serve.diurnal_period_s", scfg.diurnal_period_s);
-  w.field("serve.burst_start_s", scfg.burst_start_s);
-  w.field("serve.burst_len_s", scfg.burst_len_s);
 
   // Request shape.
   w.field("serve.prompt_mu", scfg.prompt_mu);
@@ -25,10 +22,8 @@ void canonicalize_serve_config(const serve::ServeConfig& scfg,
   w.field("serve.output_mu", scfg.output_mu);
   w.field("serve.output_sigma", scfg.output_sigma);
 
-  // Engine and SLOs.
+  // Engine.
   w.field("serve.max_batch_requests", scfg.max_batch_requests);
-  w.field("serve.ttft_slo_ms", scfg.ttft_slo_ms);
-  w.field("serve.tpot_slo_ms", scfg.tpot_slo_ms);
 
   // Hotspot-driven re-placement loop.
   w.field("serve.replacement_on", scfg.replacement_on);

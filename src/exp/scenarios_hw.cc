@@ -25,7 +25,6 @@ namespace {
 // reconfiguration delay CDF, control timeline, NIC activation CDF.
 
 ScenarioResult run_fig21(const RunContext&) {
-  ocs::HardwareModel hw;
   Rng rng(2025);
 
   ScenarioResult out;
@@ -34,7 +33,7 @@ ScenarioResult run_fig21(const RunContext&) {
                   {"pairs", "mean", "p50", "p90", "p99", "max"}, 12);
   for (int pairs : {1, 4, 16}) {
     std::vector<double> xs(20000);
-    for (auto& x : xs) x = ns_to_ms(hw.sample_reconfig_delay(pairs, rng));
+    for (auto& x : xs) x = ns_to_ms(ocs::sample_reconfig_delay(pairs, rng));
     t21.add_row({std::to_string(pairs), Cell::num(mean(xs), 2),
                  Cell::num(percentile(xs, 0.5), 2), Cell::num(percentile(xs, 0.9), 2),
                  Cell::num(percentile(xs, 0.99), 2),
@@ -46,7 +45,7 @@ ScenarioResult run_fig21(const RunContext&) {
                   {"segment", "mean", "share"}, 22);
   std::vector<double> cmd, sw, xcvr, nic, total;
   for (int i = 0; i < 5000; ++i) {
-    const auto t = hw.sample_control_timeline(4, rng);
+    const auto t = ocs::sample_control_timeline(4, rng);
     cmd.push_back(ns_to_ms(t.command));
     sw.push_back(ns_to_ms(t.ocs_reconfig));
     xcvr.push_back(ns_to_ms(t.transceiver_init));
@@ -68,7 +67,7 @@ ScenarioResult run_fig21(const RunContext&) {
   ResultTable t23("Figure 23", "NIC activation time after reconfiguration (s)",
                   {"mean", "p50", "p99"}, 12);
   std::vector<double> act(20000);
-  for (auto& x : act) x = ns_to_sec(hw.sample_nic_activation(rng));
+  for (auto& x : act) x = ns_to_sec(ocs::sample_nic_activation(rng));
   t23.add_row({Cell::num(mean(act), 2), Cell::num(percentile(act, 0.5), 2),
                Cell::num(percentile(act, 0.99), 2)});
   out.tables.push_back(std::move(t23));

@@ -13,10 +13,6 @@ namespace mixnet::moe {
 
 namespace {
 
-/// Per-iteration retention of the popularity logit walk (OU mean reversion;
-/// see advance_state).
-constexpr double kPopularityRetention = 0.985;
-
 void normalize(std::vector<double>& v) { normalize_span(v.data(), v.size()); }
 
 /// dst[d*n + s] = src[s*n + d] for an n x n block, in square tiles so both
@@ -45,30 +41,19 @@ GateSimulator::GateSimulator(const GateConfig& cfg, int read_layers)
         "GateConfig: n_experts, n_layers and ep_ranks must be positive (got " +
         std::to_string(cfg_.n_experts) + ", " + std::to_string(cfg_.n_layers) +
         ", " + std::to_string(cfg_.ep_ranks) + ")");
-  // A NaN transition_alpha never leaves fill_gamma's rejection loop, and a
-  // zero lb_timescale makes the constructor's loads NaN: reject both kinds
-  // here, in every build, naming the field.
+  // A non-finite knob makes every load and count NaN: reject it here, in
+  // every build, naming the field.
   const std::pair<const char*, double> knobs[] = {
       {"tokens_per_rank", cfg_.tokens_per_rank},
-      {"transition_alpha", cfg_.transition_alpha},
       {"personalization", cfg_.personalization},
-      {"drift_sigma", cfg_.drift_sigma},
       {"pref_drift_sigma", cfg_.pref_drift_sigma},
       {"pref_retention", cfg_.pref_retention},
-      {"lb_final", cfg_.lb_final},
-      {"lb_timescale", cfg_.lb_timescale},
-  };
-  const auto reject = [](const char* field, const char* rule, double v) {
-    throw std::invalid_argument(std::string("GateConfig::") + field +
-                                " must be " + rule + " (got " +
-                                std::to_string(v) + ")");
   };
   for (const auto& [name, v] : knobs)
-    if (!std::isfinite(v)) reject(name, "finite", v);
-  if (cfg_.transition_alpha <= 0.0)
-    reject("transition_alpha", "positive", cfg_.transition_alpha);
-  if (cfg_.lb_timescale <= 0.0)
-    reject("lb_timescale", "positive", cfg_.lb_timescale);
+    if (!std::isfinite(v))
+      throw std::invalid_argument(std::string("GateConfig::") + name +
+                                  " must be finite (got " +
+                                  std::to_string(v) + ")");
   if (read_layers < 1 || read_layers > cfg_.n_layers)
     throw std::invalid_argument("GateSimulator: read_layers " +
                                 std::to_string(read_layers) + " outside [1, " +
@@ -88,7 +73,7 @@ GateSimulator::GateSimulator(const GateConfig& cfg, int read_layers)
   gamma_scratch_.resize(E0 * E0);
   for (int l = 1; l < cfg_.n_layers; ++l) {
     Matrix m(E0, E0);
-    rng_.fill_gamma(gamma_scratch_.data(), E0 * E0, cfg_.transition_alpha);
+    rng_.fill_gamma(gamma_scratch_.data(), E0 * E0, kTransitionAlpha);
     for (std::size_t src = 0; src < E0; ++src)
       normalize_span(gamma_scratch_.data() + src * E0, E0);
     transpose_into(gamma_scratch_.data(), m.data().data(), E0);
@@ -126,7 +111,7 @@ GateSimulator::GateSimulator(const GateConfig& cfg, int read_layers)
 }
 
 double GateSimulator::lb_mix() const {
-  return cfg_.lb_final * (1.0 - std::exp(-static_cast<double>(iter_) / cfg_.lb_timescale));
+  return kLbFinal * (1.0 - std::exp(-static_cast<double>(iter_) / kLbTimescale));
 }
 
 void GateSimulator::skip(int n) {
@@ -186,7 +171,7 @@ void GateSimulator::advance_state() {
   // instead of racing a diverging walk. Preference drift: hot (rank, expert)
   // affinities wander on a ~50-iteration timescale while staying sparse (OU
   // stationary spread).
-  apply_ou_update(kPopularityRetention, cfg_.drift_sigma, cfg_.pref_retention,
+  apply_ou_update(kPopularityRetention, kDriftSigma, cfg_.pref_retention,
                   cfg_.pref_drift_sigma);
   // Occasional transition drift so the Markov structure is non-stationary
   // but learnable within a prediction window.
@@ -201,11 +186,11 @@ void GateSimulator::transition_drift() {
     // Dirichlet noise for one source column. An unread layer consumes the
     // same draws, so the stream stays the same, but computes no variate.
     if (l >= read_layers_) {
-      rng_.skip_gamma(E * E, cfg_.transition_alpha);
+      rng_.skip_gamma(E * E, kTransitionAlpha);
       continue;
     }
     Matrix& m = transitions_[static_cast<std::size_t>(l)];
-    rng_.fill_gamma(gamma_scratch_.data(), E * E, cfg_.transition_alpha);
+    rng_.fill_gamma(gamma_scratch_.data(), E * E, kTransitionAlpha);
     for (int src = 0; src < cfg_.n_experts; ++src) {
       double* noise = gamma_scratch_.data() + static_cast<std::size_t>(src) * E;
       normalize_span(noise, E);
@@ -237,7 +222,7 @@ void GateSimulator::advance_steps(int n) {
                            : sigma * sigma * (1.0 - std::pow(a2, n)) / (1.0 - a2);
     return std::pair<double, double>(an, std::sqrt(var));
   };
-  const auto [pop_an, pop_sd] = moments(kPopularityRetention, cfg_.drift_sigma);
+  const auto [pop_an, pop_sd] = moments(kPopularityRetention, kDriftSigma);
   const auto [pref_an, pref_sd] =
       moments(cfg_.pref_retention, cfg_.pref_drift_sigma);
   apply_ou_update(pop_an, pop_sd, pref_an, pref_sd);

@@ -17,6 +17,12 @@
 // (exact for the >10^3 tokens per rank used everywhere), clipped and
 // renormalized so per-rank totals are preserved.
 //
+// The statistics that no experiment varies -- the transition concentration,
+// the popularity walk and the load-balancing schedule -- are GateSimulator
+// constants (kTransitionAlpha, kDriftSigma, kPopularityRetention, kLbFinal,
+// kLbTimescale); GateConfig holds the dimensions, the preference knobs that
+// scenarios set, and the seed.
+//
 // A reader that consumes only layers [0, read_layers) (one pipeline stage)
 // says so at construction: the constructor still computes every layer; the
 // first advance frees the rest, and each advance computes only the read ones.
@@ -39,13 +45,9 @@ struct GateConfig {
   int n_layers = 4;
   int ep_ranks = 8;            ///< token home ranks (== EP degree)
   double tokens_per_rank = 4096.0;  ///< token*top_k slots dispatched per rank
-  double transition_alpha = 0.08;   ///< Markov column concentration
   double personalization = 0.75;    ///< per-rank preference strength [0,1]
-  double drift_sigma = 0.06;        ///< per-iteration popularity logit walk
   double pref_drift_sigma = 0.44;   ///< per-iteration preference logit walk
   double pref_retention = 0.98;     ///< OU mean reversion of preferences
-  double lb_final = 0.45;           ///< asymptotic load-balancing mix [0,1]
-  double lb_timescale = 2000.0;     ///< iterations to approach lb_final
   std::uint64_t seed = 42;
 };
 
@@ -81,11 +83,23 @@ Matrix rank_dispatch_matrix(const Matrix& counts,
 
 class GateSimulator {
  public:
+  /// Markov column concentration of the transition matrices.
+  static constexpr double kTransitionAlpha = 0.08;
+  /// Per-iteration popularity logit walk.
+  static constexpr double kDriftSigma = 0.06;
+  /// Per-iteration retention of the popularity logit walk (OU mean
+  /// reversion; see advance_state).
+  static constexpr double kPopularityRetention = 0.985;
+  /// Asymptotic load-balancing mix [0,1].
+  static constexpr double kLbFinal = 0.45;
+  /// Iterations to approach kLbFinal.
+  static constexpr double kLbTimescale = 2000.0;
+
   /// `read_layers` is how many layers [0, read_layers) the caller reads
   /// after the first advance (all of them without it). Throws
   /// std::invalid_argument, naming the field, unless n_experts, n_layers and
-  /// ep_ranks are positive, every real knob is finite, transition_alpha and
-  /// lb_timescale are positive, and 1 <= read_layers <= n_layers.
+  /// ep_ranks are positive, every real knob is finite, and 1 <= read_layers
+  /// <= n_layers.
   GateSimulator(const GateConfig& cfg, int read_layers);
   explicit GateSimulator(const GateConfig& cfg) : GateSimulator(cfg, cfg.n_layers) {}
 
@@ -138,7 +152,7 @@ class GateSimulator {
   /// for a layer the state does not hold.
   const Matrix& transition(int layer) const;
 
-  /// Current load-balancing mixing coefficient (0 early, -> lb_final).
+  /// Current load-balancing mixing coefficient (0 early, -> kLbFinal).
   double lb_mix() const;
 
   /// Layer-0 popularity logits (the OU-walk state advance_steps fast-

@@ -50,13 +50,9 @@ std::string gate_trace_key(const GateConfig& gc, int warmup_iterations,
   w.field("n_layers", gc.n_layers);
   w.field("ep_ranks", gc.ep_ranks);
   w.field("tokens_per_rank", gc.tokens_per_rank);
-  w.field("transition_alpha", gc.transition_alpha);
   w.field("personalization", gc.personalization);
-  w.field("drift_sigma", gc.drift_sigma);
   w.field("pref_drift_sigma", gc.pref_drift_sigma);
   w.field("pref_retention", gc.pref_retention);
-  w.field("lb_final", gc.lb_final);
-  w.field("lb_timescale", gc.lb_timescale);
   w.field("seed", gc.seed);
   w.field("warmup_iterations", warmup_iterations);
   w.field("warmup_policy", static_cast<int>(policy));

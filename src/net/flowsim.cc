@@ -17,7 +17,7 @@ constexpr Bytes kCompletionEps = 0.5;
 FlowSim::FlowSim(eventsim::Simulator& sim, const Network& net) : sim_(sim), net_(net) {}
 
 FlowId FlowSim::start_flow(FlowSpec spec) {
-  assert((spec.src == spec.dst) == spec.path.empty());
+  check_flow_spec(spec, "net::FlowSim::start_flow");
   const FlowId id = next_id_++;
 
   if (spec.path.empty()) {

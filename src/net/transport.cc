@@ -1,6 +1,17 @@
 #include "net/transport.h"
 
+#include <stdexcept>
+
 namespace mixnet::net {
+
+void check_flow_spec(const FlowSpec& spec, const char* who) {
+  if ((spec.src == spec.dst) == spec.path.empty()) return;
+  throw std::invalid_argument(
+      std::string(who) + ": flow " + std::to_string(spec.src) + " -> " +
+      std::to_string(spec.dst) + " has a path of " +
+      std::to_string(spec.path.size()) +
+      " links; the path must be empty iff src == dst");
+}
 
 const char* to_string(NetBackend b) {
   switch (b) {
@@ -19,6 +30,7 @@ bool parse_net_backend(const std::string& s, NetBackend* out) {
 }
 
 FlowId AnalyticTransport::start_flow(FlowSpec spec) {
+  check_flow_spec(spec, "net::AnalyticTransport::start_flow");
   const FlowId id = next_id_++;
   TimeNs done = sim_.now() + spec.extra_delay;
   if (!spec.path.empty()) {

@@ -42,6 +42,12 @@ struct FlowSpec {
   std::function<void(FlowId, TimeNs)> on_complete;
 };
 
+/// Throws std::invalid_argument, naming `who`, src, dst and the path length,
+/// unless the spec keeps FlowSpec's path contract (empty iff src == dst).
+/// Every Transport::start_flow checks it, in every build: an inter-node spec
+/// with an empty path would otherwise complete as an intra-node transfer.
+void check_flow_spec(const FlowSpec& spec, const char* who);
+
 /// Which rung of the fidelity ladder simulates the network.
 enum class NetBackend : std::uint8_t {
   kAnalytic = 0,

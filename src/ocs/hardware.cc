@@ -5,10 +5,25 @@
 
 namespace mixnet::ocs {
 
-TimeNs HardwareModel::sample_reconfig_delay(int n_pairs, Rng& rng) const {
-  const double mean_ms = cfg_.base_reconfig_ms + cfg_.per_pair_ms * n_pairs;
+namespace {
+
+// Fig. 21: the reconfiguration delay's mean is linear in the switched pairs.
+constexpr double kBaseReconfigMs = 41.1;  ///< 1-pair mean minus slope
+constexpr double kPerPairMs = 0.35;       ///< extra mean per switched pair
+constexpr double kLognormalSigma = 0.085; ///< dispersion (p99/mean ~ 1.45)
+// Fig. 23: NIC activation after the circuits settle.
+constexpr double kNicActivationMeanS = 5.67;
+constexpr double kNicActivationStddevS = 0.28;
+// Fig. 22: the control timeline's fixed segments.
+constexpr double kTl1CommandMs = 6.0;      ///< control-plane command latency
+constexpr double kTransceiverInitS = 0.9;  ///< optical link re-lock
+
+}  // namespace
+
+TimeNs sample_reconfig_delay(int n_pairs, Rng& rng) {
+  const double mean_ms = kBaseReconfigMs + kPerPairMs * n_pairs;
   // Lognormal around the mean: mu chosen so E[X] == mean_ms.
-  const double sigma = cfg_.lognormal_sigma;
+  const double sigma = kLognormalSigma;
   const double mu = std::log(mean_ms) - 0.5 * sigma * sigma;
   // Heavier upper tail (p99 ~ 1.45x mean) via a small Pareto-ish mixture.
   double ms = rng.lognormal(mu, sigma);
@@ -17,18 +32,17 @@ TimeNs HardwareModel::sample_reconfig_delay(int n_pairs, Rng& rng) const {
   return ms_to_ns(ms);
 }
 
-TimeNs HardwareModel::sample_nic_activation(Rng& rng) const {
-  double s = rng.normal(cfg_.nic_activation_mean_s, cfg_.nic_activation_stddev_s);
+TimeNs sample_nic_activation(Rng& rng) {
+  double s = rng.normal(kNicActivationMeanS, kNicActivationStddevS);
   s = std::clamp(s, 4.0, 8.0);
   return sec_to_ns(s);
 }
 
-HardwareModel::ControlTimeline HardwareModel::sample_control_timeline(
-    int n_pairs, Rng& rng) const {
+ControlTimeline sample_control_timeline(int n_pairs, Rng& rng) {
   ControlTimeline t;
-  t.command = ms_to_ns(cfg_.tl1_command_ms * rng.uniform(0.8, 1.3));
+  t.command = ms_to_ns(kTl1CommandMs * rng.uniform(0.8, 1.3));
   t.ocs_reconfig = sample_reconfig_delay(n_pairs, rng);
-  t.transceiver_init = sec_to_ns(cfg_.transceiver_init_s * rng.uniform(0.8, 1.2));
+  t.transceiver_init = sec_to_ns(kTransceiverInitS * rng.uniform(0.8, 1.2));
   const TimeNs nic_total = sample_nic_activation(rng);
   t.nic_init = std::max<TimeNs>(nic_total - t.transceiver_init, ms_to_ns(100));
   return t;

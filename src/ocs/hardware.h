@@ -10,6 +10,10 @@
 //   * Fig. 23 -- NIC activation after reconfiguration: mean 5.67 s,
 //     p99 ~ 6.33 s (excluded from training-time accounting, as in §C).
 //
+// The calibration is a set of named constants in hardware.cc, not a config:
+// no experiment varies the measured hardware, so the samplers are free
+// functions of the caller's Rng alone.
+//
 // Table 2's commodity OCS technology matrix is also provided for the
 // design-space benches.
 #pragma once
@@ -22,42 +26,22 @@
 
 namespace mixnet::ocs {
 
-struct HardwareModelConfig {
-  double base_reconfig_ms = 41.1;   ///< 1-pair mean minus slope
-  double per_pair_ms = 0.35;        ///< extra mean per switched pair
-  double lognormal_sigma = 0.085;   ///< dispersion (p99/mean ~ 1.45)
-  double nic_activation_mean_s = 5.67;
-  double nic_activation_stddev_s = 0.28;
-  double tl1_command_ms = 6.0;      ///< control-plane command latency
-  double transceiver_init_s = 0.9;  ///< optical link re-lock
+/// Sample an OCS reconfiguration delay for `n_pairs` simultaneously
+/// switched cross-connects (Fig. 21).
+TimeNs sample_reconfig_delay(int n_pairs, Rng& rng);
+
+/// Sample NIC re-activation time after circuits settle (Fig. 23).
+TimeNs sample_nic_activation(Rng& rng);
+
+/// Full control timeline (Fig. 22): command, switch, link init, NIC init.
+struct ControlTimeline {
+  TimeNs command;
+  TimeNs ocs_reconfig;
+  TimeNs transceiver_init;
+  TimeNs nic_init;
+  TimeNs total() const { return command + ocs_reconfig + transceiver_init + nic_init; }
 };
-
-class HardwareModel {
- public:
-  explicit HardwareModel(HardwareModelConfig cfg = {}) : cfg_(cfg) {}
-
-  /// Sample an OCS reconfiguration delay for `n_pairs` simultaneously
-  /// switched cross-connects (Fig. 21).
-  TimeNs sample_reconfig_delay(int n_pairs, Rng& rng) const;
-
-  /// Sample NIC re-activation time after circuits settle (Fig. 23).
-  TimeNs sample_nic_activation(Rng& rng) const;
-
-  /// Full control timeline (Fig. 22): command, switch, link init, NIC init.
-  struct ControlTimeline {
-    TimeNs command;
-    TimeNs ocs_reconfig;
-    TimeNs transceiver_init;
-    TimeNs nic_init;
-    TimeNs total() const { return command + ocs_reconfig + transceiver_init + nic_init; }
-  };
-  ControlTimeline sample_control_timeline(int n_pairs, Rng& rng) const;
-
-  const HardwareModelConfig& config() const { return cfg_; }
-
- private:
-  HardwareModelConfig cfg_;
-};
+ControlTimeline sample_control_timeline(int n_pairs, Rng& rng);
 
 /// Table 2: commodity OCS technology trade-off.
 struct OcsTechnology {

@@ -11,6 +11,7 @@ PacketTransport::PacketTransport(eventsim::Simulator& sim,
     : sim_(sim), net_(net), engine_(net, cfg) {}
 
 net::FlowId PacketTransport::start_flow(net::FlowSpec spec) {
+  net::check_flow_spec(spec, "pkt::PacketTransport::start_flow");
   const net::FlowId id = next_id_++;
   const TimeNs now = sim_.now();
   if (spec.path.empty() || spec.size <= 0.0) {

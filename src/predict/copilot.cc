@@ -8,6 +8,12 @@
 
 namespace mixnet::predict {
 
+namespace {
+constexpr std::size_t kWindow = 16;  ///< k in Eq. 1: recent iterations kept
+constexpr double kDecay = 0.85;      ///< w_i = kDecay^(age)
+constexpr int kGdSteps = 60;         ///< projected-gradient iterations per solve
+}  // namespace
+
 std::vector<double> project_to_simplex(std::vector<double> v) {
   // Duchi et al. 2008: O(n log n) Euclidean projection onto the simplex.
   const std::size_t n = v.size();
@@ -47,7 +53,7 @@ void Copilot::observe(const std::vector<double>& x, const std::vector<double>& y
         " and y has " + std::to_string(y.size()) + " entries, expected " +
         std::to_string(n) + " (n_experts)");
   window_.emplace_back(x, y);
-  while (window_.size() > static_cast<std::size_t>(cfg_.window)) window_.pop_front();
+  while (window_.size() > kWindow) window_.pop_front();
   ++seen_;
   if (seen_ % static_cast<std::size_t>(std::max(cfg_.resolve_every, 1)) == 0) solve();
 }
@@ -68,7 +74,7 @@ void Copilot::solve() {
         syx(a, b) += w * y[a] * x[b];
       }
     }
-    w *= cfg_.decay;
+    w *= kDecay;
   }
 
   // Step size from the largest input energy: 0.5 / (n * max_a Sxx(a, a)).
@@ -78,7 +84,7 @@ void Copilot::solve() {
 
   Matrix p = p_;
   std::vector<double> col(n);
-  for (int step = 0; step < cfg_.gd_steps; ++step) {
+  for (int step = 0; step < kGdSteps; ++step) {
     // grad = P Sxx - Syx  (dropping the constant factor 2 into lr)
     Matrix grad(n, n, 0.0);
     for (std::size_t r = 0; r < n; ++r)

@@ -26,11 +26,10 @@
 
 namespace mixnet::predict {
 
+/// The solver's window, decay and projected-gradient step count are fixed
+/// constants in copilot.cc.
 struct CopilotConfig {
   int n_experts = 8;
-  int window = 16;          ///< k in Eq. 1: recent iterations kept
-  double decay = 0.85;      ///< w_i = decay^(age)
-  int gd_steps = 60;        ///< projected-gradient iterations per solve
   int resolve_every = 4;    ///< recompute P every this many observations
 };
 

@@ -4,8 +4,13 @@
 
 namespace mixnet::serve {
 
+namespace {
+constexpr double kTtftSloMs = 1000.0;  ///< time-to-first-token target
+constexpr double kTpotSloMs = 250.0;   ///< time-per-output-token target
+}  // namespace
+
 std::map<std::string, double> slo_metrics(const ServeReport& report,
-                                          const ServeConfig& cfg) {
+                                          const ServeConfig&) {
   std::map<std::string, double> m;
   std::vector<double> ttft, tpot;
   ttft.reserve(report.records.size());
@@ -14,7 +19,7 @@ std::map<std::string, double> slo_metrics(const ServeReport& report,
   for (const auto& r : report.records) {
     ttft.push_back(r.ttft_ms());
     tpot.push_back(r.tpot_ms());
-    if (r.ttft_ms() <= cfg.ttft_slo_ms && r.tpot_ms() <= cfg.tpot_slo_ms)
+    if (r.ttft_ms() <= kTtftSloMs && r.tpot_ms() <= kTpotSloMs)
       ++good;
   }
   const double makespan_s = ns_to_sec(report.makespan);

@@ -58,8 +58,11 @@ struct ServeReport {
 };
 
 /// Reduce a report to the PointResult::extra metric map: p50/p99 TTFT and
-/// TPOT, goodput (SLO-meeting completions per second of makespan), the SLO
-/// violation share, and the control-loop counters.
+/// TPOT, goodput (completions per second of makespan that meet the fixed SLO
+/// budget of 1000 ms TTFT and 250 ms TPOT), the SLO violation share, and the
+/// control-loop counters. The ServeConfig parameter is unused; it stays only
+/// because perfbench/harness passes it, until the benchmark change that
+/// retires that harness (ROADMAP).
 std::map<std::string, double> slo_metrics(const ServeReport& report,
                                           const ServeConfig& cfg);
 

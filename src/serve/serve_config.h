@@ -3,7 +3,10 @@
 // Every field is a flat scalar on purpose: ServeConfig is cache-key material
 // (exp/cache_key_serve.cc serializes each leaf; the mixnet-lint cache-key
 // analyzer for tools/lint/cache_key_serve.json enforces completeness), and
-// flat scalars keep the leaf expansion trivially exhaustive.
+// flat scalars keep the leaf expansion trivially exhaustive. Values that no
+// scenario varies are constants next to their reader instead of fields: the
+// diurnal period and the storm window in workload.cc, the TTFT/TPOT SLO
+// budget in metrics.cc.
 #pragma once
 
 #include <cstdint>
@@ -13,8 +16,9 @@ namespace mixnet::serve {
 /// Arrival-rate envelope of the open-loop generator (serve/workload.h).
 enum class ArrivalShape {
   kSteady = 0,   ///< homogeneous Poisson at arrival_rate_hz
-  kDiurnal = 1,  ///< sinusoidal rate between base and base*burst_factor
-  kBurst = 2,    ///< base rate with a [burst_start_s, +burst_len_s) storm
+  kDiurnal = 1,  ///< sinusoidal rate between base and base*burst_factor,
+                 ///< over a fixed 8 s period
+  kBurst = 2,    ///< base rate with a fixed [1 s, 3 s) storm at the peak
 };
 
 struct ServeConfig {
@@ -23,9 +27,6 @@ struct ServeConfig {
   double arrival_rate_hz = 16.0;   ///< base Poisson rate (requests/s)
   ArrivalShape shape = ArrivalShape::kSteady;
   double burst_factor = 1.0;       ///< peak/base rate (kDiurnal, kBurst)
-  double diurnal_period_s = 8.0;   ///< kDiurnal: one rate cycle
-  double burst_start_s = 1.0;      ///< kBurst: storm window start
-  double burst_len_s = 2.0;        ///< kBurst: storm window length
 
   // --- Request shape (lognormal token counts) ----------------------------
   double prompt_mu = 5.5;          ///< ln prompt tokens (e^5.5 ~ 245)
@@ -35,10 +36,6 @@ struct ServeConfig {
 
   // --- Engine -------------------------------------------------------------
   int max_batch_requests = 16;     ///< continuous-batching admission cap
-
-  // --- SLOs (metrics pipeline, serve/metrics.h) ---------------------------
-  double ttft_slo_ms = 1000.0;     ///< time-to-first-token target
-  double tpot_slo_ms = 250.0;      ///< time-per-output-token target
 
   // --- Hotspot-driven expert re-placement ---------------------------------
   bool replacement_on = false;     ///< close the detector->Copilot->LPT loop

@@ -10,6 +10,9 @@ namespace mixnet::serve {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
+constexpr double kDiurnalPeriodS = 8.0;  ///< kDiurnal: one rate cycle
+constexpr double kBurstStartS = 1.0;     ///< kBurst: storm window start
+constexpr double kBurstLenS = 2.0;       ///< kBurst: storm window length
 constexpr int kMaxPromptTokens = 8192;
 constexpr int kMaxOutputTokens = 1024;
 
@@ -30,13 +33,12 @@ double arrival_rate_at(const ServeConfig& cfg, double t_sec) {
     case ArrivalShape::kDiurnal: {
       // Sinusoid between base (trough) and peak, starting at the trough so
       // short traces still see both regimes within one period.
-      const double period = std::max(cfg.diurnal_period_s, 1e-9);
-      const double phase = 0.5 * (1.0 - std::cos(2.0 * kPi * t_sec / period));
+      const double phase =
+          0.5 * (1.0 - std::cos(2.0 * kPi * t_sec / kDiurnalPeriodS));
       return base + (peak - base) * phase;
     }
     case ArrivalShape::kBurst:
-      return (t_sec >= cfg.burst_start_s &&
-              t_sec < cfg.burst_start_s + cfg.burst_len_s)
+      return (t_sec >= kBurstStartS && t_sec < kBurstStartS + kBurstLenS)
                  ? peak
                  : base;
   }

@@ -15,6 +15,17 @@ using net::Network;
 using net::NodeId;
 using net::NodeKind;
 
+namespace {
+
+/// Propagation delay of every fabric link.
+constexpr TimeNs kLinkDelay = us_to_ns(1);
+/// Servers per ToR. Small so EP groups span ToRs and leaf over-subscription
+/// actually bites cross-rack all-to-all (as in the paper's rail-style
+/// deployments, where a group never sits behind one switch).
+constexpr int kServersPerRack = 2;
+
+}  // namespace
+
 const char* to_string(FabricKind k) {
   switch (k) {
     case FabricKind::kFatTree: return "Fat-tree";
@@ -114,8 +125,6 @@ std::vector<std::string> FabricConfig::validate() const {
   require(region_servers >= 1, "region_servers: must be >= 1");
   require(nvlink_gbps_per_gpu > 0.0, "nvlink_gbps_per_gpu: must be > 0");
   require(ocs_nic_gbps >= 0.0, "ocs_nic_gbps: must be >= 0 (0 = nic_gbps)");
-  require(link_delay >= 0, "link_delay: must be >= 0");
-  require(servers_per_rack >= 1, "servers_per_rack: must be >= 1");
   if (kind == FabricKind::kMixNet || kind == FabricKind::kMixNetOpticalIO) {
     require(eps_nics >= 1, "eps_nics: MixNet needs at least one EPS NIC");
     require(optical_degree >= 1,
@@ -182,7 +191,7 @@ void Fabric::init_regions(int servers_per_region) {
 }
 
 void Fabric::build_eps_leaf_spine(int nics_toward_eps, double oversub) {
-  // Leaf-spine with one ideal core: each rack of servers_per_rack servers
+  // Leaf-spine with one ideal core: each rack of kServersPerRack servers
   // shares a ToR; each server contributes `nics_toward_eps` NIC links; the
   // ToR uplink is sized at downlink_total / oversub toward a single
   // non-blocking core node. Under the analytic core model at 1:1 the
@@ -191,7 +200,7 @@ void Fabric::build_eps_leaf_spine(int nics_toward_eps, double oversub) {
   // never be the unique max-min bottleneck and dropping it preserves every
   // allocation exactly (DESIGN.md §13).
   const int n = n_servers();
-  const int spr = cfg_.servers_per_rack;
+  const int spr = kServersPerRack;
   const int n_racks = (n + spr - 1) / spr;
   core_collapsed_ = cfg_.core_model == CoreModel::kAnalytic && oversub <= 1.0;
   eps_nics_used_ = nics_toward_eps;
@@ -220,7 +229,7 @@ void Fabric::build_eps_leaf_spine(int nics_toward_eps, double oversub) {
       for (int nic = 0; nic < nics_toward_eps; ++nic) {
         const auto [up, down] = net_.add_duplex(
             servers_[static_cast<std::size_t>(s)], tor, cfg_.nic_bw(),
-            cfg_.link_delay);
+            kLinkDelay);
         nic_up_.push_back(up);
         nic_down_.push_back(down);
       }
@@ -228,7 +237,7 @@ void Fabric::build_eps_leaf_spine(int nics_toward_eps, double oversub) {
     }
     if (core_collapsed_) continue;
     const Bps up_cap = cfg_.nic_bw() * nics_toward_eps * servers_in_rack / oversub;
-    const auto [up, down] = net_.add_duplex(tor, core, up_cap, cfg_.link_delay);
+    const auto [up, down] = net_.add_duplex(tor, core, up_cap, kLinkDelay);
     edge_up_.push_back(up);
     edge_down_.push_back(down);
   }
@@ -240,7 +249,7 @@ void Fabric::build_rail_optimized() {
   // two hops apart; cross-rail traffic goes through the core.
   const int n = n_servers();
   const int rails = cfg_.nics_per_server;
-  pod_size_ = std::max(cfg_.servers_per_rack * 4, 32);
+  pod_size_ = std::max(kServersPerRack * 4, 32);
   const int n_pods = (n + pod_size_ - 1) / pod_size_;
   eps_nics_used_ = rails;
   net_.reserve(net_.node_count() + 1 +
@@ -265,14 +274,14 @@ void Fabric::build_rail_optimized() {
       for (int s = lo; s < hi; ++s) {
         const auto [up, down] =
             net_.add_duplex(servers_[static_cast<std::size_t>(s)], sw, cfg_.nic_bw(),
-                            cfg_.link_delay);
+                            kLinkDelay);
         const auto k = static_cast<std::size_t>(s) * rails + rail;
         nic_up_[k] = up;
         nic_down_[k] = down;
       }
       const Bps up_cap = cfg_.nic_bw() * (hi - lo);  // 1:1 toward core
       const auto [up, down] =
-          net_.add_duplex(sw, core, up_cap, cfg_.link_delay);
+          net_.add_duplex(sw, core, up_cap, kLinkDelay);
       edge_up_.push_back(up);
       edge_down_.push_back(down);
     }
@@ -436,8 +445,8 @@ AnalyticRoute Fabric::route_analytic(int src_server, int dst_server,
   // and 1), else server -> ToR -> core -> ToR -> server, where the uplink
   // hops 1 and 2 have one candidate each, so only the NIC picks at hops 0
   // and 3 consume the pin/hash.
-  const int rack_src = src_server / cfg_.servers_per_rack;
-  const int rack_dst = dst_server / cfg_.servers_per_rack;
+  const int rack_src = src_server / kServersPerRack;
+  const int rack_dst = dst_server / kServersPerRack;
   const int up = pick(nics, 0, [&](int k) { return usable(src_up[k]); });
   const int down = pick(nics, rack_src == rack_dst ? 1 : 3,
                         [&](int k) { return usable(dst_down[k]); });
@@ -446,7 +455,7 @@ AnalyticRoute Fabric::route_analytic(int src_server, int dst_server,
   if (rack_src != rack_dst) {
     if (core_collapsed_) {
       // The ideal core's links carry no state; only their propagation remains.
-      r.extra_delay = 2 * cfg_.link_delay;
+      r.extra_delay = 2 * kLinkDelay;
     } else {
       const LinkId ru = edge_up_[static_cast<std::size_t>(rack_src)];
       const LinkId rd = edge_down_[static_cast<std::size_t>(rack_dst)];
@@ -475,10 +484,10 @@ std::string Fabric::describe() const {
   w.field("eps_nics", cfg_.eps_nics);
   w.field("optical_degree", optical_degree());
   w.field("region_servers", cfg_.region_servers);
-  w.field("servers_per_rack", cfg_.servers_per_rack);
+  w.field("servers_per_rack", kServersPerRack);
   w.field("nvlink_gbps_per_gpu", cfg_.nvlink_gbps_per_gpu);
   w.field("ocs_nic_gbps", cfg_.ocs_nic_gbps);
-  w.field("link_delay_ns", static_cast<std::int64_t>(cfg_.link_delay));
+  w.field("link_delay_ns", static_cast<std::int64_t>(kLinkDelay));
   w.field("n_regions", n_regions());
   w.field("n_switch_nodes", n_switches_);
   w.field("n_nodes", static_cast<std::int64_t>(net_.node_count()));
@@ -535,7 +544,7 @@ int Fabric::apply_circuits(int region, const Matrix& counts) {
       if (it == reg.end()) {
         const NodeId a = servers_[static_cast<std::size_t>(members[i])];
         const NodeId b = servers_[static_cast<std::size_t>(members[j])];
-        auto [fwd, rev] = net_.add_duplex(a, b, cap, cfg_.link_delay);
+        auto [fwd, rev] = net_.add_duplex(a, b, cap, kLinkDelay);
         reg.emplace(key, CircuitPair{fwd, rev, want});
         ++touched;
       } else if (it->second.count != want) {

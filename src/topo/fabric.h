@@ -13,6 +13,9 @@
 // point-to-point circuit links toward regional OCS peers. Intra-server
 // (NVSwitch) transfers are handled analytically by the collective runtime
 // using `nvlink_gbps_per_gpu` (they never contend with scale-out links).
+// Every link has the same fixed propagation delay, and every ToR the same
+// fixed number of servers (kLinkDelay and kServersPerRack in fabric.cc);
+// describe() reports both.
 //
 // Every fabric with an electrical side (leaf-spine and rail) is routed in
 // closed form: route_analytic() derives the path from server, rack and pod
@@ -89,12 +92,6 @@ struct FabricConfig {
   /// OCS-side port rate, Gbps. 0 means "same as nic_gbps"; the co-packaged
   /// optical I/O fabric of §8 sets this to the per-GPU optical bandwidth.
   double ocs_nic_gbps = 0.0;
-  mixnet::TimeNs link_delay = mixnet::us_to_ns(1);
-  /// Servers per ToR. Small by default so EP groups span ToRs and leaf
-  /// over-subscription actually bites cross-rack all-to-all (as in the
-  /// paper's rail-style deployments, where a group never sits behind one
-  /// switch).
-  int servers_per_rack = 2;
   /// Explicit core graph vs computed-constraint analytic core (file header).
   CoreModel core_model = CoreModel::kExplicit;
 

@@ -201,14 +201,12 @@ TEST(Engine, TopoOptRoutesMultiHopOverCircuits) {
 }
 
 TEST(Engine, LaunchOverheadAppliesToEmptyCollective) {
-  EngineConfig ecfg;
-  ecfg.launch_overhead = us_to_ns(100);
-  Harness h(fat_tree(4), ecfg);
+  // An empty collective costs exactly the fixed 20 us launch overhead.
+  Harness h(fat_tree(4));
   const TimeNs t = h.run([&](Engine& e, Engine::Callback cb) {
     e.all_to_all_direct({0, 1}, Matrix(2, 2, 0.0), std::move(cb));
   });
-  EXPECT_GE(t, us_to_ns(100));
-  EXPECT_LT(t, us_to_ns(300));
+  EXPECT_EQ(t, us_to_ns(20));
 }
 
 }  // namespace

@@ -182,9 +182,7 @@ TEST(Gate, TemporalVariability) {
 }
 
 TEST(Gate, LoadBalancingReducesVariabilityOverTraining) {
-  GateConfig g = small_gate();
-  g.lb_timescale = 200.0;
-  GateSimulator gs(g);
+  GateSimulator gs(small_gate());
   auto imbalance = [&] {
     // max/mean over experts at layer 0.
     const auto& load = gs.expert_load(0);
@@ -202,7 +200,7 @@ TEST(Gate, LoadBalancingReducesVariabilityOverTraining) {
     late += imbalance();
   }
   EXPECT_LT(late, early);
-  EXPECT_GT(gs.lb_mix(), 0.4 * g.lb_final);
+  EXPECT_GT(gs.lb_mix(), 0.4 * GateSimulator::kLbFinal);
 }
 
 TEST(Gate, DispatchMatrixConservesBytes) {
@@ -290,17 +288,12 @@ TEST(Gate, RejectsNonPositiveDimensions) {
 }
 
 TEST(Gate, RejectsNonFiniteKnobs) {
-  // A NaN transition_alpha used to hang fill_gamma; NaN or infinite knobs
-  // now fail at construction, naming the field.
+  // NaN or infinite knobs fail at construction, naming the field.
   const std::vector<std::pair<double GateConfig::*, const char*>> knobs = {
       {&GateConfig::tokens_per_rank, "tokens_per_rank"},
-      {&GateConfig::transition_alpha, "transition_alpha"},
       {&GateConfig::personalization, "personalization"},
-      {&GateConfig::drift_sigma, "drift_sigma"},
       {&GateConfig::pref_drift_sigma, "pref_drift_sigma"},
       {&GateConfig::pref_retention, "pref_retention"},
-      {&GateConfig::lb_final, "lb_final"},
-      {&GateConfig::lb_timescale, "lb_timescale"},
   };
   for (const auto& [field, name] : knobs) {
     for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
@@ -313,23 +306,6 @@ TEST(Gate, RejectsNonFiniteKnobs) {
         EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
       }
     }
-  }
-}
-
-TEST(Gate, RejectsNonPositiveTransitionAlpha) {
-  for (double bad : {0.0, -0.08}) {
-    GateConfig g = small_gate();
-    g.transition_alpha = bad;
-    EXPECT_THROW(GateSimulator{g}, std::invalid_argument) << bad;
-  }
-}
-
-TEST(Gate, RejectsNonPositiveLbTimescale) {
-  // lb_timescale = 0 made iteration 0's loads and counts NaN (0/0 in lb_mix).
-  for (double bad : {0.0, -2000.0}) {
-    GateConfig g = small_gate();
-    g.lb_timescale = bad;
-    EXPECT_THROW(GateSimulator{g}, std::invalid_argument) << bad;
   }
 }
 
@@ -553,13 +529,9 @@ TEST(GateTraceMemo, OnePointerPerKeyAndADistinctTracePerField) {
       [](GateConfig& c) { c.n_layers = 5; },
       [](GateConfig& c) { c.ep_ranks = 4; },
       [](GateConfig& c) { c.tokens_per_rank = 2048.0; },
-      [](GateConfig& c) { c.transition_alpha = 0.1; },
       [](GateConfig& c) { c.personalization = 0.5; },
-      [](GateConfig& c) { c.drift_sigma = 0.07; },
       [](GateConfig& c) { c.pref_drift_sigma = 0.4; },
       [](GateConfig& c) { c.pref_retention = 0.97; },
-      [](GateConfig& c) { c.lb_final = 0.5; },
-      [](GateConfig& c) { c.lb_timescale = 1000.0; },
       [](GateConfig& c) { c.seed = 100; },
   };
   for (std::size_t k = 0; k < edits.size(); ++k) {
@@ -655,15 +627,16 @@ TEST(Gate, AdvanceStepsMatchesExactOuDistribution) {
   // stepped walk follows: z_n | z_0 ~ N(a^n z_0, sigma^2 (1-a^{2n})/(1-a^2)).
   // Over many seeds, the centered residual z_n - a^n z_0 of BOTH paths must
   // show mean ~0 and the analytic variance, for the popularity walk (a =
-  // 0.985, sigma = drift_sigma) and the preference walks (pref_retention /
-  // pref_drift_sigma).
+  // kPopularityRetention, sigma = kDriftSigma) and the preference walks
+  // (pref_retention / pref_drift_sigma).
   const int n = 40, seeds = 200;
   GateConfig g = small_gate();
-  const double a_pop = 0.985, a_pref = g.pref_retention;
+  const double a_pop = GateSimulator::kPopularityRetention,
+               a_pref = g.pref_retention;
   auto nstep_sd = [n](double a, double sigma) {
     return sigma * std::sqrt((1.0 - std::pow(a * a, n)) / (1.0 - a * a));
   };
-  const double sd_pop = nstep_sd(a_pop, g.drift_sigma);
+  const double sd_pop = nstep_sd(a_pop, GateSimulator::kDriftSigma);
   const double sd_pref = nstep_sd(a_pref, g.pref_drift_sigma);
   std::vector<double> res_pop_closed, res_pop_stepped, res_pref_closed,
       res_pref_stepped;

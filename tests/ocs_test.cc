@@ -214,12 +214,11 @@ TEST(Algorithm, HybridRelievesLoadedServerViaPeers) {
 // ------------------------------------------------------------- hardware ----
 
 TEST(Hardware, ReconfigDelayMatchesTestbedMeans) {
-  HardwareModel hw;
   Rng rng(41);
   for (const auto& [pairs, mean_ms] :
        std::vector<std::pair<int, double>>{{1, 41.44}, {4, 42.44}, {16, 46.75}}) {
     std::vector<double> xs(4000);
-    for (auto& x : xs) x = ns_to_ms(hw.sample_reconfig_delay(pairs, rng));
+    for (auto& x : xs) x = ns_to_ms(sample_reconfig_delay(pairs, rng));
     EXPECT_NEAR(mean(xs), mean_ms, 2.5) << pairs << " pairs";
     // 99% under ~70 ms (Fig. 21).
     EXPECT_LT(percentile(xs, 0.99), 71.0 + 0.2 * pairs);
@@ -227,29 +226,26 @@ TEST(Hardware, ReconfigDelayMatchesTestbedMeans) {
 }
 
 TEST(Hardware, ReconfigDelayGrowsWithPairs) {
-  HardwareModel hw;
   Rng rng(43);
   auto avg = [&](int pairs) {
     double s = 0.0;
-    for (int i = 0; i < 2000; ++i) s += ns_to_ms(hw.sample_reconfig_delay(pairs, rng));
+    for (int i = 0; i < 2000; ++i) s += ns_to_ms(sample_reconfig_delay(pairs, rng));
     return s / 2000.0;
   };
   EXPECT_LT(avg(1), avg(16));
 }
 
 TEST(Hardware, NicActivationAround5s) {
-  HardwareModel hw;
   Rng rng(47);
   std::vector<double> xs(4000);
-  for (auto& x : xs) x = ns_to_sec(hw.sample_nic_activation(rng));
+  for (auto& x : xs) x = ns_to_sec(sample_nic_activation(rng));
   EXPECT_NEAR(mean(xs), 5.67, 0.1);            // Fig. 23 mean
   EXPECT_NEAR(percentile(xs, 0.99), 6.33, 0.35);  // Fig. 23 p99
 }
 
 TEST(Hardware, ControlTimelineDominatedByNicInit) {
-  HardwareModel hw;
   Rng rng(53);
-  const auto t = hw.sample_control_timeline(4, rng);
+  const auto t = sample_control_timeline(4, rng);
   EXPECT_GT(t.nic_init + t.transceiver_init, 4 * (t.command + t.ocs_reconfig));
   EXPECT_GT(ns_to_sec(t.total()), 3.0);
   EXPECT_LT(ns_to_sec(t.total()), 10.0);

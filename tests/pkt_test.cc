@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -614,6 +615,53 @@ TEST(MakeTransport, LadderRungsAreOrdered) {
   // packet vs flow agree within the ladder's stated tolerance.
   EXPECT_NEAR(static_cast<double>(last[2]) / static_cast<double>(last[1]),
               1.0, 0.05);
+}
+
+TEST(MakeTransport, EveryRungRejectsASpecThatBreaksThePathContract) {
+  // FlowSpec's path is empty iff src == dst, checked by every rung in every
+  // build: an inter-node spec without a path used to complete silently as
+  // an intra-node transfer after extra_delay.
+  std::vector<TestFlow> flows;
+  const net::Network net = dumbbell_net(&flows);
+  const TestFlow& f = flows.front();
+  const net::NodeId src = net.link(f.path.front()).src;
+  const net::NodeId dst = net.link(f.path.back()).dst;
+  for (const net::NetBackend b : {net::NetBackend::kAnalytic,
+                                  net::NetBackend::kFlow,
+                                  net::NetBackend::kPacket}) {
+    eventsim::Simulator sim;
+    const std::unique_ptr<net::Transport> t = make_transport(b, sim, net);
+    net::FlowSpec no_path;
+    no_path.src = src;
+    no_path.dst = dst;
+    no_path.size = 1000.0;
+    try {
+      t->start_flow(no_path);
+      ADD_FAILURE() << to_string(b) << " accepted an inter-node spec without a path";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::to_string(src) + " -> " + std::to_string(dst)),
+                std::string::npos) << what;
+      EXPECT_NE(what.find("path of 0 links"), std::string::npos) << what;
+    }
+    net::FlowSpec self_path;
+    self_path.src = src;
+    self_path.dst = src;
+    self_path.size = 1000.0;
+    self_path.path = std::vector<net::LinkId>(f.path);
+    EXPECT_THROW(t->start_flow(self_path), std::invalid_argument) << to_string(b);
+
+    // A default spec (src == dst, no path) is an intra-node transfer and
+    // still completes after its fixed latency.
+    net::FlowSpec intra;
+    intra.extra_delay = 5;
+    TimeNs done = -1;
+    intra.on_complete = [&done](net::FlowId, TimeNs at) { done = at; };
+    t->start_flow(std::move(intra));
+    sim.run();
+    EXPECT_GE(done, 5) << to_string(b);
+    EXPECT_LE(done, 6) << to_string(b);
+  }
 }
 
 }  // namespace

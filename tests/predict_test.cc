@@ -45,8 +45,6 @@ TEST(Simplex, LargeCoordinateDominates) {
 CopilotConfig small_cfg(int n = 8) {
   CopilotConfig c;
   c.n_experts = n;
-  c.window = 12;
-  c.gd_steps = 80;
   c.resolve_every = 1;
   return c;
 }

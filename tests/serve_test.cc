@@ -101,8 +101,6 @@ TEST(Workload, BurstShapeConcentratesArrivals) {
   scfg.shape = serve::ArrivalShape::kBurst;
   scfg.arrival_rate_hz = 10.0;
   scfg.burst_factor = 8.0;
-  scfg.burst_start_s = 1.0;
-  scfg.burst_len_s = 2.0;
   scfg.n_requests = 80;
   const auto trace = serve::generate_workload(scfg, 11);
   std::size_t in_burst = 0;
@@ -110,7 +108,8 @@ TEST(Workload, BurstShapeConcentratesArrivals) {
     const double t = ns_to_sec(r.arrival_ns);
     if (t >= 1.0 && t < 3.0) ++in_burst;
   }
-  // Peak rate is 8x base over a 2 s window: the burst must dominate.
+  // Peak rate is 8x base over the fixed [1, 3) s storm window: the burst
+  // must dominate.
   EXPECT_GT(in_burst, trace.size() / 2);
 }
 
@@ -120,14 +119,11 @@ TEST(Workload, ArrivalRateShapes) {
   scfg.burst_factor = 4.0;
   EXPECT_DOUBLE_EQ(serve::arrival_rate_at(scfg, 0.5), 10.0);  // steady
 
-  scfg.shape = serve::ArrivalShape::kDiurnal;
-  scfg.diurnal_period_s = 8.0;
+  scfg.shape = serve::ArrivalShape::kDiurnal;  // fixed 8 s period
   EXPECT_DOUBLE_EQ(serve::arrival_rate_at(scfg, 0.0), 10.0);   // trough
   EXPECT_DOUBLE_EQ(serve::arrival_rate_at(scfg, 4.0), 40.0);   // peak
 
-  scfg.shape = serve::ArrivalShape::kBurst;
-  scfg.burst_start_s = 1.0;
-  scfg.burst_len_s = 2.0;
+  scfg.shape = serve::ArrivalShape::kBurst;  // fixed [1, 3) s storm window
   EXPECT_DOUBLE_EQ(serve::arrival_rate_at(scfg, 0.5), 10.0);   // before
   EXPECT_DOUBLE_EQ(serve::arrival_rate_at(scfg, 2.0), 40.0);   // inside
   EXPECT_DOUBLE_EQ(serve::arrival_rate_at(scfg, 3.5), 10.0);   // after

@@ -128,7 +128,7 @@ TEST(BuildCluster, GateDimensionsAndSeedDerivedSkewKept) {
   cfg.gate.n_experts = 3;  // derived fields are overwritten
   cfg.gate.tokens_per_rank = 1.0;
   cfg.gate.seed = 1;
-  cfg.gate.lb_final = 0.2;
+  cfg.gate.personalization = 0.2;
   cfg.seed = 1234;
   const Cluster c = build_cluster(cfg);
   EXPECT_EQ(c.gate.n_experts, cfg.model.n_experts);
@@ -137,7 +137,7 @@ TEST(BuildCluster, GateDimensionsAndSeedDerivedSkewKept) {
   EXPECT_DOUBLE_EQ(c.gate.tokens_per_rank,
                    cfg.par.tokens_per_microbatch() * cfg.model.top_k / cfg.par.ep);
   EXPECT_EQ(c.gate.seed, 1234u);
-  EXPECT_DOUBLE_EQ(c.gate.lb_final, 0.2);
+  EXPECT_DOUBLE_EQ(c.gate.personalization, 0.2);
 }
 
 TEST(BuildCluster, RepresentativeGroupAndRegion) {

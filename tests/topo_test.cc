@@ -322,14 +322,15 @@ TEST(AnalyticCore, RouteShapesAndDelayCompensation) {
   const FabricConfig cfg =
       base_config(FabricKind::kFatTree, 8).with_core_model(CoreModel::kAnalytic);
   const Fabric f = Fabric::build(cfg);
-  // Intra-rack (servers_per_rack = 2): two NIC links, no compensation.
+  // Intra-rack (2 servers per rack): two NIC links, no compensation.
   const auto intra = f.route_analytic(0, 1, 99u);
   ASSERT_EQ(intra.path.size(), 2u);
   EXPECT_EQ(intra.extra_delay, 0);
-  // Inter-rack: two NIC links plus the two collapsed core hops as delay.
+  // Inter-rack: two NIC links plus the two collapsed 1 us core hops as
+  // delay.
   const auto inter = f.route_analytic(0, 5, 99u);
   ASSERT_EQ(inter.path.size(), 2u);
-  EXPECT_EQ(inter.extra_delay, 2 * cfg.link_delay);
+  EXPECT_EQ(inter.extra_delay, 2 * us_to_ns(1));
   EXPECT_EQ(f.network().link(inter.path.front()).src, f.server_node(0));
   EXPECT_EQ(f.network().link(inter.path.back()).dst, f.server_node(5));
 }
@@ -372,6 +373,10 @@ TEST(AnalyticCore, DescribeEmitsCanonicalJson) {
   EXPECT_NE(j.find("\"core_collapsed\":true"), std::string::npos);
   EXPECT_NE(j.find("\"core_model\":\"analytic\""), std::string::npos);
   EXPECT_NE(j.find("\"n_servers\":8"), std::string::npos);
+  // The fixed rack size and link delay are reported too: fig26-xl's note
+  // embeds this text.
+  EXPECT_NE(j.find("\"servers_per_rack\":2"), std::string::npos);
+  EXPECT_NE(j.find("\"link_delay_ns\":1000"), std::string::npos);
   // Keys are sorted (canonical field order), so the digest-stable text is
   // reproducible across field-registration order changes.
   const Fabric e = Fabric::build(base_config(FabricKind::kFatTree, 8));
