@@ -271,9 +271,8 @@ void BM_GateAdvanceSteps(benchmark::State& state) {
 BENCHMARK(BM_GateAdvanceSteps)->Arg(100);
 
 /// The gate's biggest trace: one fig12 DeepSeek-R1 GateTrace (256 experts,
-/// 58 layers, EP 64, PP 16) -- construction with every layer snapshotted,
-/// the 100-iteration closed-form warmup, and iteration(1) of the 3 layers
-/// one pipeline stage reads.
+/// 58 layers, EP 64, PP 16) -- construction of the 3 layers one pipeline
+/// stage reads, the 100-iteration closed-form warmup, and iteration(1).
 void BM_GateTraceDeepSeekR1(benchmark::State& state) {
   const moe::MoeModelConfig model = moe::deepseek_r1();
   const moe::ParallelismSpec par = moe::default_parallelism(model);
@@ -287,6 +286,25 @@ void BM_GateTraceDeepSeekR1(benchmark::State& state) {
                  std::to_string(model.n_blocks));
 }
 BENCHMARK(BM_GateTraceDeepSeekR1)->Unit(benchmark::kMillisecond);
+
+/// The pre-warmup counts TopoOpt plans from on that trace: the replay of
+/// the 48 layers its 16 stages of 3 read, from the constructor's saved draw
+/// cursors (GateSimulator::initial_counts).
+void BM_GateInitialCountsDeepSeekR1(benchmark::State& state) {
+  const moe::MoeModelConfig model = moe::deepseek_r1();
+  const moe::ParallelismSpec par = moe::default_parallelism(model);
+  const moe::GateConfig gc = moe::gate_config(model, par);
+  const int lps = std::max(model.n_blocks / par.pp, 1);
+  const int k = std::min(par.pp * lps, model.n_blocks);
+  const moe::GateSimulator gate(gc, lps);
+  for (auto _ : state) {
+    const std::vector<Matrix> counts = gate.initial_counts(k);
+    benchmark::DoNotOptimize(counts.data());
+  }
+  state.SetLabel("layers=" + std::to_string(k) + "/" +
+                 std::to_string(model.n_blocks));
+}
+BENCHMARK(BM_GateInitialCountsDeepSeekR1)->Unit(benchmark::kMillisecond);
 
 /// One layer's Markov propagation: the layer's E x E transition times every
 /// EP rank's expert distribution, as refresh_distributions runs it per read

@@ -69,8 +69,8 @@ int usage(const char* argv0, int code) {
       "                 (once all shards finish, a plain --run over the\n"
       "                 same cache renders the merged tables)\n"
       "  --stats FILE   write per-scenario cache hit/miss, gate-trace\n"
-      "                 build/share, Copilot solve and packet-arrival\n"
-      "                 counts as JSON\n"
+      "                 build/share/initial-replay, Copilot solve and\n"
+      "                 packet-arrival counts as JSON\n"
       "  --backend B    override the network fidelity ladder for every point\n"
       "                 (analytic, flow, packet; DESIGN.md §12). Scenarios\n"
       "                 that pin backends per point (e.g. fidelity-ladder)\n"
@@ -111,22 +111,25 @@ std::vector<std::string> split_names(const std::string& arg) {
 struct ScenarioStatsEntry {
   std::string name;
   SweepStats stats;
-  /// Gate traces this scenario produced and reused (the memo outlives the
-  /// scenario, so a later scenario can reuse an earlier one's traces).
+  /// Gate traces this scenario produced and reused, and the pre-warmup
+  /// count replays it ran (the memo outlives the scenario, so a later
+  /// scenario can reuse an earlier one's traces).
   mixnet::moe::GateTraceMemo::Stats gate_traces;
 };
 
 std::string stats_json_object(const ScenarioStatsEntry& e) {
   const SweepStats& s = e.stats;
-  char buf[384];
+  char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "{\"name\":\"%s\",\"points\":%zu,\"hits\":%zu,"
                 "\"computed\":%zu,\"skipped\":%zu,\"failed\":%zu,"
                 "\"copilot_solves\":%zu,\"pkt_arrivals\":%zu,"
-                "\"gate_traces\":{\"built\":%zu,\"shared\":%zu}}",
+                "\"gate_traces\":{\"built\":%zu,\"shared\":%zu,"
+                "\"initial_replays\":%zu}}",
                 e.name.c_str(), s.points, s.hits, s.computed, s.skipped,
                 s.failed, s.copilot_solves, s.pkt_arrivals,
-                e.gate_traces.built, e.gate_traces.shared);
+                e.gate_traces.built, e.gate_traces.shared,
+                e.gate_traces.initial_replays);
   return buf;
 }
 
@@ -378,7 +381,8 @@ int main(int argc, char** argv) {
     stats_entries.push_back(
         {s->name, stats,
          {traces_after.built - traces_before.built,
-          traces_after.shared - traces_before.shared}});
+          traces_after.shared - traces_before.shared,
+          traces_after.initial_replays - traces_before.initial_replays}});
     if (check && render) {
       if (!s->check) {
         std::fprintf(stderr, "shape check: %s has no registered check\n",

@@ -118,6 +118,7 @@ for b in $smoke_benches; do
   # unlike wall seconds they do not depend on host speed.
   built=$(grep -o '"built":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
   shared=$(grep -o '"shared":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
+  replays=$(grep -o '"initial_replays":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
   # Copilot least-squares solves of the computed points (cache hits add 0).
   solves=$(grep -o '"copilot_solves":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
   # Packet hop arrivals the packet engine processed one by one (cache hits
@@ -125,18 +126,26 @@ for b in $smoke_benches; do
   # 2^31 - 1.
   arrivals=$(grep -o '"pkt_arrivals":[0-9]*' "$stats_tmp" | head -1 | cut -d: -f2)
   awk -v d="$dur" -v n="$b" -v h="${hits:-0}" -v c="${computed:-0}" \
-      -v t="${built:-0}" -v q="${solves:-0}" -v a="${arrivals:-0}" \
-    'BEGIN{printf "smoke %-28s %8.2f s  (cache: %d hits, %d computed; %d gate traces; %d copilot solves; %s packet arrivals)\n", n, d/1e9, h, c, t, q, a}'
+      -v t="${built:-0}" -v r="${replays:-0}" -v q="${solves:-0}" -v a="${arrivals:-0}" \
+    'BEGIN{printf "smoke %-28s %8.2f s  (cache: %d hits, %d computed; %d gate traces, %d initial replays; %d copilot solves; %s packet arrivals)\n", n, d/1e9, h, c, t, r, q, a}'
   entry=$(awk -v d="$dur" -v n="$b" -v h="${hits:-0}" -v c="${computed:-0}" \
-      -v p="${points:-0}" -v t="${built:-0}" -v s="${shared:-0}" \
+      -v p="${points:-0}" -v t="${built:-0}" -v s="${shared:-0}" -v r="${replays:-0}" \
       -v q="${solves:-0}" -v a="${arrivals:-0}" \
-    'BEGIN{printf "{\"name\":\"%s\",\"seconds\":%.3f,\"cache\":{\"points\":%d,\"hits\":%d,\"computed\":%d},\"gate_traces\":{\"built\":%d,\"shared\":%d},\"copilot_solves\":%d,\"pkt_arrivals\":%s}", n, d/1e9, p, h, c, t, s, q, a}')
+    'BEGIN{printf "{\"name\":\"%s\",\"seconds\":%.3f,\"cache\":{\"points\":%d,\"hits\":%d,\"computed\":%d},\"gate_traces\":{\"built\":%d,\"shared\":%d,\"initial_replays\":%d},\"copilot_solves\":%d,\"pkt_arrivals\":%s}", n, d/1e9, p, h, c, t, s, r, q, a}')
   bench_json="${bench_json:+$bench_json,}$entry"
   # fig12 sweeps 4 models x 5 fabrics x 4 bandwidths under one shared seed
   # per model, so a cold run records exactly one gate trace per model. Any
   # other count means points stopped sharing (or shared across models).
   if [ "$b" = fig12 ] && [ "${hits:-0}" -eq 0 ] && [ "${built:-0}" -ne 4 ]; then
     echo "verify.sh: fig12 built ${built:-0} gate traces on a cold run (expected 4)" >&2
+    exit 1
+  fi
+  # Its TopoOpt points at all 4 bandwidths plan from one replay of their
+  # model trace's pre-warmup counts: exactly 4 on a cold run. More means
+  # the points stopped sharing the replay; fewer, that TopoOpt stopped
+  # planning from it.
+  if [ "$b" = fig12 ] && [ "${hits:-0}" -eq 0 ] && [ "${replays:-0}" -ne 4 ]; then
+    echo "verify.sh: fig12 ran ${replays:-0} initial replays on a cold run (expected 4)" >&2
     exit 1
   fi
   # serve-storm's re-placement-on arm is the only smoke point that reads a

@@ -78,6 +78,22 @@ double Rng::normal() {
   return r * std::cos(theta);
 }
 
+void Rng::skip_normal(std::size_t n) {
+  if (n > 0 && has_cached_normal_) {
+    has_cached_normal_ = false;
+    --n;
+  }
+  // Each pair of normal() calls takes u1 (redrawn while it is 0, as
+  // normal()'s u1 <= 1e-300 test does) and u2; an odd last call computes
+  // its pair for the deviate it caches.
+  for (; n >= 2; n -= 2) {
+    while ((next() >> 11) == 0) {
+    }
+    next();
+  }
+  if (n == 1) normal();
+}
+
 void Rng::fill_normal(double* out, std::size_t n) { normal_draws(out, n, n); }
 
 void Rng::fill_normal_head(double* out, std::size_t head, std::size_t n) {

@@ -61,6 +61,11 @@ class Rng {
   /// std::invalid_argument if head > n.
   void fill_normal_head(double* out, std::size_t head, std::size_t n);
 
+  /// Leave the generator exactly where `n` calls to normal() would -- the
+  /// same uniforms and the same cached deviate -- computing no deviate but
+  /// the cached one an odd count leaves behind.
+  void skip_normal(std::size_t n);
+
   /// Fill `out[0..n)` with gamma(shape, 1) variates: batched Marsaglia-Tsang
   /// candidate generation (normals + uniforms drawn in blocks, acceptance
   /// evaluated branch-free, rejects re-drawn). Throws std::invalid_argument

@@ -30,12 +30,118 @@ void transpose_into(const double* src, double* dst, std::size_t n) {
   }
 }
 
+/// One layer boundary's column-stochastic transition matrix. One bulk
+/// gamma fill of E*E draws; each E-sized chunk normalizes into one source
+/// column's Dirichlet sample (per-column rng.dirichlet calls were the
+/// constructor's dominant cost for the 256-expert models), and the chunks
+/// are transposed into the row-major matrix in tiles.
+void draw_transition(Rng& rng, std::vector<double>& gamma, Matrix& m) {
+  const std::size_t E = m.rows();
+  gamma.resize(E * E);
+  rng.fill_gamma(gamma.data(), E * E, GateSimulator::kTransitionAlpha);
+  for (std::size_t src = 0; src < E; ++src)
+    normalize_span(gamma.data() + src * E, E);
+  transpose_into(gamma.data(), m.data().data(), E);
+}
+
+/// Layer-0 popularity from the logits (softmax); the load-balancing loss
+/// acts via marginal flattening in balance_layer, not here.
+void popularity(const std::vector<double>& logits, double* pi0) {
+  double zmax = logits[0];
+  for (double z : logits) zmax = std::max(zmax, z);
+  for (std::size_t e = 0; e < logits.size(); ++e)
+    pi0[e] = std::exp(logits[e] - zmax);
+  normalize_span(pi0, logits.size());
+}
+
+/// Personalization weights pref^gamma of one (rank, layer) preference walk:
+/// the preference softmax (exp of the logits, normalized) clamped, then one
+/// block exp(gamma * log(pref)) pass.
+void pref_pow(const double* logits, double gamma, double* out, std::size_t E) {
+  vecmath::exp_block(logits, out, E);
+  normalize_span(out, E);
+  for (std::size_t e = 0; e < E; ++e) out[e] = std::max(out[e], 1e-9);
+  vecmath::pow_block(out, gamma, out, E);
+}
+
+/// Load-balancing loss model: experts converge toward equal *total* token
+/// counts while each rank keeps its relative preferences -- a fractional
+/// step of iterative proportional fitting toward uniform column marginals.
+/// The flattening factor depends only on the layer marginal, so it is
+/// computed once per layer and applied to every rank (identical values to
+/// the historical per-rank pow calls, at 1/ep_ranks the cost).
+void balance_layer(Matrix& q, double mix, double* marginal, double* factor) {
+  const std::size_t R = q.rows(), E = q.cols();
+  const double uniform = 1.0 / static_cast<double>(E);
+  double* rows = q.data().data();
+  std::fill(marginal, marginal + E, 0.0);
+  for (std::size_t h = 0; h < R; ++h)
+    for (std::size_t e = 0; e < E; ++e) marginal[e] += rows[h * E + e];
+  normalize_span(marginal, E);
+  for (std::size_t e = 0; e < E; ++e)
+    factor[e] = std::pow(uniform / std::max(marginal[e], 1e-9), mix);
+  for (std::size_t h = 0; h < R; ++h) {
+    double* row = rows + h * E;
+    for (std::size_t e = 0; e < E; ++e) row[e] *= factor[e];
+    normalize_span(row, E);
+  }
+}
+
+/// One layer's rank x expert distribution `q`, the per-layer step behind
+/// refresh_distributions and initial_counts. Layer 0 (no `transition`)
+/// starts every rank from the popularity `pi0`; a later layer propagates
+/// the previous layer's `prev` through the Markov chain -- one blocked
+/// product of its transition with every rank's distribution. Each rank is
+/// then personalized by the weights of its preference walk `pref(h)`
+/// (called once per rank, in rank order) and the layer is re-balanced.
+/// `scratch` holds 3 * E doubles.
+template <class Pref>
+void layer_distribution(const double* pi0, const Matrix* transition,
+                        const Matrix& prev, Pref&& pref, double gamma,
+                        double mix, Matrix& q, double* scratch) {
+  const std::size_t R = q.rows(), E = q.cols();
+  double* weights = scratch;
+  double* rows = q.data().data();
+  if (transition != nullptr)
+    vecmath::matvec_batch(transition->data().data(), prev.data().data(), rows,
+                          E, E, R);
+  for (std::size_t h = 0; h < R; ++h) {
+    double* row = rows + h * E;
+    const double* base = transition != nullptr ? row : pi0;
+    pref_pow(pref(h), gamma, weights, E);
+    for (std::size_t e = 0; e < E; ++e) row[e] = base[e] * weights[e];
+    normalize_span(row, E);
+  }
+  balance_layer(q, mix, scratch + E, scratch + 2 * E);
+}
+
+/// One layer's counts `c` from its distribution `q` and its R*E standard
+/// normal draws `eps`: per (rank, expert) the Gaussian approximation of
+/// the multinomial, clamped at 0, then each rank's row renormalized to the
+/// n token slots by a strict in-order total.
+void realize_layer(const Matrix& q, const double* eps, double n, Matrix& c) {
+  const std::size_t R = q.rows(), E = q.cols();
+  const double* qv = q.data().data();
+  double* cv = c.data().data();
+  for (std::size_t h = 0; h < R; ++h, qv += E, cv += E, eps += E) {
+    for (std::size_t e = 0; e < E; ++e) {
+      const double meanv = n * qv[e];
+      const double var = n * qv[e] * (1.0 - qv[e]);
+      cv[e] = std::max(meanv + std::sqrt(std::max(var, 0.0)) * eps[e], 0.0);
+    }
+    double total = 0.0;
+    for (std::size_t e = 0; e < E; ++e) total += cv[e];
+    if (total > 0.0) {
+      const double scale = n / total;
+      for (std::size_t e = 0; e < E; ++e) cv[e] *= scale;
+    }
+  }
+}
+
 }  // namespace
 
 GateSimulator::GateSimulator(const GateConfig& cfg, int read_layers)
-    : cfg_(cfg),
-      rng_(cfg.seed),
-      read_layers_(read_layers) {
+    : cfg_(cfg), rng_(cfg.seed) {
   if (cfg_.n_experts <= 0 || cfg_.n_layers <= 0 || cfg_.ep_ranks <= 0)
     throw std::invalid_argument(
         "GateConfig: n_experts, n_layers and ep_ranks must be positive (got " +
@@ -58,27 +164,24 @@ GateSimulator::GateSimulator(const GateConfig& cfg, int read_layers)
     throw std::invalid_argument("GateSimulator: read_layers " +
                                 std::to_string(read_layers) + " outside [1, " +
                                 std::to_string(cfg_.n_layers) + "]");
+  const auto E = static_cast<std::size_t>(cfg_.n_experts);
+  const auto R = static_cast<std::size_t>(cfg_.ep_ranks);
+  const auto held = static_cast<std::size_t>(read_layers);
+  const auto unread = static_cast<std::size_t>(cfg_.n_layers) - held;
 
-  logits_.resize(static_cast<std::size_t>(cfg_.n_experts));
+  logits_.resize(E);
   for (auto& z : logits_) z = rng_.normal(0.0, 1.0);
+  initial_logits_ = logits_;
 
-  // Column-stochastic transition matrices, one per layer boundary. One bulk
-  // gamma fill per layer; each E-sized chunk normalizes into one source
-  // column's Dirichlet sample (per-column rng_.dirichlet calls were the
-  // constructor's dominant cost for the 256-expert models), and the chunks
-  // are transposed into the row-major matrix in tiles.
-  const auto E0 = static_cast<std::size_t>(cfg_.n_experts);
-  transitions_.reserve(static_cast<std::size_t>(cfg_.n_layers));
-  transitions_.emplace_back();  // layer 0 has no predecessor
-  gamma_scratch_.resize(E0 * E0);
-  for (int l = 1; l < cfg_.n_layers; ++l) {
-    Matrix m(E0, E0);
-    rng_.fill_gamma(gamma_scratch_.data(), E0 * E0, kTransitionAlpha);
-    for (std::size_t src = 0; src < E0; ++src)
-      normalize_span(gamma_scratch_.data() + src * E0, E0);
-    transpose_into(gamma_scratch_.data(), m.data().data(), E0);
-    transitions_.push_back(std::move(m));
+  // Column-stochastic transition matrices, one per layer boundary; the
+  // unread layers' draws are taken, not computed.
+  transitions_rng_ = rng_;
+  transitions_.resize(held);  // layer 0 has no predecessor
+  for (std::size_t l = 1; l < held; ++l) {
+    transitions_[l] = Matrix(E, E);
+    draw_transition(rng_, gamma_scratch_, transitions_[l]);
   }
+  for (std::size_t l = 0; l < unread; ++l) rng_.skip_gamma(E * E, kTransitionAlpha);
 
   // Sparse per-(rank, layer) preferences: a rank's token shard shares
   // domain/semantics, so it prefers a few experts at *every* layer. This is
@@ -87,34 +190,40 @@ GateSimulator::GateSimulator(const GateConfig& cfg, int read_layers)
   // persists while Fig. 4a converges -- the DeepSeek-V3 observation in §3).
   // Preferences follow an OU random walk in logit space so the hot pairs
   // *move* over training -- the temporal dynamics that one-shot topologies
-  // (TopoOpt) cannot follow.
-  const double pref_sd =
-      cfg_.pref_drift_sigma /
-      std::sqrt(std::max(1.0 - cfg_.pref_retention * cfg_.pref_retention, 1e-6));
-  pref_logits_.resize(static_cast<std::size_t>(cfg_.ep_ranks) *
-                      static_cast<std::size_t>(cfg_.n_layers));
+  // (TopoOpt) cannot follow. Stored layer-major, so the held layers' walks
+  // are the head of the draws.
+  preferences_rng_ = rng_;
+  const double pref_sd = preference_sd();
+  pref_logits_.resize(held * R);
   for (auto& z : pref_logits_) {
-    z.resize(static_cast<std::size_t>(cfg_.n_experts));
+    z.resize(E);
     for (auto& v : z) v = rng_.normal(0.0, pref_sd);
   }
+  rng_.skip_normal(unread * R * E);
 
-  q_.assign(static_cast<std::size_t>(cfg_.n_layers),
-            Matrix(static_cast<std::size_t>(cfg_.ep_ranks),
-                   static_cast<std::size_t>(cfg_.n_experts)));
-  load_.assign(static_cast<std::size_t>(cfg_.n_layers),
-               std::vector<double>(static_cast<std::size_t>(cfg_.n_experts)));
-  counts_.assign(static_cast<std::size_t>(cfg_.n_layers),
-                 Matrix(static_cast<std::size_t>(cfg_.ep_ranks),
-                        static_cast<std::size_t>(cfg_.n_experts)));
+  counts_rng_ = rng_;
+  q_.assign(held, Matrix(R, E));
+  load_.assign(held, std::vector<double>(E));
+  counts_.assign(held, Matrix(R, E));
   refresh_distributions();
   realize_counts();
 }
 
-double GateSimulator::lb_mix() const {
-  return kLbFinal * (1.0 - std::exp(-static_cast<double>(iter_) / kLbTimescale));
+double GateSimulator::preference_sd() const {
+  // The stationary spread of the preference OU walk.
+  return cfg_.pref_drift_sigma /
+         std::sqrt(std::max(1.0 - cfg_.pref_retention * cfg_.pref_retention, 1e-6));
+}
+
+double GateSimulator::lb_mix_at(int iteration) {
+  return kLbFinal *
+         (1.0 - std::exp(-static_cast<double>(iteration) / kLbTimescale));
 }
 
 void GateSimulator::skip(int n) {
+  if (n < 0)
+    throw std::invalid_argument("GateSimulator::skip: n " + std::to_string(n) +
+                                " is negative");
   for (int i = 0; i < n - 1; ++i) {
     ++iter_;
     advance_state();
@@ -127,17 +236,6 @@ void GateSimulator::step() {
   advance_state();
   refresh_distributions();
   realize_counts();
-}
-
-void GateSimulator::drop_unread_layers() {
-  const auto L = static_cast<std::size_t>(read_layers_);
-  if (q_.size() == L) return;
-  transitions_.resize(L);
-  pref_logits_.resize(L * static_cast<std::size_t>(cfg_.ep_ranks));
-  q_.resize(L);
-  load_.resize(L);
-  counts_.resize(L);
-  std::vector<double>().swap(normal_scratch_);  // sized for every layer
 }
 
 void GateSimulator::apply_ou_update(double pop_a, double pop_sd, double pref_a,
@@ -163,7 +261,6 @@ void GateSimulator::apply_ou_update(double pop_a, double pop_sd, double pref_a,
 }
 
 void GateSimulator::advance_state() {
-  drop_unread_layers();
   // Popularity random walk with mean reversion (Ornstein-Uhlenbeck): the
   // walk keeps expert popularity moving between iterations (Fig. 4a) while
   // the pull toward 0 keeps its stationary spread bounded, so the
@@ -180,12 +277,13 @@ void GateSimulator::advance_state() {
 
 void GateSimulator::transition_drift() {
   const auto E = static_cast<std::size_t>(cfg_.n_experts);
+  const auto held = static_cast<int>(transitions_.size());
   gamma_scratch_.resize(E * E);
   for (int l = 1; l < cfg_.n_layers; ++l) {
     // One bulk gamma fill per layer; each E-sized chunk normalizes into the
     // Dirichlet noise for one source column. An unread layer consumes the
     // same draws, so the stream stays the same, but computes no variate.
-    if (l >= read_layers_) {
+    if (l >= held) {
       rng_.skip_gamma(E * E, kTransitionAlpha);
       continue;
     }
@@ -207,8 +305,10 @@ void GateSimulator::transition_drift() {
 }
 
 void GateSimulator::advance_steps(int n) {
-  if (n <= 0) return;
-  drop_unread_layers();
+  if (n < 0)
+    throw std::invalid_argument("GateSimulator::advance_steps: n " +
+                                std::to_string(n) + " is negative");
+  if (n == 0) return;
   // Exact discrete-time OU transition: for z' = a z + sigma eps iterated n
   // times, z_n | z_0 ~ N(a^n z_0, sigma^2 (1 - a^{2n}) / (1 - a^2)). One
   // draw per dimension replaces n per-iteration draws; the warmup
@@ -240,128 +340,78 @@ void GateSimulator::advance_steps(int n) {
 void GateSimulator::refresh_distributions() {
   const auto E = static_cast<std::size_t>(cfg_.n_experts);
   const auto R = static_cast<std::size_t>(cfg_.ep_ranks);
-  const auto held = static_cast<int>(q_.size());
   const double mix = lb_mix();
-  const double uniform = 1.0 / static_cast<double>(E);
-
   // Work buffers carved from one member scratch (this runs every step of the
   // figure-bench hot loop; no per-call allocation).
   dist_scratch_.resize(4 * E);
   double* pi0 = dist_scratch_.data();
-  double* factor = pi0 + E;
-  double* pref_pow_buf = factor + E;
-  double* marginal = pref_pow_buf + E;
-  const auto rank_row = [E](Matrix& q, std::size_t h) {
-    return q.data().data() + h * E;
-  };
-
-  // Layer-0 popularity from logits (softmax); the load-balancing loss acts
-  // below via marginal flattening, not here.
-  double zmax = logits_[0];
-  for (double z : logits_) zmax = std::max(zmax, z);
-  for (std::size_t e = 0; e < E; ++e) pi0[e] = std::exp(logits_[e] - zmax);
-  normalize_span(pi0, E);
-
-  // Load-balancing loss model: experts converge toward equal *total* token
-  // counts while each rank keeps its relative preferences -- a fractional
-  // step of iterative proportional fitting toward uniform column marginals.
-  // The flattening factor depends only on the layer marginal, so it is
-  // computed once per layer and applied to every rank (identical values to
-  // the historical per-rank pow calls, at 1/ep_ranks the cost).
-  auto balance_layer = [&](int l) {
-    Matrix& layer_q = q_[static_cast<std::size_t>(l)];
-    std::fill(marginal, marginal + E, 0.0);
-    for (std::size_t h = 0; h < R; ++h) {
-      const double* q = rank_row(layer_q, h);
-      for (std::size_t e = 0; e < E; ++e) marginal[e] += q[e];
-    }
-    normalize_span(marginal, E);
-    for (std::size_t e = 0; e < E; ++e)
-      factor[e] = std::pow(uniform / std::max(marginal[e], 1e-9), mix);
-    for (std::size_t h = 0; h < R; ++h) {
-      double* q = rank_row(layer_q, h);
-      for (std::size_t e = 0; e < E; ++e) q[e] *= factor[e];
-      normalize_span(q, E);
-    }
-  };
-
-  // Personalization weights pref^gamma for every (rank, layer): the
-  // preference softmax (exp of the logits, normalized) clamped, then one
-  // block exp(gamma * log(pref)) pass.
-  const double gamma = cfg_.personalization;
-  auto pref_pow_of = [&](std::size_t h, int l) -> const double* {
-    const std::size_t k = static_cast<std::size_t>(l) * R + h;
-    double* out = pref_pow_buf;
-    vecmath::exp_block(pref_logits_[k].data(), out, E);
-    normalize_span(out, E);
-    for (std::size_t e = 0; e < E; ++e) out[e] = std::max(out[e], 1e-9);
-    vecmath::pow_block(out, gamma, out, E);
-    return out;
-  };
-  for (std::size_t h = 0; h < R; ++h) {
-    double* q0 = rank_row(q_[0], h);
-    const double* pref_pow = pref_pow_of(h, 0);
-    for (std::size_t e = 0; e < E; ++e) q0[e] = pi0[e] * pref_pow[e];
-    normalize_span(q0, E);
+  popularity(logits_, pi0);
+  for (std::size_t l = 0; l < q_.size(); ++l) {
+    const auto pref = [&](std::size_t h) { return pref_logits_[l * R + h].data(); };
+    layer_distribution(pi0, l == 0 ? nullptr : &transitions_[l],
+                       q_[l == 0 ? 0 : l - 1], pref, cfg_.personalization, mix,
+                       q_[l], pi0 + E);
   }
-  balance_layer(0);
-  // Propagate through the Markov chain -- one blocked product of the layer's
-  // transition with every rank's distribution -- re-personalizing and
-  // re-balancing at every layer the state holds.
-  for (int l = 1; l < held; ++l) {
-    Matrix& layer_q = q_[static_cast<std::size_t>(l)];
-    vecmath::matvec_batch(transitions_[static_cast<std::size_t>(l)].data().data(),
-                          q_[static_cast<std::size_t>(l - 1)].data().data(),
-                          layer_q.data().data(), E, E, R);
-    for (std::size_t h = 0; h < R; ++h) {
-      double* q = rank_row(layer_q, h);
-      const double* pref_pow = pref_pow_of(h, l);
-      for (std::size_t e = 0; e < E; ++e) q[e] *= pref_pow[e];
-      normalize_span(q, E);
-    }
-    balance_layer(l);
-  }
-  for (int l = 0; l < held; ++l) {
-    auto& load = load_[static_cast<std::size_t>(l)];
-    Matrix& layer_q = q_[static_cast<std::size_t>(l)];
+  for (std::size_t l = 0; l < q_.size(); ++l) {
+    auto& load = load_[l];
+    const double* q = q_[l].data().data();
     std::fill(load.begin(), load.end(), 0.0);
-    for (std::size_t h = 0; h < R; ++h) {
-      const double* q = rank_row(layer_q, h);
+    for (std::size_t h = 0; h < R; ++h, q += E)
       for (std::size_t e = 0; e < E; ++e) load[e] += q[e];
-    }
     normalize(load);
   }
 }
 
 void GateSimulator::realize_counts() {
-  const auto E = static_cast<std::size_t>(cfg_.n_experts);
-  const auto R = static_cast<std::size_t>(cfg_.ep_ranks);
-  const double n = cfg_.tokens_per_rank;
+  const auto RE = static_cast<std::size_t>(cfg_.ep_ranks) *
+                  static_cast<std::size_t>(cfg_.n_experts);
   // One bulk draw for every (layer, rank, expert) Gaussian count of the
   // iteration, computed only for the layers the state holds (the draws are
-  // layer-major, so those are the head), then a realize + clamp pass and a
-  // strict in-order total per row for the renormalization.
-  normal_scratch_.resize(counts_.size() * R * E);
+  // layer-major, so those are the head), then one realize pass per layer.
+  normal_scratch_.resize(counts_.size() * RE);
   rng_.fill_normal_head(normal_scratch_.data(), normal_scratch_.size(),
-                        static_cast<std::size_t>(cfg_.n_layers) * R * E);
-  const double* eps = normal_scratch_.data();
-  for (std::size_t l = 0; l < counts_.size(); ++l) {
-    const double* q = q_[l].data().data();
-    double* c = counts_[l].data().data();
-    for (std::size_t h = 0; h < R; ++h, q += E, c += E, eps += E) {
-      for (std::size_t e = 0; e < E; ++e) {
-        const double meanv = n * q[e];
-        const double var = n * q[e] * (1.0 - q[e]);
-        c[e] = std::max(meanv + std::sqrt(std::max(var, 0.0)) * eps[e], 0.0);
-      }
-      double total = 0.0;
-      for (std::size_t e = 0; e < E; ++e) total += c[e];
-      if (total > 0.0) {
-        const double scale = n / total;
-        for (std::size_t e = 0; e < E; ++e) c[e] *= scale;
-      }
-    }
+                        static_cast<std::size_t>(cfg_.n_layers) * RE);
+  for (std::size_t l = 0; l < counts_.size(); ++l)
+    realize_layer(q_[l], normal_scratch_.data() + l * RE, cfg_.tokens_per_rank,
+                  counts_[l]);
+}
+
+std::vector<Matrix> GateSimulator::initial_counts(int k) const {
+  if (k < 1 || k > cfg_.n_layers)
+    throw std::invalid_argument("GateSimulator::initial_counts: k " +
+                                std::to_string(k) + " outside [1, " +
+                                std::to_string(cfg_.n_layers) + "]");
+  const auto E = static_cast<std::size_t>(cfg_.n_experts);
+  const auto R = static_cast<std::size_t>(cfg_.ep_ranks);
+  const auto layers = static_cast<std::size_t>(k);
+  // Replay the constructor's three draw sections from their saved starts,
+  // one layer at a time: the transition and preference draws of layer l
+  // are that section's l-th, and the count draws are one fill over every
+  // layer, as realize_counts takes them, computed for the first k.
+  Rng transitions = transitions_rng_;
+  Rng preferences = preferences_rng_;
+  Rng draws = counts_rng_;
+  std::vector<double> eps(layers * R * E);
+  draws.fill_normal_head(eps.data(), eps.size(),
+                         static_cast<std::size_t>(cfg_.n_layers) * R * E);
+  std::vector<double> scratch(4 * E), prefs(E), gamma;
+  double* pi0 = scratch.data();
+  popularity(initial_logits_, pi0);
+  const double pref_sd = preference_sd();
+  const auto pref = [&](std::size_t) {
+    for (auto& v : prefs) v = preferences.normal(0.0, pref_sd);
+    return prefs.data();
+  };
+  Matrix transition(E, E), prev(R, E), q(R, E);
+  std::vector<Matrix> counts(layers, Matrix(R, E));
+  for (std::size_t l = 0; l < layers; ++l) {
+    if (l > 0) draw_transition(transitions, gamma, transition);
+    layer_distribution(pi0, l == 0 ? nullptr : &transition, prev, pref,
+                       cfg_.personalization, lb_mix_at(0), q, pi0 + E);
+    realize_layer(q, eps.data() + l * R * E, cfg_.tokens_per_rank, counts[l]);
+    std::swap(q, prev);
   }
+  return counts;
 }
 
 void GateSimulator::check_held(int layer, int first, const char* what) const {
@@ -370,7 +420,7 @@ void GateSimulator::check_held(int layer, int first, const char* what) const {
                             std::to_string(layer) + " outside [" +
                             std::to_string(first) + ", " +
                             std::to_string(load_.size()) +
-                            ") the current state holds");
+                            ") the simulator holds");
 }
 
 const std::vector<double>& GateSimulator::expert_load(int layer) const {

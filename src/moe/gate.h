@@ -24,12 +24,14 @@
 // scenarios set, and the seed.
 //
 // A reader that consumes only layers [0, read_layers) (one pipeline stage)
-// says so at construction: the constructor still computes every layer; the
-// first advance frees the rest, and each advance computes only the read ones.
-// The random draws of unread layers are consumed, not computed
-// (Rng::skip_gamma, Rng::fill_normal_head): the stream advances through
-// them in the same order, so it -- and every read layer -- is bit-identical
-// to a simulator that computes them all.
+// says so at construction, and the simulator holds and computes only those
+// layers from then on. The random draws of unread layers are consumed, not
+// computed (Rng::skip_gamma, Rng::skip_normal, Rng::fill_normal_head): the
+// stream advances through them in the same order, so it -- and every read
+// layer -- is bit-identical to a simulator that computes them all. The
+// pre-advance counts of any layer prefix stay available through
+// initial_counts(k), which replays the constructor's draws from cursors
+// saved at the start of each of its draw sections.
 #pragma once
 
 #include <cstdint>
@@ -95,8 +97,8 @@ class GateSimulator {
   /// Iterations to approach kLbFinal.
   static constexpr double kLbTimescale = 2000.0;
 
-  /// `read_layers` is how many layers [0, read_layers) the caller reads
-  /// after the first advance (all of them without it). Throws
+  /// `read_layers` is how many layers [0, read_layers) the simulator holds
+  /// and computes (all of them without it). Throws
   /// std::invalid_argument, naming the field, unless n_experts, n_layers and
   /// ep_ranks are positive, every real knob is finite, and 1 <= read_layers
   /// <= n_layers.
@@ -109,7 +111,8 @@ class GateSimulator {
   /// Advance `n` iterations cheaply: the stochastic state (popularity,
   /// preferences, transitions) moves forward but distributions and counts
   /// are only materialized on the last step. Used to fast-forward past a
-  /// planning snapshot (one-shot-topology staleness).
+  /// planning snapshot (one-shot-topology staleness). n == 0 is a no-op;
+  /// throws std::invalid_argument for n < 0.
   void skip(int n);
 
   /// Fast-forward `n` iterations in closed form: the popularity and
@@ -121,6 +124,7 @@ class GateSimulator {
   /// same iteration count with the same state *law* as skip(n) but a
   /// different sample path; distributions and counts are materialized once
   /// at the end. This is the WarmupPolicy::kClosedForm warmup fast path.
+  /// n == 0 is a no-op; throws std::invalid_argument for n < 0.
   void advance_steps(int n);
 
   /// Warmup: advance_steps(n) under kClosedForm, skip(n) under kExactSteps.
@@ -131,15 +135,22 @@ class GateSimulator {
   int iteration() const { return iter_; }
   const GateConfig& config() const { return cfg_; }
 
-  /// Normalized expert load for a layer (sums to 1). The state holds every
-  /// layer right after construction and layers [0, read_layers) once
-  /// step/skip/advance_steps has moved it; reading any other layer throws
-  /// std::out_of_range (so do dispatch_counts, transition and
-  /// preference_logits).
+  /// Normalized expert load for a layer (sums to 1). The state holds layers
+  /// [0, read_layers); reading any other layer throws std::out_of_range (so
+  /// do dispatch_counts, transition and preference_logits).
   const std::vector<double>& expert_load(int layer) const;
 
   /// Realized dispatch counts: rows = home rank, cols = expert (token slots).
   const Matrix& dispatch_counts(int layer) const;
+
+  /// The dispatch counts of layers [0, k) right after construction, before
+  /// any advance: bit-identical to GateSimulator(config()).dispatch_counts(l)
+  /// at that point, whatever read_layers is and however far this simulator
+  /// has advanced since. Replayed one layer at a time from the constructor's
+  /// saved draw cursors, holding one transition, two rank x expert
+  /// distributions and the k layers' count draws. Throws
+  /// std::invalid_argument unless 1 <= k <= n_layers.
+  std::vector<Matrix> initial_counts(int k) const;
 
   /// EP-rank all-to-all matrix in bytes for the *dispatch* (first) all-to-all
   /// of a layer: moe::rank_dispatch_matrix over dispatch_counts(layer) under
@@ -153,7 +164,7 @@ class GateSimulator {
   const Matrix& transition(int layer) const;
 
   /// Current load-balancing mixing coefficient (0 early, -> kLbFinal).
-  double lb_mix() const;
+  double lb_mix() const { return lb_mix_at(iter_); }
 
   /// Layer-0 popularity logits (the OU-walk state advance_steps fast-
   /// forwards); exposed for the closed-form-vs-stepped distribution tests.
@@ -171,8 +182,10 @@ class GateSimulator {
  private:
   /// Throws std::out_of_range unless first <= layer < the layers held.
   void check_held(int layer, int first, const char* what) const;
-  /// Frees every unread layer's state (at the first advance).
-  void drop_unread_layers();
+  /// The load-balancing mix after `iteration` iterations.
+  static double lb_mix_at(int iteration);
+  /// Stationary spread of the preference OU walks (their initial draws).
+  double preference_sd() const;
   void advance_state();
   /// Shared OU-walk update of popularity + every preference vector: one bulk
   /// fill_normal over all dimensions, then z = a z + sd eps per walk. Called
@@ -187,8 +200,11 @@ class GateSimulator {
   GateConfig cfg_;
   Rng rng_;
   int iter_ = 0;
-  int read_layers_;  // the per-layer state below holds every layer, then
-                     // only these from the first advance on
+  // initial_counts' replay state: the generator at the start of each of the
+  // constructor's draw sections, and the initial popularity logits.
+  Rng transitions_rng_, preferences_rng_, counts_rng_;
+  std::vector<double> initial_logits_;
+  // The per-layer state below holds the read layers [0, read_layers).
   std::vector<double> logits_;                 // layer-0 popularity logits
   std::vector<Matrix> transitions_;            // per layer >= 1
   // Per (layer, rank) preference logits (OU process); the normalized

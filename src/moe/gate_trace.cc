@@ -1,5 +1,6 @@
 #include "moe/gate_trace.h"
 
+#include <chrono>
 #include <exception>
 #include <stdexcept>
 
@@ -25,8 +26,25 @@ GateSnapshot snapshot(const GateSimulator& gate, int layers) {
 GateTrace::GateTrace(const GateConfig& cfg, int warmup_iterations,
                      WarmupPolicy policy, int layers)
     : layers_(layers), producer_(cfg, layers) {
-  initial_ = snapshot(producer_, cfg.n_layers);  // before warmup frees layers
   producer_.warm_up(warmup_iterations, policy);
+}
+
+std::shared_ptr<const std::vector<Matrix>> GateTrace::initial_counts(int k) const {
+  // The replay reads only the producer's construction-time cursors, never
+  // the state iteration() advances, so it needs no lock of mu_.
+  const std::lock_guard<std::mutex> lock(initial_mu_);
+  if (k < 1 || initial_ == nullptr ||
+      initial_->size() < static_cast<std::size_t>(k)) {  // k < 1 throws
+    initial_ = std::make_shared<const std::vector<Matrix>>(
+        producer_.initial_counts(k));
+    ++initial_replays_;
+  }
+  return initial_;
+}
+
+std::size_t GateTrace::initial_replays() const {
+  const std::lock_guard<std::mutex> lock(initial_mu_);
+  return initial_replays_;
 }
 
 const GateSnapshot& GateTrace::iteration(int i) const {
@@ -58,6 +76,17 @@ std::string gate_trace_key(const GateConfig& gc, int warmup_iterations,
   w.field("warmup_policy", static_cast<int>(policy));
   w.field("layers", layers);
   return w.digest_hex();
+}
+
+GateTraceMemo::Stats GateTraceMemo::stats() const {
+  Stats s{built_.load(), shared_.load(), 0};
+  // Replays happen after production, so only finished traces have any; a
+  // failed production is erased before its future is made ready.
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [key, trace] : traces_)
+    if (trace.wait_for(std::chrono::seconds(0)) == std::future_status::ready)
+      s.initial_replays += trace.get()->initial_replays();
+  return s;
 }
 
 std::shared_ptr<const GateTrace> GateTraceMemo::get(const GateConfig& cfg,

@@ -6,8 +6,11 @@
 // dispatch counts and expert loads. A GateTrace records that sequence once
 // from one owned GateSimulator; consumers read snapshots, which hold exactly
 // the values the live simulator would have returned at the same point of
-// its trajectory (bit-identical by construction). GateTraceMemo hands out
-// one trace per content key so concurrent sweep workers share it.
+// its trajectory (bit-identical by construction). The producer holds only
+// the layers the trace records; the pre-warmup counts that a one-shot
+// topology plans from (TopoOpt) are replayed on first request, once per
+// trace, for the layers asked for. GateTraceMemo hands out one trace per
+// content key so concurrent sweep workers share it.
 #pragma once
 
 #include <atomic>
@@ -35,16 +38,22 @@ struct GateSnapshot {
 class GateTrace {
  public:
   /// Construct the producer as GateSimulator(cfg, layers) (which throws
-  /// std::invalid_argument on a config or layer count it rejects),
-  /// snapshot every layer as initial(), then advance `warmup_iterations`
-  /// under `policy`. iteration(i) snapshots layers [0, layers), the only
-  /// layers the producer holds after warmup; the trace is open-ended and
-  /// extends on demand.
+  /// std::invalid_argument on a config or layer count it rejects), then
+  /// advance `warmup_iterations` under `policy` (a negative count throws
+  /// std::invalid_argument). iteration(i) snapshots layers [0, layers); the
+  /// trace is open-ended and extends on demand.
   GateTrace(const GateConfig& cfg, int warmup_iterations, WarmupPolicy policy,
             int layers);
 
-  /// Every layer's state right after construction, before warmup.
-  const GateSnapshot& initial() const { return initial_; }
+  /// Dispatch counts of at least layers [0, k) right after construction,
+  /// before warmup (GateSimulator::initial_counts). The first request
+  /// replays them; later requests for as many layers or fewer share that
+  /// result, and one for more replays again (thread-safe). Throws
+  /// std::invalid_argument unless 1 <= k <= n_layers.
+  std::shared_ptr<const std::vector<Matrix>> initial_counts(int k) const;
+
+  /// How many initial_counts replays this trace has run.
+  std::size_t initial_replays() const;
 
   /// Layers [0, layers()) after warmup and `i` step() calls, i >= 1.
   /// Produced on first request (thread-safe; the reference stays valid for
@@ -54,7 +63,9 @@ class GateTrace {
  private:
   int layers_;
   mutable GateSimulator producer_;
-  GateSnapshot initial_;
+  mutable std::mutex initial_mu_;
+  mutable std::shared_ptr<const std::vector<Matrix>> initial_;
+  mutable std::size_t initial_replays_ = 0;
   mutable std::mutex mu_;
   mutable std::deque<GateSnapshot> iterations_;  // stable references
 };
@@ -73,16 +84,17 @@ class GateTraceMemo {
   struct Stats {
     std::size_t built = 0;   ///< traces produced
     std::size_t shared = 0;  ///< requests served by an existing trace
+    std::size_t initial_replays = 0;  ///< GateTrace::initial_counts replays
   };
 
   std::shared_ptr<const GateTrace> get(const GateConfig& cfg,
                                        int warmup_iterations,
                                        WarmupPolicy policy, int layers);
-  Stats stats() const { return {built_.load(), shared_.load()}; }
+  Stats stats() const;
 
  private:
   using TracePtr = std::shared_ptr<const GateTrace>;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::map<std::string, std::shared_future<TracePtr>> traces_;
   std::atomic<std::size_t> built_{0};
   std::atomic<std::size_t> shared_{0};

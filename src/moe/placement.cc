@@ -1,7 +1,6 @@
 #include "moe/placement.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -74,7 +73,13 @@ std::vector<int> Placement::ep_rank_to_local_server(int dp, int pp) const {
   for (int ep = 0; ep < par_.ep; ++ep) {
     const int s = server_of_gpu(gpu_of({dp, pp, ep, 0}));
     const auto it = std::find(servers.begin(), servers.end(), s);
-    assert(it != servers.end());
+    // Holds by construction: the rank's first TP GPU is one of the GPUs
+    // ep_group_servers walks.
+    if (it == servers.end())
+      throw std::logic_error(
+          "Placement::ep_rank_to_local_server: the server of (dp, pp, ep) = (" +
+          std::to_string(dp) + ", " + std::to_string(pp) + ", " +
+          std::to_string(ep) + ") is not in its EP group");
     out[static_cast<std::size_t>(ep)] = static_cast<int>(it - servers.begin());
   }
   return out;

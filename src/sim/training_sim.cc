@@ -46,6 +46,10 @@ Cluster build_cluster(TrainingConfig cfg) {
   };
   require_positive("par.micro_batch", cfg.par.micro_batch);
   require_positive("par.n_microbatches", cfg.par.n_microbatches);
+  // A negative warmup would run none, yet key its own trace and cache record.
+  if (cfg.warmup_iterations < 0)
+    throw std::invalid_argument("build_cluster: warmup_iterations must be >= 0, got " +
+                                std::to_string(cfg.warmup_iterations));
   const bool mixnet = cfg.fabric_kind == topo::FabricKind::kMixNet ||
                       cfg.fabric_kind == topo::FabricKind::kMixNetOpticalIO;
   topo::FabricConfig fc =
@@ -101,8 +105,8 @@ TrainingSimulator::TrainingSimulator(TrainingConfig config,
   const TrainingConfig& cfg = cluster_.cfg;
   topo::Fabric& fabric = *cluster_.fabric;
   // Warmup advances the gate past the planning snapshot that TopoOpt reads
-  // as initial() (see warmup_iterations / warmup_policy); iterations read
-  // only the representative stage's layers.
+  // as initial_counts (see warmup_iterations / warmup_policy); iterations
+  // read only the representative stage's layers.
   const int lps = cluster_.layers_per_stage;
   trace_ = memo != nullptr
                ? memo->get(cluster_.gate, cfg.warmup_iterations, cfg.warmup_policy, lps)
@@ -186,7 +190,9 @@ void TrainingSimulator::install_topoopt_circuits() {
   const int lps = cluster_.layers_per_stage;
   // Demand per group: sum the stage's layer matrices from the initial gate
   // state (dp=0 matrices reused for every replica -- statistically identical).
-  const moe::GateSnapshot& initial = trace_->initial();
+  // The stages read layers [0, pp * lps), clamped to the model.
+  const auto initial =
+      trace_->initial_counts(std::min(cfg.par.pp * lps, cfg.model.n_blocks));
   for (int dp = 0; dp < cfg.par.dp; ++dp) {
     for (int pp = 0; pp < cfg.par.pp; ++pp) {
       const auto members = placement.ep_group_servers(dp, pp);
@@ -195,7 +201,7 @@ void TrainingSimulator::install_topoopt_circuits() {
       for (int l = 0; l < lps; ++l) {
         const int layer = std::min(pp * lps + l, cfg.model.n_blocks - 1);
         const Matrix rank = moe::rank_dispatch_matrix(
-            initial.counts[static_cast<std::size_t>(layer)],
+            (*initial)[static_cast<std::size_t>(layer)],
             cluster_.expert_to_rank, moe::slot_bytes(cfg.model));
         const Matrix m = moe::aggregate_to_servers(
             rank, placement.ep_rank_to_local_server(dp, pp),

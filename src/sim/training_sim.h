@@ -91,7 +91,7 @@ struct TrainingConfig {
   /// Gate iterations advanced between fabric setup and the first measured
   /// iteration. One-shot fabrics (TopoOpt) planned their circuits at setup,
   /// so this is what exposes their staleness against drifting traffic; it
-  /// is a no-op for fabrics that reconfigure at runtime.
+  /// is a no-op for fabrics that reconfigure at runtime. Must be >= 0.
   int warmup_iterations = 100;
   /// How the warmup iterations are advanced: kClosedForm (default) samples
   /// the warmup endpoint from the exact n-step OU transition distribution
@@ -143,8 +143,9 @@ struct Cluster {
 /// collective efficiencies, backend and packet tuning, the gate config and
 /// the representative group. On MixNet fabrics the NICs beyond `eps_nics` go
 /// to the OCS. Throws std::invalid_argument for a GPU count or parallel
-/// degree below 1, a micro-batch size or count below 1, an invalid fabric,
-/// or an analytic core on the packet backend.
+/// degree below 1, a micro-batch size or count below 1, a negative
+/// warmup_iterations, an invalid fabric, or an analytic core on the packet
+/// backend.
 Cluster build_cluster(TrainingConfig cfg);
 
 /// Forward timeline of one MoE block (Fig. 3 rows).

@@ -197,6 +197,19 @@ TEST(Rng, FillNormalHeadLeavesTheStreamWhereFillNormalDoes) {
   EXPECT_THROW(r.fill_normal_head(full.data(), 3, 2), std::invalid_argument);
 }
 
+TEST(Rng, SkipNormalLeavesTheStreamWhereNormalCallsDo) {
+  // Even and odd counts, 0, and a pending cached deviate (consumed first).
+  for (bool pending : {false, true})
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                          std::size_t{7}, std::size_t{512}, std::size_t{1025}}) {
+      SCOPED_TRACE("n " + std::to_string(n) + (pending ? ", cached" : ""));
+      auto [calls, skip] = twin_generators(pending);
+      for (std::size_t i = 0; i < n; ++i) calls.normal();
+      skip.skip_normal(n);
+      expect_same_stream(calls, skip);
+    }
+}
+
 TEST(Rng, SkipGammaLeavesTheStreamWhereFillGammaDoes) {
   std::vector<double> buf(65536);
   for (double shape : {0.08, 0.5, 1.0, 1.08, 3.0})

@@ -126,6 +126,36 @@ TEST(Placement, RankToLocalServerMapsPairsOfRanks) {
   EXPECT_EQ(map, (std::vector<int>{0, 0, 1, 1, 2, 2, 3, 3}));
 }
 
+TEST(Placement, RankToLocalServerStaysInItsGroup) {
+  // Every rank maps into its own group, also when a rank's TP GPUs straddle
+  // servers (tp 3 or 12 on 8-GPU servers) and in every (dp, pp) group; a
+  // group outside the degrees throws instead of indexing past them.
+  for (const int tp : {1, 3, 4, 12}) {
+    ParallelismSpec p;
+    p.dp = 2;
+    p.pp = 3;
+    p.ep = 5;
+    p.tp = tp;
+    Placement pl(p, 8);
+    for (int dp = 0; dp < p.dp; ++dp)
+      for (int pp = 0; pp < p.pp; ++pp) {
+        const auto servers = pl.ep_group_servers(dp, pp);
+        const auto map = pl.ep_rank_to_local_server(dp, pp);
+        ASSERT_EQ(map.size(), 5u);
+        for (int ep = 0; ep < p.ep; ++ep) {
+          const int local = map[static_cast<std::size_t>(ep)];
+          ASSERT_GE(local, 0);
+          ASSERT_LT(local, static_cast<int>(servers.size()));
+          EXPECT_EQ(servers[static_cast<std::size_t>(local)],
+                    pl.server_of_gpu(pl.gpu_of({dp, pp, ep, 0})))
+              << "tp " << tp << " (" << dp << ", " << pp << ", " << ep << ")";
+        }
+      }
+    EXPECT_THROW(pl.ep_rank_to_local_server(2, 0), std::out_of_range);
+    EXPECT_THROW(pl.ep_rank_to_local_server(0, -1), std::out_of_range);
+  }
+}
+
 TEST(Placement, DeepSeekRegionIs8Servers) {
   Placement pl(default_parallelism(deepseek_r1()), 8);
   EXPECT_EQ(pl.region_servers(), 8);  // EP64 x TP1 = 64 GPUs
@@ -354,7 +384,7 @@ TEST(Gate, ReadLayersAreBitEqualToTheFullSimulator) {
   for (int k = 1; k < g.n_layers; ++k) {
     SCOPED_TRACE("read_layers " + std::to_string(k));
     GateSimulator full(g), part(g, k);
-    expect_read_layers_equal(full, part, g.n_layers);  // constructor: all
+    expect_read_layers_equal(full, part, k);
     const std::vector<std::pair<const char*, std::function<void(GateSimulator&)>>>
         moves = {
             {"advance_steps(48)", [](GateSimulator& s) { s.advance_steps(48); }},
@@ -393,7 +423,7 @@ TEST(Gate, ReadLayersAreBitEqualAtDeepSeekScale) {
   g.tokens_per_rank = 16384;
   g.seed = 7;
   GateSimulator full(g), part(g, 3);
-  expect_read_layers_equal(full, part, g.n_layers);
+  expect_read_layers_equal(full, part, 3);
   for (const auto& move : std::vector<std::function<void(GateSimulator&)>>{
            [](GateSimulator& s) { s.advance_steps(100); },
            [](GateSimulator& s) { s.step(); },
@@ -405,29 +435,79 @@ TEST(Gate, ReadLayersAreBitEqualAtDeepSeekScale) {
   }
 }
 
-TEST(Gate, UnreadLayersAreReadableOnlyBeforeTheFirstAdvance) {
-  // The constructor computes every layer (GateTrace::initial() and TopoOpt
-  // read them all); after the first advance only [0, read_layers) is held.
-  for (const auto& advance :
-       std::vector<std::function<void(GateSimulator&)>>{
-           [](GateSimulator& s) { s.step(); },
-           [](GateSimulator& s) { s.skip(3); },
-           [](GateSimulator& s) { s.advance_steps(3); }}) {
+TEST(Gate, UnreadLayersAreNeverHeld) {
+  // Only [0, read_layers) is held, from construction on and after every
+  // kind of advance; initial_counts replays the others' pre-advance counts.
+  const std::vector<std::function<void(GateSimulator&)>> advances = {
+      [](GateSimulator&) {},
+      [](GateSimulator& s) { s.step(); },
+      [](GateSimulator& s) { s.skip(3); },
+      [](GateSimulator& s) { s.advance_steps(3); }};
+  for (const auto& advance : advances) {
     GateSimulator gs(small_gate(), 2);
-    EXPECT_NO_THROW(gs.expert_load(3));
-    EXPECT_NO_THROW(gs.dispatch_counts(2));
-    EXPECT_NO_THROW(gs.transition(3));
-    gs.advance_steps(0);  // no advance: the state still holds every layer
-    EXPECT_NO_THROW(gs.expert_load(3));
     advance(gs);
     EXPECT_NO_THROW(gs.expert_load(1));
     EXPECT_NO_THROW(gs.transition(1));
+    EXPECT_NO_THROW(gs.preference_logits(0, 1));
     EXPECT_THROW(gs.expert_load(2), std::out_of_range);
     EXPECT_THROW(gs.dispatch_counts(2), std::out_of_range);
     EXPECT_THROW(gs.rank_dispatch_matrix(3, 1.0), std::out_of_range);
     EXPECT_THROW(gs.transition(2), std::out_of_range);
     EXPECT_THROW(gs.preference_logits(0, 2), std::out_of_range);
     EXPECT_THROW(gs.expert_load(-1), std::out_of_range);
+    EXPECT_EQ(gs.initial_counts(4).size(), 4u);
+  }
+}
+
+TEST(Gate, NegativeAdvancesThrowAndZeroIsANoOp) {
+  GateSimulator gs(small_gate()), fresh(small_gate());
+  EXPECT_THROW(gs.skip(-1), std::invalid_argument);
+  EXPECT_THROW(gs.advance_steps(-1), std::invalid_argument);
+  EXPECT_THROW(gs.warm_up(-5, WarmupPolicy::kClosedForm), std::invalid_argument);
+  EXPECT_THROW(gs.warm_up(-5, WarmupPolicy::kExactSteps), std::invalid_argument);
+  gs.skip(0);
+  gs.advance_steps(0);
+  EXPECT_EQ(gs.iteration(), 0);
+  // Neither a rejected nor an empty advance took a draw.
+  gs.step();
+  fresh.step();
+  expect_read_layers_equal(fresh, gs, small_gate().n_layers);
+}
+
+TEST(Gate, InitialCountsReplayTheConstructorBitForBit) {
+  // k in {1, read_layers, n_layers}, from simulators that hold fewer layers
+  // and have advanced since, against a full simulator's constructor counts.
+  // 256 experts over 3 ranks is 768 draws a layer, so the 1024-draw blocks
+  // of the count fill straddle layers; 8 experts over 3 ranks (24) and over
+  // 8 ranks (64) cover the small gates.
+  struct Shape {
+    int experts, ranks, layers, read;
+  };
+  for (const Shape& sh : {Shape{8, 8, 4, 2}, Shape{8, 3, 5, 3},
+                          Shape{256, 3, 6, 2}, Shape{256, 64, 5, 3}}) {
+    GateConfig g = small_gate();
+    g.n_experts = sh.experts;
+    g.ep_ranks = sh.ranks;
+    g.n_layers = sh.layers;
+    SCOPED_TRACE(std::to_string(sh.experts) + " experts, " +
+                 std::to_string(sh.ranks) + " ranks");
+    const GateSimulator full(g);
+    GateSimulator part(g, sh.read);
+    part.advance_steps(60);  // crosses a transition drift
+    part.step();
+    for (const int k : {1, sh.read, sh.layers}) {
+      SCOPED_TRACE("k " + std::to_string(k));
+      for (const GateSimulator* gs : {&full, static_cast<const GateSimulator*>(&part)}) {
+        const std::vector<Matrix> counts = gs->initial_counts(k);
+        ASSERT_EQ(counts.size(), static_cast<std::size_t>(k));
+        for (int l = 0; l < k; ++l)
+          EXPECT_TRUE(same_bits(counts[static_cast<std::size_t>(l)].data(),
+                                full.dispatch_counts(l).data()))
+              << "layer " << l;
+      }
+    }
+    EXPECT_THROW(part.initial_counts(0), std::invalid_argument);
+    EXPECT_THROW(part.initial_counts(sh.layers + 1), std::invalid_argument);
   }
 }
 
@@ -469,8 +549,8 @@ TEST(GateTrace, SnapshotsEqualLiveGateBitForBit) {
   // 3 ranks over 8 experts: the last rank owns the remainder, so the
   // dispatch-matrix ownership rule is exercised too. Warmup 48 makes the
   // recorded steps cross the iteration-50 transition drift. The producer
-  // holds only the recorded layers (1 or 3 of 4) after warmup; the live
-  // gate computes all of them.
+  // holds only the recorded layers (1 or 3 of 4); the live gate computes all
+  // of them, and the trace's replayed initial counts are its constructor's.
   GateConfig g = small_gate();
   g.ep_ranks = 3;
   constexpr int kWarmup = 48, kSteps = 3;
@@ -481,7 +561,12 @@ TEST(GateTrace, SnapshotsEqualLiveGateBitForBit) {
       SCOPED_TRACE("layers " + std::to_string(layers));
       const GateTrace trace(g, kWarmup, policy, layers);
       GateSimulator live(g);
-      expect_snapshot_is_live_state(trace.initial(), live, g.n_layers);
+      const auto initial = trace.initial_counts(g.n_layers);
+      ASSERT_EQ(initial->size(), static_cast<std::size_t>(g.n_layers));
+      for (int l = 0; l < g.n_layers; ++l)
+        EXPECT_TRUE(same_bits((*initial)[static_cast<std::size_t>(l)].data(),
+                              live.dispatch_counts(l).data()))
+            << l;
       if (policy == WarmupPolicy::kClosedForm)
         live.advance_steps(kWarmup);
       else
@@ -511,6 +596,48 @@ TEST(GateTrace, RejectsLayerCountsOutsideTheModel) {
                std::invalid_argument);
   EXPECT_THROW(GateTrace(small_gate(), 0, WarmupPolicy::kClosedForm, 5),
                std::invalid_argument);
+  EXPECT_THROW(GateTrace(small_gate(), -1, WarmupPolicy::kClosedForm, 2),
+               std::invalid_argument);
+  const GateTrace trace(small_gate(), 0, WarmupPolicy::kClosedForm, 2);
+  EXPECT_THROW(trace.initial_counts(0), std::invalid_argument);
+  EXPECT_THROW(trace.initial_counts(5), std::invalid_argument);
+  EXPECT_EQ(trace.initial_replays(), 0u);
+}
+
+TEST(GateTrace, InitialCountsReplayOnceAndGrowOnDemand) {
+  const GateTrace trace(small_gate(), 10, WarmupPolicy::kClosedForm, 2);
+  EXPECT_EQ(trace.initial_replays(), 0u);  // construction replays nothing
+  const auto three = trace.initial_counts(3);
+  EXPECT_EQ(three->size(), 3u);
+  EXPECT_EQ(trace.initial_counts(2).get(), three.get());  // fewer: shared
+  EXPECT_EQ(trace.initial_counts(3).get(), three.get());
+  EXPECT_EQ(trace.initial_replays(), 1u);
+  const auto four = trace.initial_counts(4);  // more: replayed again
+  EXPECT_EQ(four->size(), 4u);
+  EXPECT_EQ(trace.initial_replays(), 2u);
+  EXPECT_TRUE(same_bits((*three)[2].data(), (*four)[2].data()));
+  EXPECT_EQ(three->size(), 3u);  // an earlier result stays valid
+}
+
+TEST(GateTrace, ConcurrentInitialReadersShareOneReplay) {
+  const GateTrace trace(small_gate(), 10, WarmupPolicy::kClosedForm, 2);
+  constexpr int kThreads = 4;
+  std::vector<std::shared_ptr<const std::vector<Matrix>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      got[static_cast<std::size_t>(t)] = trace.initial_counts(3);
+      trace.iteration(t + 1);  // the producer advances meanwhile
+    });
+  for (auto& th : threads) th.join();
+  for (int t = 1; t < kThreads; ++t)
+    EXPECT_EQ(got[static_cast<std::size_t>(t)].get(), got[0].get());
+  EXPECT_EQ(trace.initial_replays(), 1u);
+  const GateSimulator live(small_gate());
+  for (int l = 0; l < 3; ++l)
+    EXPECT_TRUE(same_bits((*got[0])[static_cast<std::size_t>(l)].data(),
+                          live.dispatch_counts(l).data()))
+        << l;
 }
 
 TEST(GateTraceMemo, OnePointerPerKeyAndADistinctTracePerField) {
@@ -545,6 +672,13 @@ TEST(GateTraceMemo, OnePointerPerKeyAndADistinctTracePerField) {
   EXPECT_NE(memo.get(g, 10, WarmupPolicy::kClosedForm, 3).get(), a.get());
   EXPECT_EQ(memo.stats().built, 1u + edits.size() + 3u);
   EXPECT_EQ(memo.stats().shared, 1u);
+  // Replays are counted across the memo's traces: one per trace that was
+  // asked, none for repeated requests.
+  EXPECT_EQ(memo.stats().initial_replays, 0u);
+  a->initial_counts(4);
+  b->initial_counts(4);
+  memo.get(g, 11, WarmupPolicy::kClosedForm, 2)->initial_counts(1);
+  EXPECT_EQ(memo.stats().initial_replays, 2u);
 }
 
 TEST(GateTraceMemo, ConcurrentRequestersShareOneProduction) {

@@ -184,6 +184,21 @@ TEST(BuildCluster, ZeroMicroBatchThrows) {
   EXPECT_THROW(build_cluster(cfg), std::invalid_argument);
 }
 
+TEST(BuildCluster, NegativeWarmupThrowsNamingIt) {
+  TrainingConfig cfg = base(topo::FabricKind::kFatTree);
+  cfg.warmup_iterations = -3;
+  try {
+    build_cluster(cfg);
+    ADD_FAILURE() << "a negative warmup was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("warmup_iterations"), std::string::npos) << what;
+    EXPECT_NE(what.find("-3"), std::string::npos) << what;
+  }
+  cfg.warmup_iterations = 0;
+  EXPECT_NO_THROW(build_cluster(cfg));
+}
+
 // --------------------------------------------------------- training sim ----
 
 TEST(TrainingSim, IterationCompletesOnAllFabrics) {
