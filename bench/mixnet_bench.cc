@@ -19,13 +19,16 @@
 // sharded runs followed by one plain `--run` over the shared cache (the
 // merge step: every point a hit) are byte-identical to a serial run.
 //
-// Exit codes (README "Exit codes"): 0 success; 1 unknown scenario or
-// scenario failure; 2 usage error; 3 paper-shape check violation;
-// 4 one or more sweep points failed (summary on stderr).
+// Exit codes (README "Exit codes"): 0 success; 1 unknown scenario,
+// scenario failure or an unwritable --stats file; 2 usage error;
+// 3 paper-shape check violation; 4 one or more sweep points failed
+// (summary on stderr).
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <memory>
 #include <string>
@@ -60,7 +63,7 @@ int usage(const char* argv0, int code) {
       "  --jobs N       worker threads for sweep points (default 1)\n"
       "  --format FMT   output format: text (default), csv, json\n"
       "  --check        run registered paper-shape checks after each\n"
-      "                 scenario; exit 3 on any violation (CI smoke gate)\n"
+      "                 scenario; exit 3 on any violation\n"
       "  --cache DIR    result-cache directory (default .mixnet-cache, or\n"
       "                 the MIXNET_CACHE_DIR environment variable)\n"
       "  --no-cache     disable the result cache (every point recomputes)\n"
@@ -117,49 +120,55 @@ struct ScenarioStatsEntry {
   mixnet::moe::GateTraceMemo::Stats gate_traces;
 };
 
-std::string stats_json_object(const ScenarioStatsEntry& e) {
+// The counters of one scenario (or of the totals), without braces.
+std::string stats_json_fields(const ScenarioStatsEntry& e) {
   const SweepStats& s = e.stats;
   char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "{\"name\":\"%s\",\"points\":%zu,\"hits\":%zu,"
+                "\"points\":%zu,\"hits\":%zu,"
                 "\"computed\":%zu,\"skipped\":%zu,\"failed\":%zu,"
                 "\"copilot_solves\":%zu,\"pkt_arrivals\":%zu,"
                 "\"gate_traces\":{\"built\":%zu,\"shared\":%zu,"
-                "\"initial_replays\":%zu}}",
-                e.name.c_str(), s.points, s.hits, s.computed, s.skipped,
-                s.failed, s.copilot_solves, s.pkt_arrivals,
-                e.gate_traces.built, e.gate_traces.shared,
-                e.gate_traces.initial_replays);
+                "\"initial_replays\":%zu}",
+                s.points, s.hits, s.computed, s.skipped, s.failed,
+                s.copilot_solves, s.pkt_arrivals, e.gate_traces.built,
+                e.gate_traces.shared, e.gate_traces.initial_replays);
   return buf;
 }
 
+// Writes the --stats JSON; on failure sets *error to strerror's text.
 bool write_stats_file(const std::string& path,
-                      const std::vector<ScenarioStatsEntry>& entries) {
-  SweepStats totals;
+                      const std::vector<ScenarioStatsEntry>& entries,
+                      std::string* error) {
+  ScenarioStatsEntry totals;
   std::string out = "{\"scenarios\":[";
   for (std::size_t i = 0; i < entries.size(); ++i) {
+    const ScenarioStatsEntry& e = entries[i];
     if (i) out += ',';
-    out += stats_json_object(entries[i]);
-    totals.points += entries[i].stats.points;
-    totals.hits += entries[i].stats.hits;
-    totals.computed += entries[i].stats.computed;
-    totals.skipped += entries[i].stats.skipped;
-    totals.failed += entries[i].stats.failed;
-    totals.copilot_solves += entries[i].stats.copilot_solves;
-    totals.pkt_arrivals += entries[i].stats.pkt_arrivals;
+    out += "{\"name\":\"" + e.name + "\"," + stats_json_fields(e) + "}";
+    totals.stats.points += e.stats.points;
+    totals.stats.hits += e.stats.hits;
+    totals.stats.computed += e.stats.computed;
+    totals.stats.skipped += e.stats.skipped;
+    totals.stats.failed += e.stats.failed;
+    totals.stats.copilot_solves += e.stats.copilot_solves;
+    totals.stats.pkt_arrivals += e.stats.pkt_arrivals;
+    totals.gate_traces.built += e.gate_traces.built;
+    totals.gate_traces.shared += e.gate_traces.shared;
+    totals.gate_traces.initial_replays += e.gate_traces.initial_replays;
   }
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "],\"totals\":{\"points\":%zu,\"hits\":%zu,\"computed\":%zu,"
-                "\"skipped\":%zu,\"failed\":%zu,\"copilot_solves\":%zu,"
-                "\"pkt_arrivals\":%zu}}\n",
-                totals.points, totals.hits, totals.computed, totals.skipped,
-                totals.failed, totals.copilot_solves, totals.pkt_arrivals);
-  out += buf;
+  out += "],\"totals\":{" + stats_json_fields(totals) + "}}\n";
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  std::fputs(out.c_str(), f);
-  std::fclose(f);
+  if (!f) {
+    *error = std::strerror(errno);
+    return false;
+  }
+  const bool wrote = std::fputs(out.c_str(), f) >= 0;
+  const int write_errno = errno;
+  if (std::fclose(f) != 0 || !wrote) {
+    *error = std::strerror(wrote ? errno : write_errno);
+    return false;
+  }
   return true;
 }
 
@@ -361,8 +370,8 @@ int main(int argc, char** argv) {
         std::fputs(result.to_text().c_str(), stdout);
       }
     }
-    // Cache hit/miss report: one stderr line per scenario, machine-collected
-    // by scripts/verify.sh into BENCH_verify.json via --stats.
+    // Cache hit/miss report: one stderr line per scenario (--stats carries
+    // the same counters as JSON).
     if (ctx.cache) {
       std::string prefix = "cache";
       if (shard_set)
@@ -399,9 +408,15 @@ int main(int argc, char** argv) {
     }
   }
   if (render && format == "json") std::printf("%s]\n", json_out.c_str());
-  if (!stats_path.empty() && !write_stats_file(stats_path, stats_entries))
-    std::fprintf(stderr, "could not write stats file: %s\n",
-                 stats_path.c_str());
+  if (!stats_path.empty()) {
+    // A gate that reads this file must never see a stale one.
+    std::string error;
+    if (!write_stats_file(stats_path, stats_entries, &error)) {
+      std::fprintf(stderr, "mixnet-bench: could not write --stats file '%s': %s\n",
+                   stats_path.c_str(), error.c_str());
+      return 1;
+    }
+  }
   if (failed_points > 0)
     std::fprintf(stderr, "%zu sweep point(s) failed\n", failed_points);
   if (shape_violations > 0) return 3;

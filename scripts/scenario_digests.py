@@ -1,26 +1,27 @@
 #!/usr/bin/env python3
-"""Scenario fingerprint gate: every scenario's cold output, pinned by sha256.
+"""The figure pass: every scenario once, cold, pinned by digest and work counters.
 
-Runs each registered scenario cold,
+Runs each registered scenario in its own process,
 
-    mixnet-bench --run <name> --no-cache --format json
+    mixnet-bench --run <name> --no-cache --format json --check --stats FILE
 
-and compares the sha256 of its output with bench/scenario_digests.json, which
-also records the kCacheSchemaVersion (src/exp/cache_key.h) the digests were
-taken at. A change that moves any output fails here, naming the scenario and
-saying whether the schema version moved with it. A behaviour change that the
-result cache would otherwise serve stale needs both: a schema bump and
-re-recorded digests.
+and compares the run with bench/scenario_digests.json (DESIGN.md §9). The
+run must exit 0, so its shape check passes. The structural counters
+(`points`, `gate_traces.*`) must equal the record on every build. The output
+sha256 and the numeric counters (`copilot_solves`, `pkt_arrivals`) must equal
+it on a GCC Release build: the record is taken with one, and the fast-math
+TU (src/common/simd_math.cc) rounds differently under other toolchains.
 
-The digests are recorded with a GCC Release build and the default
-MIXNET_FIG26XL_ARM=small. The fast-math TU (src/common/simd_math.cc) rounds
-differently under other toolchains, so the comparison runs only when the
-build directory's compiler is GCC and its build type Release; otherwise it
-prints that it was skipped and exits 0.
+The counters pin the work behind the output, so a change that keeps every
+byte but stops sharing a gate trace still fails, naming the scenario, the
+counter and both values. A digest mismatch also says whether
+kCacheSchemaVersion (src/exp/cache_key.h), which the record keeps, moved.
+Each run's seconds go to BENCH_verify.json beside its counters; nothing
+gates on them.
 
 Usage:
   scripts/scenario_digests.py [--build DIR] [--jobs N]   compare (exit 1 on
-                                                         a mismatch)
+                                                         any mismatch)
   scripts/scenario_digests.py --write [--build DIR] [--jobs N]
                                                          re-record the file
 """
@@ -32,10 +33,26 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RECORD = os.path.join(ROOT, "bench", "scenario_digests.json")
 SCHEMA_HEADER = os.path.join(ROOT, "src", "exp", "cache_key.h")
+TRAJECTORY = os.path.join(ROOT, "BENCH_verify.json")
+
+# (--stats counter, structural?). Structural counters follow from how the
+# sweeps are built and hold on every toolchain; the others count work whose
+# amount follows the simulated numbers. A new counter joins the gate by being
+# listed here and re-recorded with --write.
+COUNTERS = (
+    ("points", True),
+    ("gate_traces.built", True),
+    ("gate_traces.shared", True),
+    ("gate_traces.initial_replays", True),
+    ("copilot_solves", False),
+    ("pkt_arrivals", False),
+)
 
 
 def schema_version():
@@ -64,20 +81,103 @@ def toolchain(build):
     return cxx_id, cxx_version, build_type
 
 
-def digests(bench, jobs):
+def counter(entry, name):
+    """A dotted counter name looked up in a nested entry (None if absent)."""
+    for key in name.split("."):
+        if not isinstance(entry, dict) or key not in entry:
+            return None
+        entry = entry[key]
+    return entry
+
+
+def summarize(returncode, stdout, stderr, stats):
+    """One run as the record keeps it: its sha256 and pinned counters, or
+    `error` when mixnet-bench exited non-zero (with its failure lines)."""
+    if returncode != 0:
+        lines = [l for l in stderr.splitlines() if "FAILED" in l or "failed" in l]
+        detail = "; ".join(lines or stderr.splitlines()[-3:])
+        return {"error": f"mixnet-bench exited {returncode}: {detail}"}
+    entry = {"sha256": hashlib.sha256(stdout).hexdigest()}
+    for name, _ in COUNTERS:
+        *parents, leaf = name.split(".")
+        node = entry
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[leaf] = counter(stats, name)
+    return entry
+
+
+def compare(record, got, schema, exact):
+    """Every difference between this pass and the record, one line each;
+    empty when the pass holds. `exact` adds the digests and the numeric
+    counters (GCC Release builds only)."""
+    want = record["scenarios"]
+    bad = []
+    digest_moved = False
+    for name in sorted(set(want) | set(got)):
+        if name not in got:
+            bad.append(f"{name}: recorded but no longer registered")
+            continue
+        if name not in want:
+            bad.append(f"{name}: registered but not recorded")
+            continue
+        g, w = got[name], want[name]
+        if "error" in g:
+            bad.append(f"{name}: {g['error']}")
+            continue
+        if exact and g["sha256"] != w["sha256"]:
+            digest_moved = True
+            bad.append(f"{name}: output sha256 {g['sha256'][:12]}... differs "
+                       f"from recorded {w['sha256'][:12]}...")
+        for c, structural in COUNTERS:
+            if (structural or exact) and counter(g, c) != counter(w, c):
+                bad.append(f"{name}: {c} is {counter(g, c)}, recorded "
+                           f"{counter(w, c)}")
+    if digest_moved and schema != record["schema_version"]:
+        bad.append(f"kCacheSchemaVersion moved {record['schema_version']} -> "
+                   f"{schema}; re-record with scripts/scenario_digests.py --write")
+    elif digest_moved:
+        bad.append(f"kCacheSchemaVersion is still {schema}: an output changed "
+                   f"without a schema bump (recorded with "
+                   f"{record['recorded_with']})")
+    return bad
+
+
+def run_all(bench, jobs):
+    """{name: summarized run} and {name: wall seconds} over the registry."""
     listing = json.loads(subprocess.run(
         [bench, "--list", "--format", "json"], check=True,
         capture_output=True, text=True).stdout)
-    env = dict(os.environ, MIXNET_FIG26XL_ARM="small")
-    out = {}
-    for s in listing["scenarios"]:
-        name = s["name"]
-        run = subprocess.run(
-            [bench, "--run", name, "--no-cache", "--format", "json",
-             "--jobs", str(jobs)],
-            check=True, capture_output=True, env=env)
-        out[name] = hashlib.sha256(run.stdout).hexdigest()
-    return out
+    got, seconds = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        stats_path = os.path.join(tmp, "stats.json")
+        for s in listing["scenarios"]:
+            name = s["name"]
+            start = time.monotonic()
+            run = subprocess.run(
+                [bench, "--run", name, "--no-cache", "--format", "json",
+                 "--check", "--stats", stats_path, "--jobs", str(jobs)],
+                capture_output=True)
+            seconds[name] = time.monotonic() - start
+            stats = None
+            if run.returncode == 0:
+                with open(stats_path) as f:
+                    stats = json.load(f)["scenarios"][0]
+            got[name] = summarize(run.returncode, run.stdout,
+                                  run.stderr.decode(errors="replace"), stats)
+    return got, seconds
+
+
+def write_trajectory(got, seconds, jobs):
+    scenarios = []
+    for name, entry in got.items():
+        row = {"name": name, "seconds": round(seconds[name], 3)}
+        row.update({k: v for k, v in entry.items() if k != "sha256"})
+        scenarios.append(row)
+    with open(TRAJECTORY, "w") as f:
+        json.dump({"suite": "figures", "jobs": jobs, "scenarios": scenarios,
+                   "total_seconds": round(sum(seconds.values()), 3)}, f)
+        f.write("\n")
 
 
 def main():
@@ -89,57 +189,60 @@ def main():
     args = ap.parse_args()
 
     cxx_id, cxx_version, build_type = toolchain(args.build)
-    if cxx_id != "GNU" or build_type != "Release":
-        print(f"scenario digests: skipped ({cxx_id or 'unknown'} "
-              f"{build_type or 'unknown'} build; digests are recorded with "
-              "GCC Release)")
-        return 0
+    exact = cxx_id == "GNU" and build_type == "Release"
+    if args.write and not exact:
+        print(f"scenario digests: cannot record on a {cxx_id or 'unknown'} "
+              f"{build_type or 'unknown'} build; the record is taken with "
+              "GCC Release", file=sys.stderr)
+        return 1
     bench = os.path.join(args.build, "bench", "mixnet-bench")
-    got = digests(bench, args.jobs)
+    got, seconds = run_all(bench, args.jobs)
+    write_trajectory(got, seconds, args.jobs)
+    for name, entry in got.items():
+        print(f"figures {name:<16} {seconds[name]:5.2f} s  "
+              + (entry.get("error") or
+                 " ".join(f"{c}={counter(entry, c)}" for c, _ in COUNTERS)))
+    print(f"figures total {sum(seconds.values()):.2f} s (advisory; wrote "
+          f"{os.path.relpath(TRAJECTORY, ROOT)})")
     schema = schema_version()
 
     if args.write:
-        record = {
+        failed = [e["error"] for e in got.values() if "error" in e]
+        if failed:
+            for line in failed:
+                print(f"scenario digests: {line}", file=sys.stderr)
+            print("scenario digests: not recorded", file=sys.stderr)
+            return 1
+        head = json.dumps({
             "schema_version": schema,
-            "recorded_with": f"GNU {cxx_version} Release, MIXNET_FIG26XL_ARM=small",
-            "command": "mixnet-bench --run <name> --no-cache --format json",
-            "scenarios": got,
-        }
-        with open(RECORD, "w") as f:
-            json.dump(record, f, indent=2)
-            f.write("\n")
+            "recorded_with": f"GNU {cxx_version} Release",
+            "command": "mixnet-bench --run <name> --no-cache --format json "
+                       "--check --stats FILE",
+        }, indent=2)
+        rows = ",\n".join(f"    {json.dumps(n)}: {json.dumps(e)}"
+                          for n, e in got.items())
+        with open(RECORD, "w") as f:  # one scenario a line, for readable diffs
+            f.write(f'{head[:-2]},\n  "scenarios": {{\n{rows}\n  }}\n}}\n')
         print(f"scenario digests: recorded {len(got)} scenarios at schema "
               f"version {schema} in {os.path.relpath(RECORD, ROOT)}")
         return 0
 
     with open(RECORD) as f:
         record = json.load(f)
-    want = record["scenarios"]
-    bad = []
-    for name in sorted(set(want) | set(got)):
-        if name not in got:
-            bad.append(f"{name}: recorded but no longer registered")
-        elif name not in want:
-            bad.append(f"{name}: registered but has no recorded digest")
-        elif got[name] != want[name]:
-            bad.append(f"{name}: output digest {got[name][:12]}... differs "
-                       f"from recorded {want[name][:12]}...")
-    if not bad:
-        print(f"scenario digests: {len(got)} scenarios match "
-              f"(schema version {schema})")
-        return 0
+    bad = compare(record, got, schema, exact)
     for line in bad:
         print(f"scenario digests: {line}", file=sys.stderr)
-    if schema != record["schema_version"]:
-        print(f"scenario digests: kCacheSchemaVersion moved "
-              f"{record['schema_version']} -> {schema}; re-record with "
-              "scripts/scenario_digests.py --write", file=sys.stderr)
+    if bad:
+        return 1
+    if exact:
+        print(f"scenario digests: {len(got)} scenarios pass their checks and "
+              f"match every digest and counter (schema version {schema})")
     else:
-        print(f"scenario digests: kCacheSchemaVersion is still {schema}: an "
-              "output changed without a schema bump (recorded with "
-              f"{record['recorded_with']}; this build is GNU {cxx_version})",
-              file=sys.stderr)
-    return 1
+        print(f"scenario digests: {len(got)} scenarios pass their checks and "
+              f"match the structural counters; digests, copilot_solves and "
+              f"pkt_arrivals skipped ({cxx_id or 'unknown'} "
+              f"{build_type or 'unknown'} build; recorded with GCC Release)")
+    return 0
 
 
 if __name__ == "__main__":

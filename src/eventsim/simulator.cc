@@ -1,7 +1,6 @@
 #include "eventsim/simulator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -23,7 +22,8 @@ void Simulator::heap_push(HeapEntry e) {
 }
 
 void Simulator::heap_pop() {
-  assert(!heap_.empty());
+  if (heap_.empty())
+    throw std::logic_error("eventsim::Simulator::heap_pop: the event heap is empty");
   heap_.front() = heap_.back();
   heap_.pop_back();
   const std::size_t n = heap_.size();

@@ -19,7 +19,7 @@ struct ScenarioInfo {
   std::string title;    ///< one-line description
   std::function<ScenarioResult(const RunContext&)> run;
   /// Optional structural paper-shape validation (`mixnet-bench --check`,
-  /// the CI figures-smoke gate): returns human-readable violations, empty
+  /// run by the figure pass): returns human-readable violations, empty
   /// when the EXPERIMENTS.md shape invariants hold. Checks assert orderings
   /// and coarse ratios, never exact values, so they survive draw-sequence
   /// re-baselines that keep the figure's shape.

@@ -460,14 +460,11 @@ ScenarioResult run_fig26(const RunContext& ctx) {
 // provably identical max-min allocations at oversub <= 1. The scenario
 // carries its own proof obligations: explicit-vs-analytic iteration times
 // must agree at small scale, and normalized throughput must grow
-// monotonically with cluster size (the paper's linear-scaling shape).
-// MIXNET_FIG26XL_ARM=full adds the 8k/65k/131k-GPU analytic points (the
-// default "small" arm is the CI smoke configuration).
+// monotonically with cluster size (the paper's linear-scaling shape), from
+// 1k up to 131k GPUs.
 
 ScenarioResult run_fig26_xl(const RunContext& ctx) {
   const auto model = moe::mixtral_8x7b();
-  const char* arm_env = std::getenv("MIXNET_FIG26XL_ARM");
-  const bool full = arm_env != nullptr && std::string(arm_env) == "full";
 
   auto dp_for = [](int gpus) {
     return [gpus](ScenarioSpec& s) {
@@ -513,10 +510,9 @@ ScenarioResult run_fig26_xl(const RunContext& ctx) {
     out.tables.push_back(std::move(t));
   }
 
-  // -- Scale arm: analytic core only; the full arm's 65k/131k points are
-  // the graph sizes the explicit core exists to avoid. -----------------
-  std::vector<int> sizes = {1024, 2048, 4096};
-  if (full) sizes.insert(sizes.end(), {8192, 65536, 131072});
+  // -- Scale arm: analytic core only; its 65k/131k points are the graph
+  // sizes the explicit core exists to avoid. ---------------------------
+  const std::vector<int> sizes = {1024, 2048, 4096, 8192, 65536, 131072};
   {
     std::vector<AxisValue> size_axis;
     for (int gpus : sizes)
@@ -549,8 +545,7 @@ ScenarioResult run_fig26_xl(const RunContext& ctx) {
   const topo::Fabric fab = topo::Fabric::build(
       topo::FabricConfig::fat_tree(sizes.back() / 8)
           .with_core_model(topo::CoreModel::kAnalytic));
-  out.note = std::string("arm: ") + (full ? "full" : "small") +
-             "\nfabric: " + fab.describe() +
+  out.note = "fabric: " + fab.describe() +
              "\nPaper shape: tokens/s scales ~linearly with cluster size; "
              "the analytic core must reproduce the explicit core's "
              "iteration times at small scale.";
@@ -688,7 +683,7 @@ ScenarioResult run_fig28(const RunContext& ctx) {
 
 }  // namespace
 
-// Structural paper-shape checks for the CI figures-smoke gate (see
+// Structural paper-shape checks, run by the figure pass (see
 // ScenarioInfo::check). fig12 tables: one per model, rows = bandwidths,
 // columns Gbps | fat-tree | rail-optimized | oversub | TopoOpt | MixNet,
 // values normalized iteration time (lower is better).
@@ -814,8 +809,7 @@ void register_training_scenarios(ScenarioRegistry& r) {
   r.add({"fig26", "Figure 26",
          "Scalability: tokens/s and perf-per-dollar vs cluster size", run_fig26, {}, "training"});
   r.add({"fig26-xl", "Figure 26 (XL)",
-         "100k-GPU scalability on the analytic electrical core "
-         "(MIXNET_FIG26XL_ARM=small|full)",
+         "100k-GPU scalability on the analytic electrical core",
          run_fig26_xl, check_fig26_xl, "training"});
   r.add({"fig27", "Figure 27",
          "Optical degree alpha sweep (cost-equivalent)", run_fig27, {}, "training"});

@@ -1,9 +1,10 @@
 #include "net/flowsim.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace mixnet::net {
@@ -12,6 +13,32 @@ namespace {
 // Flows are considered complete when less than half a byte remains; fluid
 // rates are real-valued so exact zero is not reachable in general.
 constexpr Bytes kCompletionEps = 0.5;
+
+// FlowSim's own bookkeeping checks. No input reaches them; the throws live
+// out of line so the solver's loops carry only the comparison.
+[[noreturn]] [[gnu::noinline]] [[gnu::cold]] void live_count_broken(
+    std::size_t listed, std::size_t counted) {
+  throw std::logic_error("net::FlowSim::compact_active: " +
+                         std::to_string(listed) +
+                         " live slots in the active list, but " +
+                         std::to_string(counted) + " live flows counted");
+}
+
+[[noreturn]] [[gnu::noinline]] [[gnu::cold]] void advance_unsolved(
+    std::size_t live, TimeNs from, TimeNs to) {
+  throw std::logic_error("net::FlowSim::advance_progress: " +
+                         std::to_string(live) + " flows would advance from t=" +
+                         std::to_string(from) + " to t=" + std::to_string(to) +
+                         " ns on unsolved rates");
+}
+
+[[noreturn]] [[gnu::noinline]] [[gnu::cold]] void link_count_broken(
+    FlowId flow, LinkId link, std::int32_t count) {
+  throw std::logic_error("net::FlowSim::remove_flow_from_links: flow " +
+                         std::to_string(flow) + " leaves link " +
+                         std::to_string(link) + ", which counts " +
+                         std::to_string(count) + " flows");
+}
 }  // namespace
 
 FlowSim::FlowSim(eventsim::Simulator& sim, const Network& net) : sim_(sim), net_(net) {}
@@ -75,7 +102,7 @@ void FlowSim::compact_active() {
   for (std::uint32_t slot : active_)
     if (alive_[slot]) active_[w++] = slot;
   active_.resize(w);
-  assert(w == n_live_);
+  if (w != n_live_) live_count_broken(w, n_live_);
 }
 
 void FlowSim::advance_progress() {
@@ -84,7 +111,8 @@ void FlowSim::advance_progress() {
   if (dt > 0.0) {
     // Rates were solved when this interval began (the commit event runs
     // before virtual time can advance past a mutation instant).
-    assert(!dirty_ || n_live_ == 0);
+    if (dirty_ && n_live_ != 0)
+      advance_unsolved(n_live_, last_progress_time_, now);
     compact_active();
     for (std::uint32_t slot : active_) {
       remaining_[slot] -= rate_[slot] * dt;
@@ -135,7 +163,8 @@ void FlowSim::add_flow_to_links(std::uint32_t slot) {
 void FlowSim::remove_flow_from_links(std::uint32_t slot) {
   for (const LinkId* p = path_begin(slot); p != path_end(slot); ++p) {
     const auto i = static_cast<std::size_t>(*p);
-    assert(link_flow_count_[i] > 0);
+    if (link_flow_count_[i] <= 0)
+      link_count_broken(flow_id_[slot], *p, link_flow_count_[i]);
     --link_flow_count_[i];  // compacted out of used_links_ at the next solve
   }
 }
